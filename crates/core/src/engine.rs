@@ -203,11 +203,11 @@ impl Engine {
 
     /// Renders a human-readable EXPLAIN of the fusion plan this engine
     /// would execute: one line per unit with the fused operators, the
-    /// chosen `(P*,Q*,R*)` for cuboid units, and the model's estimates.
+    /// chosen `(P*,Q*,R*)` for cuboid units, and the model's estimates
+    /// there (omitted for infeasible units, which have none).
     pub fn explain(&self, dag: &QueryDag) -> String {
-        use fuseme_fusion::cost::estimate;
-        use fuseme_fusion::optimizer::optimize_bounded;
-        use fuseme_fusion::plan::{k_splittable, ExecUnit, PartialPlan};
+        use fuseme_fusion::optimizer::optimize;
+        use fuseme_fusion::plan::{ExecUnit, PartialPlan};
         use fuseme_fusion::space::SpaceTree;
         use std::fmt::Write as _;
 
@@ -232,18 +232,17 @@ impl Engine {
             match unit {
                 ExecUnit::Fused(p) if p.main_matmul(dag).is_some() => {
                     let tree = SpaceTree::build(dag, p);
-                    let max_r = if k_splittable(dag, p) { usize::MAX } else { 1 };
-                    let opt = optimize_bounded(dag, p, &tree, &model, max_r);
-                    let est = estimate(dag, p, &tree, opt.pqr.p, opt.pqr.q, opt.pqr.r);
-                    let _ = writeln!(
-                        out,
-                        "  {i}: CFO {} [{}] net≈{:.2}MB mem/task≈{:.2}MB{}",
-                        opt.pqr,
-                        labels(p),
-                        est.net_bytes as f64 / 1e6,
-                        est.mem_bytes as f64 / 1e6,
-                        if opt.feasible { "" } else { "  (INFEASIBLE)" },
-                    );
+                    let opt = optimize(dag, p, &tree, &model);
+                    let est = if opt.feasible {
+                        format!(
+                            " net≈{:.2}MB mem/task≈{:.2}MB",
+                            opt.est.net_bytes as f64 / 1e6,
+                            opt.est.mem_bytes as f64 / 1e6,
+                        )
+                    } else {
+                        "  (INFEASIBLE)".to_string()
+                    };
+                    let _ = writeln!(out, "  {i}: CFO {} [{}]{est}", opt.pqr, labels(p));
                 }
                 ExecUnit::Fused(p) => {
                     let _ = writeln!(out, "  {i}: cell-fused [{}]", labels(p));
@@ -373,12 +372,18 @@ mod tests {
 
     #[test]
     fn explain_renders_plan() {
-        let (dag, _) = nmf_query();
+        let (dag, binds) = nmf_query();
         let fm = Engine::fuseme(cc());
         let text = fm.explain(&dag);
         assert!(text.contains("FuseME plan"), "{text}");
         assert!(text.contains("CFO ("), "{text}");
         assert!(text.contains("ba(×)"), "{text}");
+        // The printed (P,Q,R) is the one execution picks.
+        let ran = fm.run(&dag, &binds).unwrap();
+        let [(_, pqr)] = ran.stats.pqr_choices[..] else {
+            panic!("one cuboid unit expected: {:?}", ran.stats.pqr_choices);
+        };
+        assert!(text.contains(&format!("CFO {pqr} [")), "{text} vs {pqr}");
         let sd = Engine::systemds_like(cc());
         let text = sd.explain(&dag);
         assert!(text.contains("SystemDS plan"));

@@ -107,7 +107,6 @@ fn sweep(scale: Scale, out_dir: &Path) -> Vec<Measurement> {
             &plan,
             &values,
             &fuseme_exec::Strategy::Cuboid { pqr },
-            &model,
         );
         let (status, data, secs) = match result {
             Ok(_) => (
@@ -203,7 +202,7 @@ fn pruning(scale: Scale, out_dir: &Path) -> Vec<Measurement> {
         ]);
         for (name, res) in [("exhaustive", &ex), ("pruning", &pr)] {
             let mut run = RunSummary::completed(name, &Default::default());
-            run.sim_secs = res.stats.elapsed_secs;
+            run.wall_secs = res.stats.elapsed_secs;
             run.pqr = vec![(0, res.pqr.p, res.pqr.q, res.pqr.r)];
             measurements.push(Measurement {
                 experiment: "fig13d".into(),

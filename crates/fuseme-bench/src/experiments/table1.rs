@@ -116,7 +116,7 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Measurement> {
             })
             .collect();
         let result =
-            fuseme_exec::fused_op::execute_fused(&cluster, &dag, &plan, &values, &strategy, &model);
+            fuseme_exec::fused_op::execute_fused(&cluster, &dag, &plan, &values, &strategy);
         let (measured, status) = match result {
             Ok(_) => (cluster.comm().total(), RunStatus::Completed),
             Err(e) => (0, RunStatus::from_error(&e)),

@@ -15,8 +15,6 @@
 //! so simulated elapsed times, O.O.M. thresholds, and the 12-hour timeout
 //! remain directly comparable to the paper's reported numbers.
 
-use std::sync::Arc;
-
 use fuseme::prelude::*;
 use fuseme_plan::QueryDag;
 use serde::{Deserialize, Serialize};
@@ -267,14 +265,10 @@ pub fn write_json(
     std::fs::write(path, json)
 }
 
-/// Shared NMF bindings cache so sweeps over engines reuse generated data.
-pub fn shared_bindings(binds: Bindings) -> Arc<Bindings> {
-    Arc::new(binds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn scale_validation() {

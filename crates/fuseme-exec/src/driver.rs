@@ -17,9 +17,7 @@ use std::sync::Arc;
 
 use fuseme_fusion::cfg::{split, split_candidates};
 use fuseme_fusion::cost::CostModel;
-use fuseme_fusion::optimizer::{
-    min_feasible_theta, optimize_bounded_cached, CachedInput, OptResult, Pqr,
-};
+use fuseme_fusion::optimizer::{min_feasible_theta, optimize_cached, CachedInput, OptResult, Pqr};
 use fuseme_fusion::plan::{mm_dims, ExecUnit, FusionPlan, PartialPlan};
 use fuseme_fusion::space::{input_axes, SpaceTree};
 use fuseme_matrix::BlockedMatrix;
@@ -30,7 +28,7 @@ use fuseme_sim::{
     SimError,
 };
 
-use crate::fused_op::{execute_fused, supports_k_split, Strategy, ValueMap};
+use crate::fused_op::{execute_fused, Strategy, ValueMap};
 
 /// Engine policy for executing (fused plans containing) matrix
 /// multiplication.
@@ -85,7 +83,7 @@ impl ExecConfig {
     }
 }
 
-/// What the bounded cuboid search concluded for one unit. Recorded on the
+/// What the cuboid search concluded for one unit. Recorded on the
 /// unit's span (`opt_outcome`) so an infeasible search that fell back to
 /// the finest partitioning is visible in traces rather than silent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -257,23 +255,16 @@ fn run_unit(
 ) -> Result<Arc<BlockedMatrix>, SimError> {
     let max_reruns = config.fault_tolerance.max_stage_reruns;
     let mut reruns = 0u32;
+    let mut mark = WasteMark::take(cluster);
     loop {
-        let comm_attempt = cluster.comm();
-        let flops_attempt = cluster.ledger().flops_total();
-        let waste_attempt = cluster.fault_stats();
-        match execute_fused(cluster, dag, plan, values, strategy, &config.model) {
+        match execute_fused(cluster, dag, plan, values, strategy) {
             Ok(out) => return Ok(out),
             Err(SimError::ExecutorLost { stage }) if reruns < max_reruns => {
                 reruns += 1;
-                let attempt = cluster.fault_stats().since(&waste_attempt);
-                let attempt_bytes = cluster.comm().since(&comm_attempt).total();
-                let attempt_flops = cluster.ledger().flops_total() - flops_attempt;
                 // The attempt's in-stage waste (retries, speculation) is
                 // already booked by the stage spans; only the rest of the
                 // abandoned attempt is new waste.
-                let rerun_bytes = attempt_bytes - attempt.wasted_bytes;
-                let rerun_flops = attempt_flops - attempt.wasted_flops;
-                cluster.fault_ledger().add_wasted(rerun_bytes, rerun_flops);
+                let (rerun_bytes, rerun_flops) = mark.book(cluster);
                 cluster.fault_ledger().record_stage_rerun();
                 fuseme_obs::handle().event(events::STAGE_RERUN, || {
                     vec![
@@ -356,7 +347,7 @@ fn run_unit_recovering(
 
 /// The memory-pressure recovery ladder (rungs in order):
 ///
-/// 1. **Re-plan** — re-run the bounded cuboid search with the per-task
+/// 1. **Re-plan** — re-run the cuboid search with the per-task
 ///    budget θ_t discounted by `mem_headroom` (shrinking by
 ///    `mem_headroom_decay` per OOM), steering the search toward a finer
 ///    `(P,Q,R)` than the one that blew up. Re-running also escapes
@@ -391,11 +382,6 @@ fn recover_from_oom(
     let obs = fuseme_obs::handle();
     let mut rungs: Vec<LadderRung> = Vec::new();
     let mut last = first;
-    let max_r = if supports_k_split(dag, plan) {
-        usize::MAX
-    } else {
-        1
-    };
 
     // Rung 1 — re-plan under a tightened budget (CFO only: the other
     // policies have no parameters a search could tighten).
@@ -408,7 +394,7 @@ fn recover_from_oom(
                 mem_per_task: (config.model.mem_per_task as f64 * headroom) as u64,
                 ..config.model
             };
-            let replanned = optimize_bounded_cached(dag, plan, &tree, &tightened, max_r, &cached);
+            let replanned = optimize_cached(dag, plan, &tree, &tightened, &cached);
             if !replanned.feasible {
                 break; // tightening further cannot help
             }
@@ -494,7 +480,7 @@ fn recover_from_oom(
         declared_bytes: opt.map(|o| o.est.mem_bytes).unwrap_or(actual),
         actual_bytes: actual,
         budget,
-        min_feasible_theta: min_feasible_theta(dag, plan, &tree, max_r),
+        min_feasible_theta: min_feasible_theta(dag, plan, &tree),
         rungs,
     };
     span.set(keys::MIN_THETA, report.min_feasible_theta);
@@ -618,13 +604,8 @@ fn choose_strategy(
     match config.matmul {
         MatmulStrategy::Cfo => {
             let tree = SpaceTree::build(dag, plan);
-            let max_r = if supports_k_split(dag, plan) {
-                usize::MAX
-            } else {
-                1
-            };
             let cached = cached_inputs(cluster, dag, &tree, values);
-            let opt = optimize_bounded_cached(dag, plan, &tree, &config.model, max_r, &cached);
+            let opt = optimize_cached(dag, plan, &tree, &config.model, &cached);
             // On infeasible searches Algorithm 3 falls back to the finest
             // partitioning and lets admission control (or the recovery
             // ladder) report the failure honestly; the outcome is recorded

@@ -22,7 +22,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
 
-use fuseme_fusion::cost::{estimate, num_ops, CostModel};
+use fuseme_fusion::cost::estimate;
 use fuseme_fusion::optimizer::Pqr;
 use fuseme_fusion::plan::{mm_dims, PartialPlan};
 use fuseme_fusion::space::SpaceTree;
@@ -104,7 +104,6 @@ pub fn execute_fused(
     plan: &PartialPlan,
     values: &ValueMap,
     strategy: &Strategy,
-    model: &CostModel,
 ) -> Result<Arc<BlockedMatrix>, SimError> {
     let root = dag.node(plan.root);
     let (agg_kind, compute_node) = match &root.kind {
@@ -333,7 +332,6 @@ pub fn execute_fused(
     let partial_share = main_mm
         .map(|mm| (fuseme_fusion::cost::size_bytes(dag, mm) as f64 * gate) as u64 / groups)
         .unwrap_or(0);
-    let _ = model;
 
     // ----- stage 1 -------------------------------------------------------------
     let mut work: Vec<TaskWork<'_, TaskOut>> = Vec::new();
@@ -478,13 +476,6 @@ fn enrich_oom(e: SimError, root: NodeId, eq: Pqr) -> SimError {
         },
         other => other,
     }
-}
-
-/// `true` when a plan's structure allows splitting the k-axis (`R > 1`).
-/// Delegates to [`fuseme_fusion::plan::k_splittable`], the same predicate
-/// the CFG exploitation phase costs plans with.
-pub fn supports_k_split(dag: &QueryDag, plan: &PartialPlan) -> bool {
-    fuseme_fusion::plan::k_splittable(dag, plan)
 }
 
 /// Splits `n` block indices into `parts` contiguous chunks (ceil-sized; the
@@ -851,28 +842,12 @@ fn agg_binop(op: AggOp) -> BinOp {
     }
 }
 
-/// Analytic flops of the plan's operators, unreplicated (test helper).
-pub fn plain_flops(dag: &QueryDag, plan: &PartialPlan) -> u64 {
-    plan.ops.iter().map(|&op| num_ops(dag, op)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fuseme_matrix::{gen, MatrixMeta, UnaryOp};
+    use fuseme_matrix::{gen, UnaryOp};
     use fuseme_plan::{evaluate, Bindings, DagBuilder};
     use fuseme_sim::ClusterConfig;
-
-    fn cost_model(cluster: &Cluster) -> CostModel {
-        let c = cluster.config();
-        CostModel {
-            nodes: c.nodes,
-            tasks_per_node: c.tasks_per_node,
-            mem_per_task: c.mem_per_task,
-            net_bandwidth: c.net_bandwidth,
-            compute_bandwidth: c.compute_bandwidth,
-        }
-    }
 
     /// Builds the NMF query with concrete data; returns everything needed to
     /// execute and verify.
@@ -932,14 +907,12 @@ mod tests {
 
     fn run(strategy: Strategy, fixture: &Fixture) -> Result<Arc<BlockedMatrix>, SimError> {
         let cluster = Cluster::new(ClusterConfig::test_small());
-        let model = cost_model(&cluster);
         execute_fused(
             &cluster,
             &fixture.dag,
             &fixture.plan,
             &fixture.values,
             &strategy,
-            &model,
         )
     }
 
@@ -1016,7 +989,6 @@ mod tests {
         let f = nmf_fixture(15);
         let cl_cfo = Cluster::new(ClusterConfig::test_small());
         let cl_rfo = Cluster::new(ClusterConfig::test_small());
-        let model = cost_model(&cl_cfo);
         execute_fused(
             &cl_cfo,
             &f.dag,
@@ -1025,18 +997,9 @@ mod tests {
             &Strategy::Cuboid {
                 pqr: Pqr { p: 2, q: 2, r: 1 },
             },
-            &model,
         )
         .unwrap();
-        execute_fused(
-            &cl_rfo,
-            &f.dag,
-            &f.plan,
-            &f.values,
-            &Strategy::Replication,
-            &model,
-        )
-        .unwrap();
+        execute_fused(&cl_rfo, &f.dag, &f.plan, &f.values, &Strategy::Replication).unwrap();
         assert!(
             cl_cfo.comm().total() < cl_rfo.comm().total(),
             "CFO {} vs RFO {}",
@@ -1052,7 +1015,6 @@ mod tests {
         // Budget below the broadcast footprint (both side matrices whole).
         cfg.mem_per_task = 6_000;
         let cluster = Cluster::new(cfg);
-        let model = cost_model(&cluster);
         let err = execute_fused(
             &cluster,
             &f.dag,
@@ -1061,7 +1023,6 @@ mod tests {
             &Strategy::Broadcast {
                 partition_bytes: 1 << 12,
             },
-            &model,
         )
         .unwrap_err();
         assert!(matches!(err, SimError::OutOfMemory { .. }));
@@ -1075,7 +1036,6 @@ mod tests {
             &Strategy::Cuboid {
                 pqr: Pqr { p: 6, q: 6, r: 3 },
             },
-            &model,
         )
         .unwrap();
         assert!(out.approx_eq(&f.expected, 1e-9));
@@ -1113,14 +1073,13 @@ mod tests {
         .into_iter()
         .collect();
         let cluster = Cluster::new(ClusterConfig::test_small());
-        let model = cost_model(&cluster);
         for strategy in [
             Strategy::Cuboid {
                 pqr: Pqr { p: 2, q: 2, r: 2 },
             },
             Strategy::Replication,
         ] {
-            let out = execute_fused(&cluster, &dag, &plan, &values, &strategy, &model).unwrap();
+            let out = execute_fused(&cluster, &dag, &plan, &values, &strategy).unwrap();
             let got = out.get(0, 0).unwrap();
             assert!(
                 (got - expected).abs() < 1e-9 * expected.abs().max(1.0),
@@ -1156,7 +1115,6 @@ mod tests {
             .into_iter()
             .collect();
         let cluster = Cluster::new(ClusterConfig::test_small());
-        let model = cost_model(&cluster);
         let out = execute_fused(
             &cluster,
             &dag,
@@ -1165,7 +1123,6 @@ mod tests {
             &Strategy::Cuboid {
                 pqr: Pqr { p: 3, q: 2, r: 2 },
             },
-            &model,
         )
         .unwrap();
         assert!(out.approx_eq(&expected, 1e-9));
@@ -1205,7 +1162,6 @@ mod tests {
         .into_iter()
         .collect();
         let cluster = Cluster::new(ClusterConfig::test_small());
-        let model = cost_model(&cluster);
         let out = execute_fused(
             &cluster,
             &dag,
@@ -1214,7 +1170,6 @@ mod tests {
             &Strategy::Cuboid {
                 pqr: Pqr { p: 1, q: 1, r: 1 },
             },
-            &model,
         )
         .unwrap();
         assert!(out.approx_eq(&expected, 1e-9));
@@ -1230,7 +1185,6 @@ mod tests {
         let f = nmf_fixture(50);
         let cl_q1 = Cluster::new(ClusterConfig::test_small());
         let cl_q3 = Cluster::new(ClusterConfig::test_small());
-        let model = cost_model(&cl_q1);
         execute_fused(
             &cl_q1,
             &f.dag,
@@ -1239,7 +1193,6 @@ mod tests {
             &Strategy::Cuboid {
                 pqr: Pqr { p: 2, q: 1, r: 1 },
             },
-            &model,
         )
         .unwrap();
         execute_fused(
@@ -1250,7 +1203,6 @@ mod tests {
             &Strategy::Cuboid {
                 pqr: Pqr { p: 2, q: 3, r: 1 },
             },
-            &model,
         )
         .unwrap();
         assert!(cl_q3.comm().consolidation_bytes > cl_q1.comm().consolidation_bytes);
@@ -1261,12 +1213,10 @@ mod tests {
         let f = nmf_fixture(70);
         let mut cluster = Cluster::new(ClusterConfig::test_small());
         cluster.set_replica_cache(Some(64 << 20));
-        let model = cost_model(&cluster);
         let strat = Strategy::Cuboid {
             pqr: Pqr { p: 2, q: 3, r: 1 },
         };
-        let run =
-            |cl: &Cluster| execute_fused(cl, &f.dag, &f.plan, &f.values, &strat, &model).unwrap();
+        let run = |cl: &Cluster| execute_fused(cl, &f.dag, &f.plan, &f.values, &strat).unwrap();
         let out1 = run(&cluster);
         let after1 = cluster.comm().consolidation_bytes;
         assert!(after1 > 0);
@@ -1289,7 +1239,6 @@ mod tests {
             &Strategy::Cuboid {
                 pqr: Pqr { p: 3, q: 2, r: 1 },
             },
-            &model,
         )
         .unwrap();
         let stats = cluster.cache_stats().unwrap();
@@ -1304,24 +1253,5 @@ mod tests {
         assert_eq!(stats.invalidations, 2);
         assert_eq!(stats.misses, 7);
         assert_eq!(stats.hits, 5);
-    }
-
-    #[test]
-    fn supports_k_split_detection() {
-        let f = nmf_fixture(60);
-        assert!(supports_k_split(&f.dag, &f.plan));
-        // A matmul chain anchors on the downstream multiplication (the
-        // upstream one nests in its L-space), so the k-axis stays
-        // splittable and the cost model matches the execution tiling.
-        let mut b = DagBuilder::new();
-        let a = b.input("A", MatrixMeta::dense(40, 40, 10));
-        let c = b.input("C", MatrixMeta::dense(40, 40, 10));
-        let d = b.input("D", MatrixMeta::dense(40, 5, 10));
-        let mm1 = b.matmul(a, c);
-        let mm2 = b.matmul(mm1, d);
-        let dag = b.finish(vec![mm2]);
-        let plan = PartialPlan::new(BTreeSet::from([mm1.id(), mm2.id()]), mm2.id());
-        assert_eq!(plan.main_matmul(&dag).unwrap(), mm2.id());
-        assert!(supports_k_split(&dag, &plan));
     }
 }

@@ -13,8 +13,9 @@
 //! * element-wise, transpose, and aggregation singletons run as one-node
 //!   Cell plans: output blocks striped over the cluster, inputs routed once.
 //!
-//! This module therefore only hosts convenience wrappers used by tests and
-//! the engine facade.
+//! The driver builds those singleton plans itself; this module only hosts
+//! two convenience wrappers for running one operator directly (its own
+//! tests are the callers).
 
 use std::sync::Arc;
 
@@ -35,10 +36,9 @@ pub fn execute_single(
     op: NodeId,
     values: &ValueMap,
     strategy: &Strategy,
-    model: &CostModel,
 ) -> Result<Arc<BlockedMatrix>, SimError> {
     let plan = PartialPlan::new([op].into_iter().collect(), op);
-    execute_fused(cluster, dag, &plan, values, strategy, model)
+    execute_fused(cluster, dag, &plan, values, strategy)
 }
 
 /// DistME's CuboidMM: a singleton multiplication with cost-optimized
@@ -60,7 +60,6 @@ pub fn cuboid_mm(
         &plan,
         values,
         &Strategy::Cuboid { pqr: opt.pqr },
-        model,
     )?;
     Ok((out, opt.pqr))
 }
@@ -114,13 +113,12 @@ mod tests {
         let dag = b.finish(vec![t, cs]);
         let values: ValueMap = HashMap::from([(xe.id(), Arc::new(x.clone()))]);
         let cluster = Cluster::new(ClusterConfig::test_small());
-        let m = model(&cluster);
         let one = Strategy::Cuboid {
             pqr: Pqr { p: 1, q: 1, r: 1 },
         };
-        let tr = execute_single(&cluster, &dag, t.id(), &values, &one, &m).unwrap();
+        let tr = execute_single(&cluster, &dag, t.id(), &values, &one).unwrap();
         assert!(tr.approx_eq(&x.transpose().unwrap(), 1e-12));
-        let mx = execute_single(&cluster, &dag, cs.id(), &values, &one, &m).unwrap();
+        let mx = execute_single(&cluster, &dag, cs.id(), &values, &one).unwrap();
         assert!(mx.approx_eq(&x.col_agg(AggOp::Max).unwrap(), 1e-12));
     }
 
@@ -136,7 +134,6 @@ mod tests {
         let sq = b.unary(mul, UnaryOp::Sqrt);
         let dag = b.finish(vec![sq]);
         let cluster = Cluster::new(ClusterConfig::test_small());
-        let m = model(&cluster);
         let one = Strategy::Cuboid {
             pqr: Pqr { p: 1, q: 1, r: 1 },
         };
@@ -144,9 +141,9 @@ mod tests {
             (xe.id(), Arc::new(x.clone())),
             (ye.id(), Arc::new(y.clone())),
         ]);
-        let mid = execute_single(&cluster, &dag, mul.id(), &values, &one, &m).unwrap();
+        let mid = execute_single(&cluster, &dag, mul.id(), &values, &one).unwrap();
         values.insert(mul.id(), mid);
-        let out = execute_single(&cluster, &dag, sq.id(), &values, &one, &m).unwrap();
+        let out = execute_single(&cluster, &dag, sq.id(), &values, &one).unwrap();
         let expected = x.zip(&y, BinOp::Mul).unwrap().map(UnaryOp::Sqrt).unwrap();
         assert!(out.approx_eq(&expected, 1e-12));
         // Unfused execution moved the intermediate across the wire.

@@ -147,14 +147,12 @@ proptest! {
             })
             .collect();
         let cl = cluster();
-        let model = ExecConfig::for_cluster(&cl, MatmulStrategy::Cfo).model;
         let out = execute_fused(
             &cl,
             &dag,
             &plan,
             &values,
             &Strategy::Cuboid { pqr: Pqr { p, q, r } },
-            &model,
         )
         .unwrap_or_else(|e| panic!("({p},{q},{r}) failed: {e}\n{dag}"));
         prop_assert!(out.approx_eq(want, 1e-9), "({p},{q},{r}) diverges on\n{dag}");

@@ -21,8 +21,8 @@ use std::collections::BTreeSet;
 use fuseme_plan::{NodeId, OpKind, QueryDag};
 
 use crate::cost::CostModel;
-use crate::optimizer::optimize_bounded;
-use crate::plan::{k_splittable, FusionPlan, PartialPlan};
+use crate::optimizer::optimize;
+use crate::plan::{FusionPlan, PartialPlan};
 use crate::space::SpaceTree;
 
 /// The CFG planner, parameterized by the cost model used in the
@@ -59,19 +59,6 @@ impl Cfg {
         FusionPlan::assemble(dag, fused)
     }
 
-    /// Cost of a plan under the same `R` bound execution will apply: plans
-    /// whose main multiplication feeds another member multiplication cannot
-    /// split the k-axis, and costing them as if they could would keep
-    /// fusions that execute badly.
-    fn exec_cost(&self, dag: &QueryDag, plan: &PartialPlan, tree: &crate::space::SpaceTree) -> f64 {
-        let max_r = if k_splittable(dag, plan) {
-            usize::MAX
-        } else {
-            1
-        };
-        optimize_bounded(dag, plan, tree, &self.model, max_r).cost
-    }
-
     /// Algorithm 3: refine candidates by cost-based splitting.
     fn exploit(&self, dag: &QueryDag, candidates: Vec<PartialPlan>) -> Vec<PartialPlan> {
         let mut queue: std::collections::VecDeque<PartialPlan> = candidates.into();
@@ -82,7 +69,7 @@ impl Cfg {
                 continue;
             }
             let tree = SpaceTree::build(dag, &plan);
-            let mut cost = self.exec_cost(dag, &plan, &tree);
+            let mut cost = optimize(dag, &plan, &tree, &self.model).cost;
             for vi in split_candidates(dag, &plan) {
                 if !plan.ops.contains(&vi) {
                     continue; // already split off with an earlier vi
@@ -92,8 +79,8 @@ impl Cfg {
                 };
                 let tree_m = SpaceTree::build(dag, &fm);
                 let tree_i = SpaceTree::build(dag, &fi);
-                let cost_m = self.exec_cost(dag, &fm, &tree_m);
-                let cost_i = self.exec_cost(dag, &fi, &tree_i);
+                let cost_m = optimize(dag, &fm, &tree_m, &self.model).cost;
+                let cost_i = optimize(dag, &fi, &tree_i, &self.model).cost;
                 if cost > cost_m + cost_i {
                     queue.push_back(fi);
                     plan = fm;

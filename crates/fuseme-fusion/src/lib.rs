@@ -26,7 +26,7 @@ pub mod space;
 pub use cfg::{split, split_candidates, Cfg};
 pub use cost::{estimate_with_cache, CostModel, Estimates};
 pub use optimizer::{
-    min_feasible_theta, optimize, optimize_bounded_cached, optimize_exhaustive, CachedInput, Pqr,
+    min_feasible_theta, optimize, optimize_cached, optimize_exhaustive, CachedInput, Pqr,
     SearchStats,
 };
 pub use plan::{ExecUnit, FusionPlan, PartialPlan};

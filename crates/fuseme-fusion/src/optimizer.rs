@@ -164,9 +164,10 @@ pub fn optimize(
     optimize_bounded(dag, plan, tree, model, usize::MAX)
 }
 
-/// [`optimize`] with the `R` dimension capped at `max_r`. Plans whose main
-/// multiplication feeds another member multiplication cannot split the
-/// k-axis at execution time; the driver searches those with `max_r = 1`.
+/// [`optimize`] with the `R` dimension capped at `max_r`. The engine never
+/// bounds `R`: every plan with a main multiplication can split its k-axis
+/// (see [`crate::plan::k_splittable`]), so [`optimize`] passes
+/// `usize::MAX`.
 pub fn optimize_bounded(
     dag: &QueryDag,
     plan: &PartialPlan,
@@ -241,7 +242,7 @@ pub struct CachedInput {
     pub pqrs: Vec<(usize, usize, usize)>,
 }
 
-/// Cache-aware variant of [`optimize_bounded`]. Runs the normal pruning
+/// Cache-aware variant of [`optimize`]. Runs the normal pruning
 /// search first (its monotonicity-based pruning is only sound for the
 /// cache-oblivious `NetEst`), then re-evaluates every cached layout — plus
 /// the oblivious optimum itself — with the cache-aware
@@ -249,15 +250,14 @@ pub struct CachedInput {
 /// layout can beat the oblivious optimum because its loop-invariant inputs
 /// ship zero bytes; it is still subject to the memory budget and the
 /// parallelism floor.
-pub fn optimize_bounded_cached(
+pub fn optimize_cached(
     dag: &QueryDag,
     plan: &PartialPlan,
     tree: &SpaceTree,
     model: &CostModel,
-    max_r: usize,
     cached: &[CachedInput],
 ) -> OptResult {
-    let mut result = optimize_bounded(dag, plan, tree, model, max_r);
+    let mut result = optimize(dag, plan, tree, model);
     if cached.is_empty() || !result.feasible {
         // Cache hits change network bytes only; if no partitioning fits in
         // memory without the cache, none fits with it.
@@ -266,7 +266,6 @@ pub fn optimize_bounded_cached(
     let Some((i, j, k, required)) = search_dims(dag, plan, model) else {
         return result;
     };
-    let k = k.min(max_r.max(1));
     let start = std::time::Instant::now();
     let mut candidates: BTreeSet<(usize, usize, usize)> =
         cached.iter().flat_map(|c| c.pqrs.iter().copied()).collect();
@@ -304,24 +303,18 @@ pub fn optimize_bounded_cached(
     result
 }
 
-/// The minimum per-task budget θ_t under which the bounded search admits
-/// some partitioning of `plan`. `MemEst` is monotone non-increasing in `P`
-/// and `Q` (and in `R` within the two-stage regime `r ≥ 2`), so the space's
-/// minimum peak memory lies at `(I, J, min(K, max_r))` or at the
-/// single-stage corner `(I, J, 1)`; the returned θ_t is the smallest whose
+/// The minimum per-task budget θ_t under which the search admits some
+/// partitioning of `plan`. `MemEst` is monotone non-increasing in `P` and
+/// `Q` (and in `R` within the two-stage regime `r ≥ 2`), so the space's
+/// minimum peak memory lies at `(I, J, K)` or at the single-stage corner
+/// `(I, J, 1)`; the returned θ_t is the smallest whose
 /// [`MEM_SAFETY`]-discounted effective budget still covers that minimum.
 /// Used by the driver's `OomReport` to tell the user how much memory the
 /// failing unit actually needs.
-pub fn min_feasible_theta(
-    dag: &QueryDag,
-    plan: &PartialPlan,
-    tree: &SpaceTree,
-    max_r: usize,
-) -> u64 {
+pub fn min_feasible_theta(dag: &QueryDag, plan: &PartialPlan, tree: &SpaceTree) -> u64 {
     let mem = match plan.main_matmul(dag) {
         Some(main) => {
             let (i, j, k) = mm_dims(dag, main);
-            let k = k.min(max_r.max(1));
             let finest = estimate(dag, plan, tree, i, j, k).mem_bytes;
             // Within r ≥ 2 memory is monotone non-increasing in r, but the
             // two-stage aggregation term makes r = 1 a separate family
@@ -588,7 +581,7 @@ mod tests {
     fn min_feasible_theta_is_tight() {
         let (dag, plan) = nmf(8, 8, 2, 10, 0.2);
         let tree = SpaceTree::build(&dag, &plan);
-        let theta = min_feasible_theta(&dag, &plan, &tree, usize::MAX);
+        let theta = min_feasible_theta(&dag, &plan, &tree);
         assert!(theta > 0);
         assert!(
             optimize(&dag, &plan, &tree, &model(theta)).feasible,
@@ -598,9 +591,6 @@ mod tests {
             !optimize(&dag, &plan, &tree, &model(theta - 1)).feasible,
             "theta - 1 must reject every partitioning"
         );
-        // Capping R raises the floor (fewer ways to shrink memory).
-        let capped = min_feasible_theta(&dag, &plan, &tree, 1);
-        assert!(capped >= theta);
     }
 
     #[test]
@@ -622,7 +612,7 @@ mod tests {
                 pqrs: vec![alt],
             })
             .collect();
-        let aware = optimize_bounded_cached(&dag, &plan, &tree, &m, usize::MAX, &cached);
+        let aware = optimize_cached(&dag, &plan, &tree, &m, &cached);
         assert!(aware.feasible);
         // All inputs free at `alt` ⇒ its NetEst collapses to the scalar +
         // aggregation terms, so the cached layout must win (or tie via the
@@ -642,7 +632,7 @@ mod tests {
         let tree = SpaceTree::build(&dag, &plan);
         let m = model(10_000_000);
         let base = optimize(&dag, &plan, &tree, &m);
-        let aware = optimize_bounded_cached(&dag, &plan, &tree, &m, usize::MAX, &[]);
+        let aware = optimize_cached(&dag, &plan, &tree, &m, &[]);
         assert_eq!(aware.pqr, base.pqr);
         assert_eq!(aware.est, base.est);
     }
@@ -660,7 +650,7 @@ mod tests {
             node: dag.nodes()[0].id,
             pqrs: vec![(1, 1, 1)],
         }];
-        let aware = optimize_bounded_cached(&dag, &plan, &tree, &m, usize::MAX, &cached);
+        let aware = optimize_cached(&dag, &plan, &tree, &m, &cached);
         assert_eq!(aware.pqr, base.pqr);
         assert!(aware.est.mem_bytes <= 40_000);
     }

@@ -50,22 +50,19 @@ impl PartialPlan {
     /// feeds another one would decouple the cost model from the execution
     /// tiling (the downstream multiplication's inputs cannot be partitioned
     /// along the anchor's axes); restricting eligibility keeps them
-    /// consistent — the paper's Fig. 11 anchor `v1` satisfies this. Falls
-    /// back to the overall largest when no member qualifies. Ties prefer
-    /// the highest node id (nearest the output). `None` when the plan has
-    /// no multiplication.
+    /// consistent — the paper's Fig. 11 anchor `v1` satisfies this. Some
+    /// member always qualifies, since reachability over a DAG is acyclic.
+    /// Ties prefer the highest node id (nearest the output). `None` when
+    /// the plan has no multiplication.
     pub fn main_matmul(&self, dag: &QueryDag) -> Option<NodeId> {
         let mms = self.matmuls(dag);
-        let eligible: Vec<NodeId> = mms
-            .iter()
+        mms.iter()
             .copied()
             .filter(|&m| {
                 !mms.iter()
                     .any(|&other| other != m && reaches_via_consumers(dag, &self.ops, m, other))
             })
-            .collect();
-        let pool = if eligible.is_empty() { &mms } else { &eligible };
-        pool.iter().copied().max_by_key(|&id| (voxels(dag, id), id))
+            .max_by_key(|&id| (voxels(dag, id), id))
     }
 
     /// External inputs: nodes outside the plan (input leaves, scalar
@@ -156,36 +153,13 @@ pub fn reaches_via_consumers(
 }
 
 /// `true` when a plan's structure allows splitting the k-axis (`R > 1`):
-/// the main multiplication's output must reach the plan root through
-/// coordinate-preserving operators only (element-wise, transpose, or an
-/// aggregation root). A plan whose main multiplication feeds another member
-/// multiplication must run with `R = 1`.
+/// the main multiplication's output must reach the plan root without
+/// passing through another member multiplication. That holds for every
+/// plan with a main multiplication, because [`PartialPlan::main_matmul`]
+/// only anchors on a multiplication that reaches no other member
+/// multiplication through in-plan consumers.
 pub fn k_splittable(dag: &QueryDag, plan: &PartialPlan) -> bool {
-    let Some(mm) = plan.main_matmul(dag) else {
-        return false;
-    };
-    let root = dag.node(plan.root);
-    let compute_node = if root.kind.is_unary_agg() {
-        root.inputs[0]
-    } else {
-        plan.root
-    };
-    let mut current = mm;
-    while current != compute_node {
-        let Some(c) = dag
-            .consumers(current)
-            .iter()
-            .copied()
-            .find(|c| plan.ops.contains(c))
-        else {
-            break;
-        };
-        if dag.node(c).kind.is_matmul() {
-            return false;
-        }
-        current = c;
-    }
-    true
+    plan.main_matmul(dag).is_some()
 }
 
 /// Block-grid extents `(I, J, K)` of a matmul's model space.

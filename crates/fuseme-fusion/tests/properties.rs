@@ -9,7 +9,7 @@ use fuseme_fusion::cost::{estimate, CostModel};
 use fuseme_fusion::folded::Folded;
 use fuseme_fusion::gen_like::GenLike;
 use fuseme_fusion::optimizer::{optimize, optimize_exhaustive};
-use fuseme_fusion::plan::PartialPlan;
+use fuseme_fusion::plan::{reaches_via_consumers, ExecUnit, PartialPlan};
 use fuseme_fusion::space::SpaceTree;
 use fuseme_matrix::{BinOp, MatrixMeta, UnaryOp};
 use fuseme_plan::{DagBuilder, QueryDag};
@@ -125,7 +125,10 @@ proptest! {
     }
 
     /// Every planner produces a valid partition of every random DAG:
-    /// CFG, the GEN-like baseline, and the folded baseline.
+    /// CFG, the GEN-like baseline, and the folded baseline. Every fused
+    /// unit's main multiplication reaches no other member multiplication
+    /// through in-plan consumers, which is why every plan can split its
+    /// k-axis.
     #[test]
     fn planners_always_produce_valid_plans(
         ops in proptest::collection::vec(0u8..6, 1..14),
@@ -138,6 +141,16 @@ proptest! {
             Folded.plan(&dag),
         ] {
             prop_assert!(plan.validate(&dag).is_ok(), "invalid plan for\n{dag}");
+            for unit in &plan.units {
+                let ExecUnit::Fused(p) = unit else { continue };
+                let Some(main) = p.main_matmul(&dag) else { continue };
+                for other in p.matmuls(&dag) {
+                    prop_assert!(
+                        other == main || !reaches_via_consumers(&dag, &p.ops, main, other),
+                        "main multiplication {main} feeds member {other} in\n{dag}"
+                    );
+                }
+            }
         }
     }
 

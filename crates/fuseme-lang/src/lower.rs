@@ -2,7 +2,7 @@
 //!
 //! Scalar subexpressions are folded at lowering time (so `2 ^ 10` or a
 //! negated literal never reach the plan), matching what SystemML's
-//! simplification rewrites do before plan generation. `x ^ 2` lowers to the
+//! simplification passes do before plan generation. `x ^ 2` lowers to the
 //! dedicated square unary; comparisons against literal `0` use the sparse-
 //! friendly `NotZero` unary when possible.
 

@@ -94,15 +94,6 @@ impl Block {
         }
     }
 
-    /// Consumes self, returning a dense block without cloning when already
-    /// dense.
-    pub fn into_dense(self) -> DenseBlock {
-        match self {
-            Block::Dense(b) => b,
-            Block::Sparse(b) => b.to_dense(),
-        }
-    }
-
     /// Unary element-wise operation. Sparse blocks stay sparse under
     /// zero-preserving ops and densify otherwise.
     pub fn map(&self, op: UnaryOp) -> Block {

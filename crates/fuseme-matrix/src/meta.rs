@@ -175,17 +175,6 @@ impl MatrixMeta {
         }
     }
 
-    /// Estimated bytes of a single (full-size) block of this matrix.
-    pub fn block_size_bytes(&self) -> u64 {
-        let b = self.block_size as u64;
-        if self.is_effectively_dense() {
-            b * b * ELEM_BYTES
-        } else {
-            let nnz = (b as f64 * b as f64 * self.density).round() as u64;
-            nnz * (ELEM_BYTES + 4) + b * 8
-        }
-    }
-
     /// Whether a sparse representation would be larger than dense; kernels
     /// and estimates switch to dense above ~2/3 density, mirroring
     /// SystemML/SystemDS's format-selection threshold.

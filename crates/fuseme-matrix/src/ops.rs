@@ -32,7 +32,7 @@ pub enum UnaryOp {
     Sin,
     /// Indicator of non-zero: `x != 0` as 0.0/1.0 (the paper's `(X != 0)`).
     NotZero,
-    /// Identity; useful as a fusion no-op in tests and rewrites.
+    /// Identity; useful as a fusion no-op in tests.
     Identity,
 }
 
@@ -157,11 +157,6 @@ impl BinOp {
     /// Outer-fusion sparsity exploitation sound.
     pub fn zero_dominant(self) -> bool {
         matches!(self, BinOp::Mul)
-    }
-
-    /// `true` if `0 op x == 0` for all finite `x` (left zero preserved).
-    pub fn preserves_left_zero(self) -> bool {
-        matches!(self, BinOp::Mul | BinOp::Div)
     }
 
     /// Stable display name.

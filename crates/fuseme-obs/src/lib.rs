@@ -525,11 +525,6 @@ impl Recorder {
     pub fn summary(&self) -> TraceSummary {
         export::summarize(self)
     }
-
-    /// Renders the chrome://tracing JSON (see [`export::chrome_trace_json`]).
-    pub fn chrome_trace(&self) -> String {
-        export::chrome_trace_json(self)
-    }
 }
 
 impl MetricSink for Recorder {

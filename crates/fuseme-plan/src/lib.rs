@@ -11,14 +11,12 @@
 //! * [`builder`] — an ergonomic expression API that infers shapes and
 //!   sparsity while the DAG is constructed,
 //! * [`interp`] — a single-node reference interpreter defining the semantics
-//!   every distributed engine must reproduce,
-//! * [`rewrite`] — small algebraic cleanups run before planning.
+//!   every distributed engine must reproduce.
 
 pub mod builder;
 pub mod dag;
 pub mod interp;
 pub mod ir;
-pub mod rewrite;
 
 pub use builder::{DagBuilder, Expr};
 pub use dag::QueryDag;

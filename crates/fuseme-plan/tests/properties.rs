@@ -1,12 +1,11 @@
-//! Property-based tests for the plan layer: interpreter algebra, shape
-//! inference, and rewrite soundness on randomized expressions.
+//! Property-based tests for the plan layer: interpreter algebra and shape
+//! inference on randomized expressions.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use fuseme_matrix::{gen, AggOp, BinOp, MatrixMeta, UnaryOp};
-use fuseme_plan::rewrite::rewrite;
 use fuseme_plan::{evaluate, Bindings, DagBuilder, QueryDag};
 
 fn binds(n: usize, bs: usize, seed: u64) -> Bindings {
@@ -37,7 +36,7 @@ fn random_dag(script: &[u8], n: usize, bs: usize) -> QueryDag {
             4 => b.unary(x, UnaryOp::Abs),
             5 => {
                 let t1 = b.transpose(x);
-                b.transpose(t1) // double transpose: rewrite fodder
+                b.transpose(t1) // double transpose
             }
             _ => b.unary(x, UnaryOp::Identity),
         };
@@ -48,26 +47,6 @@ fn random_dag(script: &[u8], n: usize, bs: usize) -> QueryDag {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Rewriting never changes results and never grows the DAG.
-    #[test]
-    fn rewrite_is_sound_and_shrinking(
-        script in proptest::collection::vec(0u8..7, 1..12),
-        seed in 0u64..500,
-    ) {
-        let (n, bs) = (12, 4);
-        let dag = random_dag(&script, n, bs);
-        let clean = rewrite(&dag);
-        prop_assert!(clean.validate().is_ok());
-        prop_assert!(clean.len() <= dag.len());
-        let env = binds(n, bs, seed);
-        let a = evaluate(&dag, &env).unwrap();
-        let b = evaluate(&clean, &env).unwrap();
-        prop_assert!(a[0]
-            .as_matrix()
-            .unwrap()
-            .approx_eq(b[0].as_matrix().unwrap(), 1e-12));
-    }
 
     /// Inferred shapes match evaluated shapes for every node of random DAGs.
     #[test]

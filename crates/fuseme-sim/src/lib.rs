@@ -35,9 +35,7 @@ pub mod cluster;
 pub mod executor;
 pub mod fault;
 pub mod ledger;
-pub mod partitioner;
 pub mod replica_cache;
-pub mod shuffle;
 pub mod time;
 
 pub use cluster::{Cluster, ClusterConfig};
@@ -45,7 +43,6 @@ pub use executor::{StageOutcome, TaskWork};
 pub use fault::FaultToleranceConfig;
 pub use fault::{FaultKind, FaultLedger, FaultPlan, FaultScope, FaultSpec, FaultStats};
 pub use ledger::{CommLedger, CommStats, Phase};
-pub use partitioner::Partitioner;
 pub use replica_cache::{CacheOutcome, CacheStats, ReplicaCache, ReplicaKey};
 pub use time::{SimClock, StageSchedule, WaveSlot};
 

@@ -202,7 +202,7 @@ fn gnmf_fusion_plan_comparison() {
 #[test]
 fn measured_comm_matches_cost_model() {
     use fuseme_exec::fused_op::{execute_fused, ValueMap};
-    use fuseme_fusion::cost::{estimate, CostModel};
+    use fuseme_fusion::cost::estimate;
     use fuseme_fusion::space::SpaceTree;
     use std::sync::Arc;
 
@@ -214,13 +214,6 @@ fn measured_comm_matches_cost_model() {
         density: 1.0, // dense: slice sizes are exactly uniform
     };
     let cc = ClusterConfig::test_small();
-    let model = CostModel {
-        nodes: cc.nodes,
-        tasks_per_node: cc.tasks_per_node,
-        mem_per_task: 1 << 30,
-        net_bandwidth: cc.net_bandwidth,
-        compute_bandwidth: cc.compute_bandwidth,
-    };
     let dag = w.dag();
     let binds = w.generate(5).unwrap();
     // The whole query as one fused plan, constructed explicitly so CFG's
@@ -252,7 +245,6 @@ fn measured_comm_matches_cost_model() {
             &fuseme_exec::Strategy::Cuboid {
                 pqr: Pqr { p, q, r },
             },
-            &model,
         )
         .unwrap();
         let est = estimate(&dag, &plan, &tree, p, q, r);
