@@ -5,12 +5,13 @@
 //! All four share the same skeleton (paper §2.2):
 //!
 //! 1. **Matrix consolidation** — decide which task computes which output
-//!    blocks, route the input blocks each task needs into its
-//!    [`LocalStore`], and charge the ledger for every routed byte. The
-//!    strategies differ only here: CFO routes cuboid slices (side matrices
-//!    replicated `Q`/`P`/`R` times), BFO routes the main matrix by need and
-//!    *broadcasts* every side matrix whole, RFO routes everything by need at
-//!    output-block granularity (sides replicated up to `I`/`J` times).
+//!    blocks ([`task_layout`]), route the input blocks each task needs into
+//!    its [`LocalStore`] ([`route`], from per-task footprints), and charge
+//!    the ledger for every routed byte. The strategies differ only here:
+//!    CFO routes cuboid slices (side matrices replicated `Q`/`P`/`R`
+//!    times), BFO routes the main matrix by need and *broadcasts* every side
+//!    matrix whole, RFO routes everything by need at output-block
+//!    granularity (sides replicated up to `I`/`J` times).
 //! 2. **Local operation** — each task runs the fused kernel for its output
 //!    blocks (no intermediate matrices).
 //! 3. **Matrix aggregation** — with cuboid `R > 1` the main
@@ -31,7 +32,7 @@ use fuseme_plan::{NodeId, OpKind, QueryDag};
 use fuseme_sim::executor::run_stage;
 use fuseme_sim::{Cluster, Phase, SimError, TaskWork};
 
-use crate::kernel::{KernelCtx, LocalStore};
+use crate::kernel::{footprints, Footprint, KernelCtx, LocalStore};
 
 /// Materialized values available to an operator: input leaves plus outputs
 /// of earlier execution units.
@@ -75,9 +76,19 @@ enum TaskOut {
     MmPartial(Vec<((usize, usize), Arc<Block>)>),
 }
 
-/// Task layout produced by a strategy.
-struct Layout {
-    tasks: Vec<TaskSlice>,
+/// Task layout produced by a strategy: which task computes which output
+/// blocks over which k-slice, and which inputs every task receives whole.
+#[derive(Debug, Clone)]
+pub struct Layout {
+    /// Stage-1 tasks, in task-id order.
+    pub tasks: Vec<TaskSlice>,
+    /// The node whose blocks the tasks compute: the plan root, or the input
+    /// of an aggregation root.
+    pub compute_node: NodeId,
+    /// Inputs routed whole to every task instead of by footprint: BFO's
+    /// side matrices.
+    pub broadcast: BTreeSet<NodeId>,
+    main_mm: Option<NodeId>,
     /// k-axis partitions (R); `> 1` means two-stage execution.
     r: usize,
     /// Whether output coordinates are transposed relative to the main
@@ -85,11 +96,17 @@ struct Layout {
     parity: bool,
 }
 
+/// One stage-1 task of a [`Layout`].
 #[derive(Debug, Clone)]
-struct TaskSlice {
+pub struct TaskSlice {
     id: usize,
-    out_blocks: Vec<(usize, usize)>,
-    k_range: Range<usize>,
+    /// The blocks of [`Layout::compute_node`] the task computes: a cuboid
+    /// tile or a stripe. Routing starts here. Kernels visit them in
+    /// [`Footprint::coords`] order, which is also the order in which
+    /// aggregation-rooted plans fold their partials.
+    pub out: Footprint,
+    /// The task's k-slice of the main multiplication's common dimension.
+    pub k_range: Range<usize>,
     /// `(p,q)` group for two-stage aggregation; equals `id` single-stage.
     group: usize,
     /// The group member that runs the stage-2 reduction.
@@ -105,57 +122,9 @@ pub fn execute_fused(
     values: &ValueMap,
     strategy: &Strategy,
 ) -> Result<Arc<BlockedMatrix>, SimError> {
-    let root = dag.node(plan.root);
-    let (agg_kind, compute_node) = match &root.kind {
-        OpKind::FullAgg(op) => (Some((*op, AggShape::Full)), root.inputs[0]),
-        OpKind::RowAgg(op) => (Some((*op, AggShape::Row)), root.inputs[0]),
-        OpKind::ColAgg(op) => (Some((*op, AggShape::Col)), root.inputs[0]),
-        _ => (None, plan.root),
-    };
-    let grid = dag.node(compute_node).meta.grid();
-    let main_mm = plan.main_matmul(dag);
-
-    // ----- carve the computation into tasks ---------------------------------
-    let layout = match (strategy, main_mm) {
-        (Strategy::Cuboid { pqr }, Some(mm)) => cuboid_layout(dag, plan, mm, *pqr, compute_node)?,
-        _ => {
-            let cfg = cluster.config();
-            let slots = cfg.total_tasks();
-            let nblocks = (grid.num_blocks() as usize).max(1);
-            let ntasks = match strategy {
-                Strategy::Broadcast { partition_bytes } => {
-                    // BFO's parallelism is bounded by the main matrix's
-                    // partition count (paper §6.2: a sparse main under-
-                    // utilizes the cluster); more partitions than slots
-                    // simply wave-schedule.
-                    let main_bytes = main_input(dag, plan, values)
-                        .and_then(|id| values.get(&id))
-                        .map(|m| m.actual_size_bytes())
-                        .unwrap_or(1);
-                    (main_bytes.div_ceil((*partition_bytes).max(1)) as usize).clamp(1, nblocks)
-                }
-                _ => {
-                    // Striped operators spawn at least one task per input
-                    // partition so per-task memory is bounded by partition
-                    // size, as Spark's execution model guarantees.
-                    let input_bytes: u64 = plan
-                        .external_inputs(dag)
-                        .iter()
-                        .filter_map(|id| values.get(id))
-                        .map(|m| m.actual_size_bytes())
-                        .sum();
-                    let by_partition = input_bytes.div_ceil(cfg.partition_bytes.max(1)) as usize;
-                    slots.min(nblocks).max(by_partition).min(nblocks)
-                }
-            };
-            striped_layout(
-                grid.block_rows,
-                grid.block_cols,
-                ntasks,
-                full_k(dag, main_mm),
-            )
-        }
-    };
+    let (agg_kind, _) = compute_target(dag, plan);
+    let layout = task_layout(cluster, dag, plan, values, strategy);
+    let (compute_node, main_mm) = (layout.compute_node, layout.main_mm);
     let parity = layout.parity;
     let two_stage = layout.r > 1;
 
@@ -202,49 +171,7 @@ pub fn execute_fused(
     }
 
     // ----- consolidation: route blocks, build stores ------------------------
-    let broadcast_sides: BTreeSet<NodeId> = match strategy {
-        Strategy::Broadcast { .. } => {
-            let main = main_input(dag, plan, values);
-            plan.external_inputs(dag)
-                .into_iter()
-                .filter(|id| Some(*id) != main && !matches!(dag.node(*id).kind, OpKind::Scalar(_)))
-                .collect()
-        }
-        _ => BTreeSet::new(),
-    };
-
-    let empty = LocalStore::new();
-    let mut stores: Vec<LocalStore> = Vec::with_capacity(layout.tasks.len());
-    for task in &layout.tasks {
-        let probe = KernelCtx::new(dag, &plan.ops, main_mm, task.k_range.clone(), &empty);
-        let mut needed: BTreeSet<(NodeId, (usize, usize))> = BTreeSet::new();
-        let mut visited = std::collections::HashSet::new();
-        for &(bi, bj) in &task.out_blocks {
-            probe.needs_shared(compute_node, bi, bj, &mut needed, &mut visited);
-        }
-        let mut store = LocalStore::new();
-        for (node, coord) in needed {
-            if broadcast_sides.contains(&node) {
-                continue; // routed whole below
-            }
-            if let Some(m) = values.get(&node) {
-                let g = m.meta().grid();
-                if coord.0 < g.block_rows && coord.1 < g.block_cols {
-                    if let Some(b) = m.block(coord.0, coord.1) {
-                        store.insert(node, coord, Arc::clone(b));
-                    }
-                }
-            }
-        }
-        for &side in &broadcast_sides {
-            if let Some(m) = values.get(&side) {
-                for (bi, bj, b) in m.iter_blocks() {
-                    store.insert(side, (bi, bj), Arc::clone(b));
-                }
-            }
-        }
-        stores.push(store);
-    }
+    let stores = route(dag, plan, values, &layout);
 
     // ----- replica cache: skip re-shipping cached loop-invariant inputs -----
     // Routing above is in-process either way (results are byte-identical
@@ -352,7 +279,7 @@ pub fn execute_fused(
             held + out_share
         };
         let ops = &plan.ops;
-        let out_blocks = task.out_blocks.clone();
+        let tile = &task.out;
         let k_range = task.k_range.clone();
         work.push(TaskWork {
             task_id: task.id,
@@ -372,10 +299,10 @@ pub fn execute_fused(
                     // rest is what keeps the never-materialized
                     // intermediate from existing (paper Fig. 1(a)'s dotted
                     // cells).
-                    let mut wanted: Vec<(usize, usize)> = out_blocks
-                        .iter()
-                        .filter(|&&(bi, bj)| ctx.has_support(compute_node, bi, bj))
-                        .map(|&(bi, bj)| if parity { (bj, bi) } else { (bi, bj) })
+                    let mut wanted: Vec<(usize, usize)> = tile
+                        .coords()
+                        .filter(|&(bi, bj)| ctx.has_support(compute_node, bi, bj))
+                        .map(|(bi, bj)| if parity { (bj, bi) } else { (bi, bj) })
                         .collect();
                     wanted.sort_unstable();
                     wanted.dedup();
@@ -387,7 +314,7 @@ pub fn execute_fused(
                     }
                     Ok(TaskOut::MmPartial(out))
                 } else {
-                    run_full_kernels(&mut ctx, dag, plan, compute_node, &out_blocks, agg_kind)
+                    run_full_kernels(&mut ctx, dag, plan, compute_node, tile, agg_kind)
                 }
             }),
         });
@@ -416,7 +343,7 @@ pub fn execute_fused(
         for task in layout.tasks.iter().filter(|t| t.is_reducer) {
             let store = &stores[task.id];
             let recv = agg_bytes.get(&task.group).copied().unwrap_or(0);
-            let out_blocks = task.out_blocks.clone();
+            let tile = &task.out;
             let ops = &plan.ops;
             let group = task.group;
             // For a multiplication-rooted plan the output *is* the
@@ -440,7 +367,7 @@ pub fn execute_fused(
                         Some(vals) => base.with_mm_override(vals),
                         None => base,
                     };
-                    run_full_kernels(&mut ctx, dag, plan, compute_node, &out_blocks, agg_kind)
+                    run_full_kernels(&mut ctx, dag, plan, compute_node, tile, agg_kind)
                 }),
             });
         }
@@ -453,6 +380,145 @@ pub fn execute_fused(
 
     // ----- assemble the result -------------------------------------------------
     assemble(cluster, dag, plan, agg_kind, outputs)
+}
+
+/// The plan's aggregation root, if any, and the node whose blocks the tasks
+/// compute: the root itself, or the input an aggregation root folds.
+fn compute_target(dag: &QueryDag, plan: &PartialPlan) -> (Option<(AggOp, AggShape)>, NodeId) {
+    let root = dag.node(plan.root);
+    match &root.kind {
+        OpKind::FullAgg(op) => (Some((*op, AggShape::Full)), root.inputs[0]),
+        OpKind::RowAgg(op) => (Some((*op, AggShape::Row)), root.inputs[0]),
+        OpKind::ColAgg(op) => (Some((*op, AggShape::Col)), root.inputs[0]),
+        _ => (None, plan.root),
+    }
+}
+
+/// Carves a fused plan's computation into stage-1 tasks under `strategy`:
+/// cuboid tiles for a CFO with a main multiplication, round-robin stripes
+/// otherwise.
+pub fn task_layout(
+    cluster: &Cluster,
+    dag: &QueryDag,
+    plan: &PartialPlan,
+    values: &ValueMap,
+    strategy: &Strategy,
+) -> Layout {
+    let (_, compute_node) = compute_target(dag, plan);
+    let grid = dag.node(compute_node).meta.grid();
+    let main_mm = plan.main_matmul(dag);
+    let main = match strategy {
+        Strategy::Broadcast { .. } => main_input(dag, plan, values),
+        _ => None,
+    };
+    let (tasks, r, parity) = match (strategy, main_mm) {
+        (Strategy::Cuboid { pqr }, Some(mm)) => cuboid_layout(dag, plan, mm, *pqr, compute_node),
+        _ => {
+            let cfg = cluster.config();
+            let slots = cfg.total_tasks();
+            let nblocks = (grid.num_blocks() as usize).max(1);
+            let ntasks = match strategy {
+                Strategy::Broadcast { partition_bytes } => {
+                    // BFO's parallelism is bounded by the main matrix's
+                    // partition count (paper §6.2: a sparse main under-
+                    // utilizes the cluster); more partitions than slots
+                    // simply wave-schedule.
+                    let main_bytes = main
+                        .and_then(|id| values.get(&id))
+                        .map(|m| m.actual_size_bytes())
+                        .unwrap_or(1);
+                    (main_bytes.div_ceil((*partition_bytes).max(1)) as usize).clamp(1, nblocks)
+                }
+                _ => {
+                    // Striped operators spawn at least one task per input
+                    // partition so per-task memory is bounded by partition
+                    // size, as Spark's execution model guarantees.
+                    let input_bytes: u64 = plan
+                        .external_inputs(dag)
+                        .iter()
+                        .filter_map(|id| values.get(id))
+                        .map(|m| m.actual_size_bytes())
+                        .sum();
+                    let by_partition = input_bytes.div_ceil(cfg.partition_bytes.max(1)) as usize;
+                    slots.min(nblocks).max(by_partition).min(nblocks)
+                }
+            };
+            let tasks = striped_layout(
+                grid.block_rows,
+                grid.block_cols,
+                ntasks,
+                full_k(dag, main_mm),
+            );
+            (tasks, 1, false)
+        }
+    };
+    let broadcast = match strategy {
+        Strategy::Broadcast { .. } => plan
+            .external_inputs(dag)
+            .into_iter()
+            .filter(|id| Some(*id) != main && !matches!(dag.node(*id).kind, OpKind::Scalar(_)))
+            .collect(),
+        _ => BTreeSet::new(),
+    };
+    Layout {
+        tasks,
+        compute_node,
+        broadcast,
+        main_mm,
+        r,
+        parity,
+    }
+}
+
+/// Consolidation routing: builds each task's [`LocalStore`] from its
+/// [`footprints`] — the paper's cuboid slices (Eq. 4: `L`-space inputs as
+/// `(P,1,R)`, `R`-space as `(1,Q,R)`, `O`-space as `(P,Q,1)`) for cuboid
+/// tiles, exact block lists through element-wise paths for stripes. Only
+/// in-bounds blocks present in the input are routed; broadcast inputs go
+/// whole to every task.
+pub fn route(
+    dag: &QueryDag,
+    plan: &PartialPlan,
+    values: &ValueMap,
+    layout: &Layout,
+) -> Vec<LocalStore> {
+    let mut stores = Vec::with_capacity(layout.tasks.len());
+    for task in &layout.tasks {
+        let needed = footprints(
+            dag,
+            &plan.ops,
+            layout.main_mm,
+            task.k_range.clone(),
+            layout.compute_node,
+            task.out.clone(),
+        );
+        let mut store = LocalStore::new();
+        for (node, fp) in needed {
+            if layout.broadcast.contains(&node) {
+                continue; // routed whole below
+            }
+            let Some(m) = values.get(&node) else {
+                continue;
+            };
+            let g = m.meta().grid();
+            for (bi, bj) in fp.coords() {
+                if bi < g.block_rows && bj < g.block_cols {
+                    if let Some(b) = m.block(bi, bj) {
+                        store.insert(node, (bi, bj), Arc::clone(b));
+                    }
+                }
+            }
+        }
+        for &side in &layout.broadcast {
+            if let Some(m) = values.get(&side) {
+                for (bi, bj, b) in m.iter_blocks() {
+                    store.insert(side, (bi, bj), Arc::clone(b));
+                }
+            }
+        }
+        stores.push(store);
+    }
+    stores
 }
 
 /// Fills an OOM error's unit provenance — the exec-unit root and the chosen
@@ -500,13 +566,14 @@ fn full_k(dag: &QueryDag, main_mm: Option<NodeId>) -> Range<usize> {
 }
 
 /// Cuboid layout: `P·Q·R` tasks tiled over the main multiplication's grid.
+/// Returns the tasks, `R` and the coordinate parity.
 fn cuboid_layout(
     dag: &QueryDag,
     plan: &PartialPlan,
     mm: NodeId,
     pqr: Pqr,
     compute_node: NodeId,
-) -> Result<Layout, SimError> {
+) -> (Vec<TaskSlice>, usize, bool) {
     let (i, j, k) = mm_dims(dag, mm);
     let grid = dag.node(compute_node).meta.grid();
     // Structures where the main multiplication feeds another multiplication
@@ -528,27 +595,20 @@ fn cuboid_layout(
     };
     let k_chunks = chunks(k, r_parts);
 
-    // Assign compute blocks to (p,q) tiles via their mm coordinates.
-    let mut tile_blocks: HashMap<(usize, usize), Vec<(usize, usize)>> = HashMap::new();
-    for bi in 0..grid.block_rows {
-        for bj in 0..grid.block_cols {
-            let (mi, mj) = if parity { (bj, bi) } else { (bi, bj) };
-            let p = p_chunks.iter().position(|c| c.contains(&mi));
-            let q = q_chunks.iter().position(|c| c.contains(&mj));
-            if let (Some(p), Some(q)) = (p, q) {
-                tile_blocks.entry((p, q)).or_default().push((bi, bj));
-            }
-        }
-    }
-
     let mut tasks = Vec::new();
-    for p in 0..pqr.p {
-        for q in 0..pqr.q {
-            let out_blocks = tile_blocks.remove(&(p, q)).unwrap_or_default();
+    for (p, pc) in p_chunks.iter().enumerate().take(pqr.p) {
+        for (q, qc) in q_chunks.iter().enumerate().take(pqr.q) {
+            // The tile's compute blocks are the product of its chunk
+            // ranges in mm coordinates, swapped under parity.
+            let out = if parity {
+                Footprint::product(qc.clone(), pc.clone())
+            } else {
+                Footprint::product(pc.clone(), qc.clone())
+            };
             for (r, kr) in k_chunks.iter().enumerate() {
                 tasks.push(TaskSlice {
                     id: tasks.len(),
-                    out_blocks: out_blocks.clone(),
+                    out: out.clone(),
                     k_range: kr.clone(),
                     group: p * pqr.q + q,
                     is_reducer: r == 0,
@@ -556,35 +616,29 @@ fn cuboid_layout(
             }
         }
     }
-    Ok(Layout {
-        tasks,
-        r: r_parts,
-        parity,
-    })
+    (tasks, r_parts, parity)
 }
 
 /// Single-stage layout: stripe the compute grid's blocks over `ntasks`.
-fn striped_layout(rows: usize, cols: usize, ntasks: usize, k: Range<usize>) -> Layout {
+fn striped_layout(rows: usize, cols: usize, ntasks: usize, k: Range<usize>) -> Vec<TaskSlice> {
     let ntasks = ntasks.max(1);
-    let mut tasks: Vec<TaskSlice> = (0..ntasks)
-        .map(|id| TaskSlice {
+    let mut stripes = vec![Vec::new(); ntasks];
+    for bi in 0..rows {
+        for bj in 0..cols {
+            stripes[(bi * cols + bj) % ntasks].push((bi, bj));
+        }
+    }
+    stripes
+        .into_iter()
+        .enumerate()
+        .map(|(id, stripe)| TaskSlice {
             id,
-            out_blocks: Vec::new(),
+            out: Footprint::blocks(stripe),
             k_range: k.clone(),
             group: id,
             is_reducer: true,
         })
-        .collect();
-    for bi in 0..rows {
-        for bj in 0..cols {
-            tasks[(bi * cols + bj) % ntasks].out_blocks.push((bi, bj));
-        }
-    }
-    Layout {
-        tasks,
-        r: 1,
-        parity: false,
-    }
+        .collect()
 }
 
 /// Walks from the main multiplication up to the compute root, tracking
@@ -671,13 +725,13 @@ fn run_full_kernels(
     dag: &QueryDag,
     plan: &PartialPlan,
     compute_node: NodeId,
-    out_blocks: &[(usize, usize)],
+    tile: &Footprint,
     agg: Option<(AggOp, AggShape)>,
 ) -> Result<TaskOut, SimError> {
     match agg {
         None => {
             let mut out = Vec::new();
-            for &(bi, bj) in out_blocks {
+            for (bi, bj) in tile.coords() {
                 if ctx.has_support(compute_node, bi, bj) {
                     let b = ctx.eval(compute_node, bi, bj)?;
                     if b.nnz() > 0 {
@@ -691,7 +745,7 @@ fn run_full_kernels(
             let meta = dag.node(compute_node).meta;
             let root_meta = dag.node(plan.root).meta;
             let mut partials: HashMap<(usize, usize), DenseBlock> = HashMap::new();
-            for &(bi, bj) in out_blocks {
+            for (bi, bj) in tile.coords() {
                 let value = if ctx.has_support(compute_node, bi, bj) {
                     ctx.eval(compute_node, bi, bj)?
                 } else {
@@ -1253,5 +1307,69 @@ mod tests {
         assert_eq!(stats.invalidations, 2);
         assert_eq!(stats.misses, 7);
         assert_eq!(stats.hits, 5);
+    }
+
+    /// Tiles as the grid pass before footprints built them: every compute
+    /// block, in row-major order, joins the tile whose chunks hold its
+    /// main-multiplication coordinates.
+    fn tiles_by_grid_pass(
+        rows: usize,
+        cols: usize,
+        parity: bool,
+        p_chunks: &[Range<usize>],
+        q_chunks: &[Range<usize>],
+    ) -> HashMap<(usize, usize), Vec<(usize, usize)>> {
+        let mut tiles: HashMap<(usize, usize), Vec<(usize, usize)>> = HashMap::new();
+        for bi in 0..rows {
+            for bj in 0..cols {
+                let (mi, mj) = if parity { (bj, bi) } else { (bi, bj) };
+                let p = p_chunks.iter().position(|c| c.contains(&mi));
+                let q = q_chunks.iter().position(|c| c.contains(&mj));
+                if let (Some(p), Some(q)) = (p, q) {
+                    tiles.entry((p, q)).or_default().push((bi, bj));
+                }
+            }
+        }
+        tiles
+    }
+
+    #[test]
+    fn cuboid_tiles_match_grid_pass() {
+        // A 7×3 by 3×5 block multiplication: every P, Q in 1..=8 gives
+        // uneven chunks, some of them empty.
+        for parity in [false, true] {
+            let mut b = DagBuilder::new();
+            let u = b.input("U", fuseme_matrix::MatrixMeta::dense(7, 3, 1));
+            let v = b.input("V", fuseme_matrix::MatrixMeta::dense(3, 5, 1));
+            let mm = b.matmul(u, v);
+            let top = if parity {
+                b.transpose(mm)
+            } else {
+                b.unary(mm, UnaryOp::Abs)
+            };
+            let dag = b.finish(vec![top]);
+            let plan = PartialPlan::new(BTreeSet::from([mm.id(), top.id()]), top.id());
+            let grid = dag.node(top.id()).meta.grid();
+            for p in 1..=8 {
+                for q in 1..=8 {
+                    let pqr = Pqr { p, q, r: 2 };
+                    let (tasks, r, got_parity) = cuboid_layout(&dag, &plan, mm.id(), pqr, top.id());
+                    assert_eq!((r, got_parity), (2, parity));
+                    assert_eq!(tasks.len(), p * q * 2);
+                    let old = tiles_by_grid_pass(
+                        grid.block_rows,
+                        grid.block_cols,
+                        parity,
+                        &chunks(7, p),
+                        &chunks(5, q),
+                    );
+                    for t in &tasks {
+                        let want = old.get(&(t.group / q, t.group % q)).cloned();
+                        let got: Vec<_> = t.out.coords().collect();
+                        assert_eq!(got, want.unwrap_or_default(), "({p},{q}) {t:?}");
+                    }
+                }
+            }
+        }
     }
 }

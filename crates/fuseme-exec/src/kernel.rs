@@ -3,17 +3,22 @@
 //! A *kernel* (paper Fig. 8) is the fused computation of one output block:
 //! it pulls the input blocks it touches from the task's local store and
 //! evaluates the plan's operator DAG at block granularity, materializing
-//! only per-block scratch. Three entry points share one recursion:
+//! only per-block scratch. Two entry points recurse per block:
 //!
 //! * [`KernelCtx::eval`] — compute the value of a plan node at a block
 //!   coordinate;
-//! * [`KernelCtx::needs`] — collect the external-input block coordinates
-//!   that evaluation would touch (used by operators to route blocks, and
-//!   deliberately *not* sparsity-pruned: consolidation ships whole cuboid
-//!   slices, matching the paper's partition-granular communication);
 //! * [`KernelCtx::has_support`] — decide whether an output block can be
 //!   non-zero at all; empty-gated blocks are skipped entirely, which is the
 //!   block-level form of the paper's sparsity exploitation.
+//!
+//! Routing does not recurse per block. [`footprints`] applies the same
+//! access rules — element-wise operators read their own coordinates, a
+//! transpose swaps them, a multiplication reads its row band of the left
+//! input and column band of the right over its k-slice — once per plan
+//! node to a whole task's output tile, and yields each input's needed
+//! blocks as a few row × column products or exact lists. It is deliberately
+//! *not* sparsity-pruned: consolidation ships whole cuboid slices, matching
+//! the paper's partition-granular communication.
 //!
 //! The main matrix multiplication sums over the task's `k`-slice only; with
 //! `R > 1` that produces a *partial* result which the aggregation stage
@@ -21,7 +26,7 @@
 //! multiplications always see their full common dimension locally — their
 //! subspaces are confined, so the needed blocks were all routed.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -35,6 +40,8 @@ use fuseme_sim::SimError;
 #[derive(Debug, Default, Clone)]
 pub struct LocalStore {
     blocks: HashMap<(NodeId, (usize, usize)), Arc<Block>>,
+    /// Bytes held per node, kept current by [`LocalStore::insert`].
+    node_bytes: BTreeMap<NodeId, u64>,
 }
 
 impl LocalStore {
@@ -43,9 +50,16 @@ impl LocalStore {
         LocalStore::default()
     }
 
-    /// Installs a block for `(node, coord)`.
+    /// Installs a block for `(node, coord)`, replacing any block already
+    /// there.
     pub fn insert(&mut self, node: NodeId, coord: (usize, usize), block: Arc<Block>) {
-        self.blocks.insert((node, coord), block);
+        let added = block.size_bytes();
+        let replaced = self
+            .blocks
+            .insert((node, coord), block)
+            .map_or(0, |old| old.size_bytes());
+        let total = self.node_bytes.entry(node).or_default();
+        *total = *total - replaced + added;
     }
 
     /// The block at `(node, coord)`, if present (absent = all-zero).
@@ -53,19 +67,20 @@ impl LocalStore {
         self.blocks.get(&(node, coord))
     }
 
+    /// Every `(node, coord)` held, in no particular order.
+    pub fn keys(&self) -> impl Iterator<Item = (NodeId, (usize, usize))> + '_ {
+        self.blocks.keys().copied()
+    }
+
     /// Total bytes held (= what consolidation shipped to this task).
     pub fn total_bytes(&self) -> u64 {
-        self.blocks.values().map(|b| b.size_bytes()).sum()
+        self.node_bytes.values().sum()
     }
 
     /// Bytes held for one input node (= that input's share of the task's
     /// consolidation traffic; what a replica-cache hit avoids re-shipping).
     pub fn node_bytes(&self, node: NodeId) -> u64 {
-        self.blocks
-            .iter()
-            .filter(|((n, _), _)| *n == node)
-            .map(|(_, b)| b.size_bytes())
-            .sum()
+        self.node_bytes.get(&node).copied().unwrap_or(0)
     }
 
     /// Number of blocks held.
@@ -251,22 +266,12 @@ impl<'a> KernelCtx<'a> {
         Ok(Arc::new(value))
     }
 
-    /// The k-slice a multiplication sums over: the task slice for the main
-    /// multiplication, the full common dimension for nested ones.
     fn mm_k_range(&self, mm: NodeId) -> Range<usize> {
-        if Some(mm) == self.main_mm {
-            self.k_range.clone()
-        } else {
-            let left = self.dag.node(self.dag.node(mm).inputs[0]).meta;
-            0..left.grid().block_cols
-        }
+        mm_k_range(self.dag, self.main_mm, &self.k_range, mm)
     }
 
     fn scalar_of(&self, node: NodeId) -> Option<f64> {
-        match self.dag.node(node).kind {
-            OpKind::Scalar(v) => Some(v),
-            _ => None,
-        }
+        scalar_of(self.dag, node)
     }
 
     /// `true` if the value of `node` at `(bi, bj)` can have non-zeros.
@@ -316,81 +321,194 @@ impl<'a> KernelCtx<'a> {
             OpKind::FullAgg(_) | OpKind::RowAgg(_) | OpKind::ColAgg(_) => true,
         }
     }
+}
 
-    /// Collects the external-input block coordinates that evaluating `node`
-    /// at `(bi, bj)` touches, into `out`. Structural (no sparsity pruning):
-    /// this is the routing contract, and consolidation ships slices exactly
-    /// as the paper's cost model charges them.
-    pub fn needs(
-        &self,
-        node: NodeId,
-        bi: usize,
-        bj: usize,
-        out: &mut BTreeSet<(NodeId, (usize, usize))>,
-    ) {
-        let mut visited = HashSet::new();
-        self.needs_shared(node, bi, bj, out, &mut visited);
+/// The k-slice a multiplication sums over: the task slice for the main
+/// multiplication, the full common dimension for nested ones.
+fn mm_k_range(
+    dag: &QueryDag,
+    main_mm: Option<NodeId>,
+    k_range: &Range<usize>,
+    mm: NodeId,
+) -> Range<usize> {
+    if Some(mm) == main_mm {
+        k_range.clone()
+    } else {
+        let left = dag.node(dag.node(mm).inputs[0]).meta;
+        0..left.grid().block_cols
     }
+}
 
-    /// [`Self::needs`] with a caller-provided visited set, so routing a
-    /// whole task tile shares deduplication across output blocks — the
-    /// total work becomes proportional to the number of *distinct* routed
-    /// coordinates (the consolidation volume) instead of `blocks × K`.
-    pub fn needs_shared(
-        &self,
-        node: NodeId,
-        bi: usize,
-        bj: usize,
-        out: &mut BTreeSet<(NodeId, (usize, usize))>,
-        visited: &mut HashSet<(NodeId, usize, usize)>,
-    ) {
-        self.needs_inner(node, bi, bj, out, visited);
+fn scalar_of(dag: &QueryDag, node: NodeId) -> Option<f64> {
+    match dag.node(node).kind {
+        OpKind::Scalar(v) => Some(v),
+        _ => None,
     }
+}
 
-    fn needs_inner(
-        &self,
-        node: NodeId,
-        bi: usize,
-        bj: usize,
-        out: &mut BTreeSet<(NodeId, (usize, usize))>,
-        visited: &mut HashSet<(NodeId, usize, usize)>,
-    ) {
-        if !visited.insert((node, bi, bj)) {
-            return;
+/// A set of block coordinates of one node, kept as a short union of terms
+/// rather than enumerated: what a task computes of a node, or needs of an
+/// input. Terms may overlap; [`Footprint::coords`] then repeats
+/// coordinates.
+#[derive(Debug, Clone, Default)]
+pub struct Footprint {
+    terms: Vec<Term>,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Term {
+    /// Exactly these coordinates.
+    Blocks(Vec<(usize, usize)>),
+    /// Every coordinate of `rows × cols`; both sides sorted, distinct and
+    /// non-empty.
+    Product(Vec<usize>, Vec<usize>),
+}
+
+impl Term {
+    /// The distinct rows and columns the term touches.
+    fn axes(&self) -> (Vec<usize>, Vec<usize>) {
+        match self {
+            Term::Blocks(b) => (
+                distinct(b.iter().map(|c| c.0)),
+                distinct(b.iter().map(|c| c.1)),
+            ),
+            Term::Product(r, c) => (r.clone(), c.clone()),
         }
-        if !self.ops.contains(&node) {
-            if self.scalar_of(node).is_none() {
-                out.insert((node, (bi, bj)));
+    }
+}
+
+fn distinct(it: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut v: Vec<usize> = it.collect();
+    v.sort_unstable();
+    v.dedup();
+    v
+}
+
+impl Footprint {
+    /// Exactly the given coordinates (a striped task's round-robin share).
+    pub fn blocks(coords: Vec<(usize, usize)>) -> Self {
+        let mut fp = Footprint::default();
+        if !coords.is_empty() {
+            fp.terms.push(Term::Blocks(coords));
+        }
+        fp
+    }
+
+    /// Every coordinate of `rows × cols` (a cuboid tile).
+    pub fn product(rows: Range<usize>, cols: Range<usize>) -> Self {
+        Self::product_of(rows.collect(), cols.collect())
+    }
+
+    fn product_of(rows: Vec<usize>, cols: Vec<usize>) -> Self {
+        let mut fp = Footprint::default();
+        if !rows.is_empty() && !cols.is_empty() {
+            fp.terms.push(Term::Product(rows, cols));
+        }
+        fp
+    }
+
+    /// Every coordinate, term by term; a product runs row-major.
+    pub fn coords(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.terms.iter().flat_map(|t| {
+            let (listed, product): (&[(usize, usize)], _) = match t {
+                Term::Blocks(b) => (b, None),
+                Term::Product(r, c) => (&[], Some((r, c))),
+            };
+            listed.iter().copied().chain(
+                product
+                    .into_iter()
+                    .flat_map(|(r, c)| r.iter().flat_map(move |&i| c.iter().map(move |&j| (i, j)))),
+            )
+        })
+    }
+
+    /// Adds `other`'s terms, skipping exact repeats (a diamond in the plan
+    /// hands a node the same term along both paths).
+    fn union(&mut self, other: Footprint) {
+        for t in other.terms {
+            if !self.terms.contains(&t) {
+                self.terms.push(t);
             }
-            return;
         }
-        if self.mm_override.is_some() && Some(node) == self.main_mm {
-            return; // provided by the aggregation stage
+    }
+
+    fn transposed(&self) -> Footprint {
+        let terms = self
+            .terms
+            .iter()
+            .map(|t| match t {
+                Term::Blocks(b) => Term::Blocks(b.iter().map(|&(i, j)| (j, i)).collect()),
+                Term::Product(r, c) => Term::Product(c.clone(), r.clone()),
+            })
+            .collect();
+        Footprint { terms }
+    }
+
+    /// What a multiplication computing `self` over the k-slice `ks` reads:
+    /// `rows × ks` of its left input and `ks × cols` of its right, term by
+    /// term.
+    fn matmul_inputs(&self, ks: &[usize]) -> (Footprint, Footprint) {
+        let (mut left, mut right) = (Footprint::default(), Footprint::default());
+        for t in &self.terms {
+            let (rows, cols) = t.axes();
+            left.union(Footprint::product_of(rows, ks.to_vec()));
+            right.union(Footprint::product_of(ks.to_vec(), cols));
         }
-        let n = self.dag.node(node);
+        (left, right)
+    }
+}
+
+/// The blocks of each external input that a task computing `out` of
+/// `compute_node` reads: the closed form of the kernel's access pattern,
+/// computed once per plan node instead of per output block.
+///
+/// Members are visited consumers-first (descending id; ids are
+/// topological). Element-wise operators hand their footprint to their
+/// non-scalar inputs, a transpose swaps rows and columns, and a
+/// multiplication reads `rows × K` of its left input and `K × cols` of its
+/// right, where `K` is `k_range` for the main multiplication and the full
+/// common dimension for nested ones. Structural, like the paper's cost
+/// model: no sparsity pruning, so consolidation ships whole slices.
+pub fn footprints(
+    dag: &QueryDag,
+    ops: &BTreeSet<NodeId>,
+    main_mm: Option<NodeId>,
+    k_range: Range<usize>,
+    compute_node: NodeId,
+    out: Footprint,
+) -> BTreeMap<NodeId, Footprint> {
+    let mut fps: BTreeMap<NodeId, Footprint> = BTreeMap::new();
+    fps.insert(compute_node, out);
+    for &node in ops.iter().rev() {
+        let Some(fp) = fps.remove(&node) else {
+            continue;
+        };
+        let n = dag.node(node);
+        let mut feed = |input: NodeId, f: Footprint| {
+            if scalar_of(dag, input).is_none() {
+                fps.entry(input).or_default().union(f);
+            }
+        };
         match &n.kind {
             OpKind::Input { .. } | OpKind::Scalar(_) => unreachable!("leaves not members"),
-            OpKind::Unary(_) => self.needs_inner(n.inputs[0], bi, bj, out, visited),
-            OpKind::Binary(_) => {
+            OpKind::Unary(_) | OpKind::Binary(_) => {
                 for &input in &n.inputs {
-                    if self.scalar_of(input).is_none() {
-                        self.needs_inner(input, bi, bj, out, visited);
-                    }
+                    feed(input, fp.clone());
                 }
             }
-            OpKind::Transpose => self.needs_inner(n.inputs[0], bj, bi, out, visited),
+            OpKind::Transpose => feed(n.inputs[0], fp.transposed()),
             OpKind::MatMul => {
-                let (l_id, r_id) = (n.inputs[0], n.inputs[1]);
-                for k in self.mm_k_range(node) {
-                    self.needs_inner(l_id, bi, k, out, visited);
-                    self.needs_inner(r_id, k, bj, out, visited);
-                }
+                let ks: Vec<usize> = mm_k_range(dag, main_mm, &k_range, node).collect();
+                let (left, right) = fp.matmul_inputs(&ks);
+                feed(n.inputs[0], left);
+                feed(n.inputs[1], right);
             }
             OpKind::FullAgg(_) | OpKind::RowAgg(_) | OpKind::ColAgg(_) => {
                 unreachable!("aggregation roots expand over their input grid in the driver")
             }
         }
     }
+    fps
 }
 
 #[cfg(test)]
@@ -464,7 +582,7 @@ mod tests {
 
     #[test]
     fn support_skips_empty_gated_blocks() {
-        let (dag, ops, root, mm, mut store, _) = setup();
+        let (dag, ops, root, mm, store, _) = setup();
         // Remove all X blocks: every output block loses support.
         let x_id = dag
             .nodes()
@@ -473,18 +591,11 @@ mod tests {
             .unwrap()
             .id;
         let keys: Vec<_> = (0..4).flat_map(|i| (0..4).map(move |j| (i, j))).collect();
-        let mut emptied = LocalStore::new();
-        for ((node, coord), blk) in keys
-            .iter()
-            .flat_map(|&c| store.get(x_id, c).map(|b| ((x_id, c), Arc::clone(b))))
-        {
-            let _ = (node, coord, blk);
-        }
-        let _ = &mut store;
         // Build a store without X at all.
+        let mut emptied = LocalStore::new();
         for node in dag.nodes() {
-            if let OpKind::Input { name } = &node.kind {
-                if name != "X" {
+            if let OpKind::Input { .. } = &node.kind {
+                if node.id != x_id {
                     for &c in &keys {
                         if let Some(b) = store.get(node.id, c) {
                             emptied.insert(node.id, c, Arc::clone(b));
@@ -543,12 +654,25 @@ mod tests {
         }
     }
 
+    /// The `(node, coord)` keys a task computing `out` of `root` reads.
+    fn needed(
+        dag: &QueryDag,
+        ops: &BTreeSet<NodeId>,
+        mm: NodeId,
+        k_range: Range<usize>,
+        root: NodeId,
+        out: Footprint,
+    ) -> BTreeSet<(NodeId, (usize, usize))> {
+        footprints(dag, ops, Some(mm), k_range, root, out)
+            .into_iter()
+            .flat_map(|(n, fp)| fp.coords().map(move |c| (n, c)).collect::<Vec<_>>())
+            .collect()
+    }
+
     #[test]
     fn needs_covers_structural_inputs() {
-        let (dag, ops, root, mm, store, _) = setup();
-        let ctx = KernelCtx::new(&dag, &ops, Some(mm), 0..2, &store);
-        let mut out = BTreeSet::new();
-        ctx.needs(root, 1, 2, &mut out);
+        let (dag, ops, root, mm, _, _) = setup();
+        let out = needed(&dag, &ops, mm, 0..2, root, Footprint::blocks(vec![(1, 2)]));
         // For output block (1,2): X(1,2); U(1, 0..2); V(2, 0..2) via the
         // transpose.
         let coords: Vec<_> = out.iter().collect();
@@ -563,10 +687,8 @@ mod tests {
 
     #[test]
     fn needs_respects_k_slice() {
-        let (dag, ops, root, mm, store, _) = setup();
-        let ctx = KernelCtx::new(&dag, &ops, Some(mm), 1..2, &store);
-        let mut out = BTreeSet::new();
-        ctx.needs(root, 0, 0, &mut out);
+        let (dag, ops, root, mm, _, _) = setup();
+        let out = needed(&dag, &ops, mm, 1..2, root, Footprint::product(0..1, 0..1));
         for (n, (bi, bj)) in &out {
             if let OpKind::Input { name } = &dag.node(*n).kind {
                 if name == "U" {

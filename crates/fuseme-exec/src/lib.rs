@@ -6,8 +6,8 @@
 //! * [`kernel`] — the fused-kernel interpreter. Given a task's local block
 //!   store it evaluates a partial fusion plan per output block *without
 //!   materializing intermediate matrices*, exploits sparsity by skipping
-//!   output blocks whose gate is empty, and (mirroring the same recursion)
-//!   computes exactly which input blocks a task needs.
+//!   output blocks whose gate is empty; its routing mirror computes the
+//!   input blocks a whole task needs in closed form, once per plan node.
 //! * [`fused_op`] — the three distributed fused operators: the paper's CFO
 //!   (cuboid `(P,Q,R)` partitioning, two-stage execution when `R > 1`), and
 //!   the baseline BFO (broadcast) and RFO (replication). DistME's CuboidMM

@@ -11,60 +11,22 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+mod common;
+
+use common::{bindings, random_dag};
 use fuseme_exec::driver::{execute_plan, ExecConfig, MatmulStrategy};
 use fuseme_exec::fused_op::{execute_fused, ValueMap};
 use fuseme_exec::Strategy;
 use fuseme_fusion::cfg::Cfg;
 use fuseme_fusion::optimizer::Pqr;
 use fuseme_fusion::plan::{FusionPlan, PartialPlan};
-use fuseme_matrix::{gen, BinOp, MatrixMeta, UnaryOp};
-use fuseme_plan::{evaluate, Bindings, DagBuilder, OpKind, QueryDag};
+use fuseme_plan::{evaluate, OpKind};
 use fuseme_sim::{Cluster, ClusterConfig};
 
 fn cluster() -> Cluster {
     let mut cc = ClusterConfig::test_small();
     cc.mem_per_task = 256 << 20;
     Cluster::new(cc)
-}
-
-/// Random DAG over two shared-shape inputs; all ops stay shape-valid.
-fn random_dag(script: &[u8]) -> QueryDag {
-    let bs = 4;
-    let n = 16;
-    let mut b = DagBuilder::new();
-    let x = b.input("X", MatrixMeta::sparse(n, n, bs, 0.3));
-    let y = b.input("Y", MatrixMeta::dense(n, n, bs));
-    let mut pool = vec![x, y];
-    for (step, &op) in script.iter().enumerate() {
-        let a = pool[step % pool.len()];
-        let c = pool[(step * 5 + 1) % pool.len()];
-        let next = match op {
-            0 => b.binary(a, c, BinOp::Add),
-            1 => b.binary(a, c, BinOp::Mul),
-            2 => b.matmul(a, c),
-            3 => b.transpose(a),
-            4 => b.unary(a, UnaryOp::Abs),
-            5 => b.binary(a, c, BinOp::Sub),
-            6 => {
-                let half = b.scalar(0.5);
-                b.binary(a, half, BinOp::Mul)
-            }
-            _ => b.unary(a, UnaryOp::Square),
-        };
-        pool.push(next);
-    }
-    b.finish(vec![*pool.last().unwrap()])
-}
-
-fn bindings(seed: u64) -> Bindings {
-    let x = gen::sparse_uniform(16, 16, 4, 0.3, -1.0, 1.0, seed).unwrap();
-    let y = gen::dense_uniform(16, 16, 4, -1.0, 1.0, seed + 1).unwrap();
-    [
-        ("X".to_string(), Arc::new(x)),
-        ("Y".to_string(), Arc::new(y)),
-    ]
-    .into_iter()
-    .collect()
 }
 
 proptest! {
