@@ -123,12 +123,7 @@ impl Engine {
             EngineKind::TensorFlowLike => MatmulStrategy::Bfo {
                 partition_bytes: bytes,
             },
-            other => {
-                return {
-                    let _ = other;
-                    self
-                }
-            }
+            _ => return self,
         };
         self.exec.matmul = matmul;
         self

@@ -19,6 +19,21 @@ use fuseme_bench::experiments::{
 };
 use fuseme_bench::Scale;
 
+/// What `all` runs, in order.
+const ALL: [&str; 11] = [
+    "table1",
+    "table3",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15",
+    "ablation",
+    "chaos",
+    "memstress",
+    "cachesweep",
+    "sparsesweep",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut which: Vec<String> = Vec::new();
@@ -66,6 +81,13 @@ fn main() {
     if which.is_empty() {
         which.push("all".to_string());
     }
+    let which: Vec<String> = which
+        .into_iter()
+        .flat_map(|name| match name.as_str() {
+            "all" => ALL.iter().map(|n| n.to_string()).collect(),
+            _ => vec![name],
+        })
+        .collect();
     if trace {
         let dir = out.join("traces");
         println!("tracing every measured run → {}", dir.display());
@@ -83,70 +105,26 @@ fn main() {
 
     for name in which {
         let started = std::time::Instant::now();
-        match name.as_str() {
-            "all" => {
-                table1::run(scale, &out);
-                table3::run(scale, &out);
-                fig12::run(scale, &out, fig12::Part::All);
-                fig13::run(scale, &out, fig13::Part::All);
-                fig14::run(scale, &out, iters);
-                fig15::run(scale, &out);
-                ablation::run(scale, &out);
-                chaos::run(scale, &out);
-                memstress::run(scale, &out);
-                cachesweep::run(scale, &out, smoke);
-                sparsesweep::run(scale, &out, smoke);
-            }
-            "table1" => {
-                table1::run(scale, &out);
-            }
-            "table3" => {
-                table3::run(scale, &out);
-            }
-            "fig12" => {
-                fig12::run(scale, &out, fig12::Part::All);
-            }
-            "fig12a" => {
-                fig12::run(scale, &out, fig12::Part::TwoLargeDims);
-            }
-            "fig12b" => {
-                fig12::run(scale, &out, fig12::Part::CommonDim);
-            }
-            "fig12c" => {
-                fig12::run(scale, &out, fig12::Part::Density);
-            }
-            "fig12d" => {
-                fig12::run(scale, &out, fig12::Part::Nodes);
-            }
-            "fig13" => {
-                fig13::run(scale, &out, fig13::Part::All);
-            }
-            "fig13d" => {
-                fig13::run(scale, &out, fig13::Part::Pruning);
-            }
-            "fig14" => {
-                fig14::run(scale, &out, iters);
-            }
-            "fig15" => {
-                fig15::run(scale, &out);
-            }
-            "ablation" => {
-                ablation::run(scale, &out);
-            }
-            "chaos" => {
-                chaos::run(scale, &out);
-            }
-            "memstress" => {
-                memstress::run(scale, &out);
-            }
-            "cachesweep" => {
-                cachesweep::run(scale, &out, smoke);
-            }
-            "sparsesweep" => {
-                sparsesweep::run(scale, &out, smoke);
-            }
+        // Each experiment prints its tables and writes its own JSON.
+        let _measurements = match name.as_str() {
+            "table1" => table1::run(scale, &out),
+            "table3" => table3::run(scale, &out),
+            "fig12" => fig12::run(scale, &out, fig12::Part::All),
+            "fig12a" => fig12::run(scale, &out, fig12::Part::TwoLargeDims),
+            "fig12b" => fig12::run(scale, &out, fig12::Part::CommonDim),
+            "fig12c" => fig12::run(scale, &out, fig12::Part::Density),
+            "fig12d" => fig12::run(scale, &out, fig12::Part::Nodes),
+            "fig13" => fig13::run(scale, &out, fig13::Part::All),
+            "fig13d" => fig13::run(scale, &out, fig13::Part::Pruning),
+            "fig14" => fig14::run(scale, &out, iters),
+            "fig15" => fig15::run(scale, &out),
+            "ablation" => ablation::run(scale, &out),
+            "chaos" => chaos::run(scale, &out),
+            "memstress" => memstress::run(scale, &out),
+            "cachesweep" => cachesweep::run(scale, &out, smoke),
+            "sparsesweep" => sparsesweep::run(scale, &out, smoke),
             other => die(&format!("unknown experiment '{other}'")),
-        }
+        };
         eprintln!(
             "[{name} done in {:.1}s wall]",
             started.elapsed().as_secs_f64()

@@ -20,7 +20,7 @@ use fuseme_fusion::plan::FusionPlan;
 use fuseme_workloads::gnmf::Gnmf;
 use fuseme_workloads::nmf::SimpleNmf;
 
-use crate::{gb, time_cell, write_json, Measurement, Scale, Table};
+use crate::{gb, measure_with, time_cell, write_json, Measurement, Scale, Table};
 
 /// Runs the ablation over the NMF operator query and one GNMF iteration.
 pub fn run(scale: Scale, out_dir: &Path) -> Vec<Measurement> {
@@ -52,10 +52,12 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Measurement> {
         let cluster = Cluster::new(cc);
         let config = ExecConfig::for_cluster(&cluster, matmul);
         let plan = build_plan(plan_kind, &dag, &config);
-        let run = match execute_plan(&cluster, &dag, &plan, &binds, &config) {
-            Ok((_, stats)) => RunSummary::completed(variant, &stats),
-            Err(e) => RunSummary::failed(variant, &e),
-        };
+        let run = measure_with("ablation_nmf", || {
+            match execute_plan(&cluster, &dag, &plan, &binds, &config) {
+                Ok((_, stats)) => RunSummary::completed(variant, &stats),
+                Err(e) => RunSummary::failed(variant, &e),
+            }
+        });
         table.row(vec![
             "NMF".into(),
             variant.into(),
@@ -90,10 +92,13 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Measurement> {
         g.bind_inputs(&mut session, 13).unwrap();
         let dag = session.compile_script(Gnmf::update_script()).unwrap();
         let plan = build_plan(plan_kind, &dag, &config);
-        let run = match execute_plan(&cluster, &dag, &plan, &session.bindings(), &config) {
-            Ok((_, stats)) => RunSummary::completed(variant, &stats),
-            Err(e) => RunSummary::failed(variant, &e),
-        };
+        let binds = session.bindings();
+        let run = measure_with("ablation_gnmf", || {
+            match execute_plan(&cluster, &dag, &plan, &binds, &config) {
+                Ok((_, stats)) => RunSummary::completed(variant, &stats),
+                Err(e) => RunSummary::failed(variant, &e),
+            }
+        });
         table.row(vec![
             "GNMF iter".into(),
             variant.into(),

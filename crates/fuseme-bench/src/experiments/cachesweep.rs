@@ -25,12 +25,10 @@
 use std::path::Path;
 
 use fuseme::prelude::*;
-use fuseme::session::{Session, SessionError};
-use fuseme_exec::driver::EngineStats;
 use fuseme_workloads::als::AlsLoss;
 use fuseme_workloads::gnmf::Gnmf;
 
-use crate::{gb, write_json, Measurement, Scale, Table};
+use crate::{gb, measure_with, pqr_list, session_summary, write_json, Measurement, Scale, Table};
 
 /// Iterations per measured run (the headline claim is over five).
 const ITERS: usize = 5;
@@ -86,31 +84,15 @@ fn cache_run(
     let mut session = Session::new(Engine::fuseme(cc));
     session.set_replica_cache(posture.budget(&cc));
     bind(&mut session).expect("generate inputs");
-    let wall = std::time::Instant::now();
     let mut pqr = Vec::new();
-    for _ in 0..iters {
-        let report = step(&mut session).expect("cachesweep runs must complete");
-        pqr.extend(
-            report
-                .stats
-                .pqr_choices
-                .iter()
-                .map(|(root, p)| (*root, p.p, p.q, p.r)),
-        );
-    }
-    let cluster = session.engine().cluster();
-    let stats = EngineStats {
-        comm: cluster.comm(),
-        sim_secs: cluster.elapsed_secs(),
-        wall_secs: wall.elapsed().as_secs_f64(),
-        faults: session.fault_stats(),
-        cache: session.cache_stats(),
-        ..EngineStats::default()
-    };
-    CacheRun {
-        summary: RunSummary::completed("FuseME", &stats),
-        pqr,
-    }
+    let summary = measure_with("cachesweep", || {
+        for _ in 0..iters {
+            let report = step(&mut session).expect("cachesweep runs must complete");
+            pqr.extend(pqr_list(&report.stats));
+        }
+        session_summary(&session, None)
+    });
+    CacheRun { summary, pqr }
 }
 
 /// Asserts the sweep's accounting invariants for one workload's rows.

@@ -14,11 +14,9 @@
 use std::path::Path;
 
 use fuseme::prelude::*;
-use fuseme::session::{Session, SessionError};
-use fuseme_exec::driver::EngineStats;
 use fuseme_workloads::gnmf::Gnmf;
 
-use crate::{gb, write_json, Measurement, Scale, Table};
+use crate::{gb, measure_with, session_summary, write_json, Measurement, Scale, Table};
 
 /// GNMF iterations per measured run.
 const ITERS: usize = 2;
@@ -58,63 +56,17 @@ fn plan_for(rate: f64) -> Option<FaultPlan> {
 }
 
 /// One measured run: fresh engine + session, `ITERS` GNMF iterations.
-/// Honors `FUSEME_TRACE_DIR` like the shared `measure` helper, writing
-/// `chaos-rate-<rate>-<on|off>.{trace.json,summary.json}` per run (chaos
-/// runs drive a `Session` directly, so they trace through it).
 fn chaos_run(scale: Scale, g: &Gnmf, rate: f64, ft: Option<FaultToleranceConfig>) -> RunSummary {
-    let cc = scale.factor_cluster(8);
-    let mut session = Session::new(Engine::fuseme(cc));
-    let trace_dir = std::env::var_os("FUSEME_TRACE_DIR").map(std::path::PathBuf::from);
-    if trace_dir.is_some() {
-        session.enable_tracing();
-    }
+    let mut session = Session::new(Engine::fuseme(scale.factor_cluster(8)));
     session.set_fault_plan(plan_for(rate));
     if let Some(ft) = ft {
         session.set_fault_tolerance(ft);
     }
     g.bind_inputs(&mut session, 13).expect("generate inputs");
-    let wall = std::time::Instant::now();
-    let result = g.run(&mut session, ITERS);
-    if let Some(dir) = trace_dir {
-        let name = format!(
-            "chaos-rate-{rate:.2}-{}",
-            if ft.is_some() { "on" } else { "off" }
-        );
-        let summary = session.trace_summary();
-        if let Some(rec) = session.end_tracing() {
-            let write = |suffix: &str, contents: String| {
-                if let Err(e) = std::fs::create_dir_all(&dir)
-                    .and_then(|()| std::fs::write(dir.join(format!("{name}.{suffix}")), contents))
-                {
-                    eprintln!("warning: could not write trace {name}.{suffix}: {e}");
-                }
-            };
-            write("trace.json", fuseme::obs::chrome_trace_json(&rec));
-            write(
-                "summary.json",
-                summary
-                    .and_then(|s| serde_json::to_string_pretty(&s).ok())
-                    .unwrap_or_default(),
-            );
-        }
-    }
-    match result {
-        Ok(_) => {
-            // Iterations share one cluster, so the cluster's ledgers hold
-            // the whole run's totals.
-            let cluster = session.engine().cluster();
-            let stats = EngineStats {
-                comm: cluster.comm(),
-                sim_secs: cluster.elapsed_secs(),
-                wall_secs: wall.elapsed().as_secs_f64(),
-                faults: session.fault_stats(),
-                ..EngineStats::default()
-            };
-            RunSummary::completed("FuseME", &stats)
-        }
-        Err(SessionError::Exec(e)) => RunSummary::failed("FuseME", &e),
-        Err(e) => RunSummary::failed("FuseME", &SimError::Task(e.to_string())),
-    }
+    measure_with("chaos", || {
+        let error = g.run(&mut session, ITERS).err();
+        session_summary(&session, error.as_ref())
+    })
 }
 
 /// Runs the chaos sweep, printing the table and persisting `chaos.json`.
@@ -279,15 +231,8 @@ mod tests {
             }
             g.bind_inputs(&mut s, 42).unwrap();
             g.run(&mut s, 2).unwrap();
-            let cluster = s.engine().cluster();
-            let stats = EngineStats {
-                comm: cluster.comm(),
-                sim_secs: cluster.elapsed_secs(),
-                wall_secs: 0.0, // wall time is nondeterministic; pin it
-                faults: s.fault_stats(),
-                ..EngineStats::default()
-            };
-            serde_json::to_string(&RunSummary::completed("FuseME", &stats)).unwrap()
+            // Without the measurement door, wall time stays pinned at zero.
+            serde_json::to_string(&session_summary(&s, None)).unwrap()
         };
         assert_eq!(run(false), run(true));
     }

@@ -97,7 +97,7 @@ fn family(
         let mut pqr = String::new();
         for kind in ENGINES {
             let engine = build_engine(kind, scale.paper_cluster(), scale.partition_bytes());
-            let run = measure(&engine, &dag, &binds);
+            let run = measure(id, &engine, &dag, &binds);
             if kind == EngineKind::FuseMe {
                 pqr = run
                     .pqr
@@ -155,7 +155,7 @@ fn nodes_sweep(scale: Scale, out_dir: &Path) -> Vec<Measurement> {
             let mut cells: Vec<crate::ReportCell> = vec![nodes.into()];
             for kind in [EngineKind::SystemDsLike, EngineKind::FuseMe] {
                 let engine = build_engine(kind, scale.cluster(nodes), scale.partition_bytes());
-                let run = measure(&engine, &dag, &binds);
+                let run = measure(&format!("fig12{suffix}"), &engine, &dag, &binds);
                 cells.push(time_cell(&run).into());
                 measurements.push(Measurement {
                     experiment: format!("fig12{suffix}"),

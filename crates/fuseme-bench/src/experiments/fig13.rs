@@ -13,7 +13,7 @@ use fuseme_fusion::optimizer::{optimize, optimize_exhaustive};
 use fuseme_fusion::space::SpaceTree;
 use fuseme_workloads::nmf::SimpleNmf;
 
-use crate::{gb, write_json, Measurement, Scale, Table};
+use crate::{gb, measure_with, write_json, Measurement, Scale, Table};
 
 /// Which part of Fig. 13 to regenerate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,33 +100,35 @@ fn sweep(scale: Scale, out_dir: &Path) -> Vec<Measurement> {
         let pqr = Pqr { p, q, r };
         let est = estimate(&dag, &plan, &tree, p, q, r);
         let cost = model.cost(&est);
-        let cluster = Cluster::new(cc);
-        let result = execute_fused(
-            &cluster,
-            &dag,
-            &plan,
-            &values,
-            &fuseme_exec::Strategy::Cuboid { pqr },
-        );
-        let (status, data, secs) = match result {
-            Ok(_) => (
-                RunStatus::Completed,
-                cluster.comm().total(),
-                cluster.elapsed_secs(),
-            ),
-            Err(e) => (RunStatus::from_error(&e), 0, f64::NAN),
-        };
+        let run = measure_with("fig13abc", || {
+            let cluster = Cluster::new(cc);
+            let result = execute_fused(
+                &cluster,
+                &dag,
+                &plan,
+                &values,
+                &fuseme_exec::Strategy::Cuboid { pqr },
+            );
+            let mut run = RunSummary::completed("CFO", &Default::default());
+            match result {
+                Ok(_) => {
+                    run.sim_secs = cluster.elapsed_secs();
+                    run.consolidation_bytes = cluster.comm().total();
+                }
+                Err(e) => {
+                    run.status = RunStatus::from_error(&e);
+                    run.sim_secs = f64::NAN;
+                }
+            }
+            run
+        });
         table.row(vec![
             format!("({p},{r})").into(),
             format!("{cost:.3}").into(),
-            format!("{:.3}", gb(data)).into(),
-            format!("{secs:.1}").into(),
-            status.label().into(),
+            format!("{:.3}", gb(run.consolidation_bytes)).into(),
+            format!("{:.1}", run.sim_secs).into(),
+            run.status.label().into(),
         ]);
-        let mut run = RunSummary::completed("CFO", &Default::default());
-        run.status = status;
-        run.sim_secs = secs;
-        run.consolidation_bytes = data;
         measurements.push(Measurement {
             experiment: "fig13abc".into(),
             label: format!("({p},{r})"),

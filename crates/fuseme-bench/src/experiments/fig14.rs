@@ -6,12 +6,12 @@
 use std::path::Path;
 
 use fuseme::prelude::*;
-use fuseme::session::Session;
 use fuseme_workloads::datasets::{RatingDataset, MOVIELENS, NETFLIX, YAHOO_MUSIC};
 use fuseme_workloads::gnmf::Gnmf;
 
 use crate::{
-    build_engine, comm_cell_full_div, gb, time_cell, write_json, Measurement, Scale, Table,
+    build_engine, comm_cell_full_div, gb, measure_with, session_summary, time_cell, write_json,
+    Measurement, Scale, Table,
 };
 
 const ENGINES: [EngineKind; 4] = [
@@ -77,9 +77,7 @@ fn run_gnmf(
     iters: usize,
 ) -> RunSummary {
     let cc = scale.factor_cluster(8);
-    let engine = build_engine(kind, cc, cc.partition_bytes);
-    let name = engine.kind().name().to_string();
-    let mut session = Session::new(engine);
+    let mut session = Session::new(build_engine(kind, cc, cc.partition_bytes));
     let (users, items) = dataset.scaled_dims(scale.divisor, scale.block_size());
     let gnmf = Gnmf {
         users,
@@ -88,25 +86,25 @@ fn run_gnmf(
         block_size: scale.block_size(),
         density: dataset.density(),
     };
-    if let Err(e) = gnmf.bind_inputs(&mut session, 77) {
-        return RunSummary::failed(&name, &SimError::Task(e.to_string()));
-    }
-    match gnmf.run(&mut session, iters) {
-        Ok(per_iter) => {
+    measure_with("fig14", || {
+        let result = gnmf
+            .bind_inputs(&mut session, 77)
+            .and_then(|()| gnmf.run(&mut session, iters));
+        let mut summary = session_summary(&session, result.as_ref().err());
+        if let Ok(per_iter) = &result {
             let total: f64 = per_iter.iter().map(|s| s.sim_secs).sum();
             let avg_comm =
                 per_iter.iter().map(|s| s.comm_bytes).sum::<u64>() / per_iter.len().max(1) as u64;
-            let mut summary = RunSummary::completed(&name, &Default::default());
             summary.sim_secs = total;
             summary.consolidation_bytes = avg_comm;
+            summary.aggregation_bytes = 0;
             println!(
-                "    {name:>9} {:<11} k={k}: {total:>8.1}s accumulated, {:.3} GB/iter",
+                "    {:>9} {:<11} k={k}: {total:>8.1}s accumulated, {:.3} GB/iter",
+                summary.engine,
                 dataset.name,
                 gb(avg_comm)
             );
-            summary
         }
-        Err(fuseme::session::SessionError::Exec(e)) => RunSummary::failed(&name, &e),
-        Err(other) => RunSummary::failed(&name, &SimError::Task(other.to_string())),
-    }
+        summary
+    })
 }

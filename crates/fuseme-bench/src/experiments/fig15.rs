@@ -5,10 +5,11 @@
 use std::path::Path;
 
 use fuseme::prelude::*;
-use fuseme::session::Session;
 use fuseme_workloads::autoencoder::AutoEncoder;
 
-use crate::{build_engine, time_cell, write_json, Measurement, Scale, Table};
+use crate::{
+    build_engine, measure_with, session_summary, time_cell, write_json, Measurement, Scale, Table,
+};
 
 const ENGINES: [EngineKind; 3] = [
     EngineKind::SystemDsLike,
@@ -126,19 +127,18 @@ fn run_epoch(scale: Scale, ae: &AutoEncoder, kind: EngineKind) -> RunSummary {
         cc.compute_bandwidth *= 1.8;
         cc.net_bandwidth *= 1.8;
     }
-    let engine = build_engine(kind, cc, cc.partition_bytes);
-    let name = engine.kind().name().to_string();
-    let mut session = Session::new(engine);
-    if let Err(e) = ae.bind_inputs(&mut session, 55) {
-        return RunSummary::failed(&name, &SimError::Task(e.to_string()));
-    }
-    match ae.epoch_sim_secs(&mut session) {
-        Ok(secs) => {
-            let mut summary = RunSummary::completed(&name, &Default::default());
+    let mut session = Session::new(build_engine(kind, cc, cc.partition_bytes));
+    measure_with("fig15", || {
+        let result = ae
+            .bind_inputs(&mut session, 55)
+            .and_then(|()| ae.epoch_sim_secs(&mut session));
+        let mut summary = session_summary(&session, result.as_ref().err());
+        if let Ok(secs) = result {
+            // The figure plots the extrapolated epoch time and no traffic.
             summary.sim_secs = secs;
-            summary
+            summary.consolidation_bytes = 0;
+            summary.aggregation_bytes = 0;
         }
-        Err(fuseme::session::SessionError::Exec(e)) => RunSummary::failed(&name, &e),
-        Err(other) => RunSummary::failed(&name, &SimError::Task(other.to_string())),
-    }
+        summary
+    })
 }

@@ -22,11 +22,9 @@
 use std::path::Path;
 
 use fuseme::prelude::*;
-use fuseme::session::{Session, SessionError};
-use fuseme_exec::driver::EngineStats;
 use fuseme_workloads::gnmf::Gnmf;
 
-use crate::{gb, write_json, Measurement, Scale, Table};
+use crate::{gb, measure_with, pqr_list, session_summary, write_json, Measurement, Scale, Table};
 
 /// GNMF iterations per measured run.
 const ITERS: usize = 2;
@@ -59,42 +57,14 @@ fn mem_run(cc: ClusterConfig, g: &Gnmf, skew: bool, recovery: bool) -> MemRun {
         session.set_fault_tolerance(FaultToleranceConfig::resilient());
     }
     g.bind_inputs(&mut session, 13).expect("generate inputs");
-    let wall = std::time::Instant::now();
     let mut pqr = Vec::new();
-    let mut failed: Option<SimError> = None;
-    for _ in 0..ITERS {
-        match g.iterate(&mut session) {
-            Ok(report) => pqr.extend(
-                report
-                    .stats
-                    .pqr_choices
-                    .iter()
-                    .map(|(root, p)| (*root, p.p, p.q, p.r)),
-            ),
-            Err(SessionError::Exec(e)) => {
-                failed = Some(e);
-                break;
-            }
-            Err(e) => {
-                failed = Some(SimError::Task(e.to_string()));
-                break;
-            }
-        }
-    }
-    let summary = match failed {
-        Some(e) => RunSummary::failed("FuseME", &e),
-        None => {
-            let cluster = session.engine().cluster();
-            let stats = EngineStats {
-                comm: cluster.comm(),
-                sim_secs: cluster.elapsed_secs(),
-                wall_secs: wall.elapsed().as_secs_f64(),
-                faults: session.fault_stats(),
-                ..EngineStats::default()
-            };
-            RunSummary::completed("FuseME", &stats)
-        }
-    };
+    let summary = measure_with("memstress", || {
+        let result = (0..ITERS).try_for_each(|_| {
+            pqr.extend(pqr_list(&g.iterate(&mut session)?.stats));
+            Ok(())
+        });
+        session_summary(&session, result.err().as_ref())
+    });
     MemRun { summary, pqr }
 }
 
@@ -267,13 +237,7 @@ mod tests {
         let mut pqr = Vec::new();
         for _ in 0..ITERS {
             let report = g.iterate(&mut s).expect("ladder must recover");
-            pqr.extend(
-                report
-                    .stats
-                    .pqr_choices
-                    .iter()
-                    .map(|(root, p)| (*root, p.p, p.q, p.r)),
-            );
+            pqr.extend(pqr_list(&report.stats));
         }
         let fs = s.fault_stats();
         assert!(fs.replans >= 1, "{fs:?}");

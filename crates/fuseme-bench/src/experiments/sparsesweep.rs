@@ -23,12 +23,10 @@
 use std::path::Path;
 
 use fuseme::prelude::*;
-use fuseme::session::{Session, SessionError};
-use fuseme_exec::driver::EngineStats;
 use fuseme_workloads::als::AlsLoss;
 use fuseme_workloads::gnmf::Gnmf;
 
-use crate::{gb, write_json, Measurement, Scale, Table};
+use crate::{gb, measure_with, session_summary, write_json, Measurement, Scale, Table};
 
 /// Iterations per measured run; two is enough to exercise re-binding the
 /// factors between iterations on both paths.
@@ -92,26 +90,16 @@ fn sweep_run(
         let dense = densify(x);
         session.bind("X", dense);
     }
-    let wall = std::time::Instant::now();
-    let mut last = None;
-    for _ in 0..ITERS {
-        last = Some(step(&mut session).expect("sparsesweep runs must complete"));
-    }
-    let report = last.expect("at least one iteration");
-    let outputs = outputs_of(&session, &report);
-    let cluster = session.engine().cluster();
-    let stats = EngineStats {
-        comm: cluster.comm(),
-        sim_secs: cluster.elapsed_secs(),
-        wall_secs: wall.elapsed().as_secs_f64(),
-        faults: session.fault_stats(),
-        cache: session.cache_stats(),
-        ..EngineStats::default()
-    };
-    SweepRun {
-        summary: RunSummary::completed("FuseME", &stats),
-        outputs,
-    }
+    let mut outputs = Vec::new();
+    let summary = measure_with("sparsesweep", || {
+        let mut last = None;
+        for _ in 0..ITERS {
+            last = Some(step(&mut session).expect("sparsesweep runs must complete"));
+        }
+        outputs = outputs_of(&session, &last.expect("at least one iteration"));
+        session_summary(&session, None)
+    });
+    SweepRun { summary, outputs }
 }
 
 /// Largest element-wise divergence between the two paths' outputs.

@@ -11,7 +11,7 @@ use fuseme_fusion::optimizer::optimize;
 use fuseme_fusion::space::SpaceTree;
 use fuseme_workloads::nmf::SimpleNmf;
 
-use crate::{gb, write_json, Measurement, Scale, Table};
+use crate::{gb, measure_with, write_json, Measurement, Scale, Table};
 
 /// Regenerates Table 1.
 pub fn run(scale: Scale, out_dir: &Path) -> Vec<Measurement> {
@@ -72,10 +72,9 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Measurement> {
     );
     let mut measurements = Vec::new();
 
-    let rows: Vec<(&str, EngineKind, Pqr)> = vec![
+    let rows: Vec<(&str, Pqr)> = vec![
         (
             "BFO",
-            EngineKind::SystemDsLike,
             Pqr {
                 p: t.min(grid_i),
                 q: t.min(grid_j),
@@ -84,19 +83,27 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Measurement> {
         ),
         (
             "RFO",
-            EngineKind::MatFastLike,
             Pqr {
                 p: grid_i,
                 q: grid_j,
                 r: 1,
             },
         ),
-        ("CFO", EngineKind::FuseMe, opt.pqr),
+        ("CFO", opt.pqr),
     ];
-    for (name, kind, pqr) in rows {
+    let values: fuseme_exec::fused_op::ValueMap = dag
+        .nodes()
+        .iter()
+        .filter_map(|n| match &n.kind {
+            fuseme_plan::OpKind::Input { name } => {
+                Some((n.id, std::sync::Arc::clone(&binds[name])))
+            }
+            _ => None,
+        })
+        .collect();
+    for (name, pqr) in rows {
         let est = estimate(&dag, &plan, &tree, pqr.p, pqr.q, pqr.r);
         // Measured: force the exact operator through the exec layer.
-        let _ = kind;
         let strategy = match name {
             "BFO" => fuseme_exec::Strategy::Broadcast {
                 partition_bytes: scale.partition_bytes(),
@@ -104,23 +111,18 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Measurement> {
             "RFO" => fuseme_exec::Strategy::Replication,
             _ => fuseme_exec::Strategy::Cuboid { pqr },
         };
-        let cluster = Cluster::new(cc);
-        let values: fuseme_exec::fused_op::ValueMap = dag
-            .nodes()
-            .iter()
-            .filter_map(|n| match &n.kind {
-                fuseme_plan::OpKind::Input { name } => {
-                    Some((n.id, std::sync::Arc::clone(&binds[name])))
-                }
-                _ => None,
-            })
-            .collect();
-        let result =
-            fuseme_exec::fused_op::execute_fused(&cluster, &dag, &plan, &values, &strategy);
-        let (measured, status) = match result {
-            Ok(_) => (cluster.comm().total(), RunStatus::Completed),
-            Err(e) => (0, RunStatus::from_error(&e)),
-        };
+        let run = measure_with("table1", || {
+            let cluster = Cluster::new(cc);
+            let result =
+                fuseme_exec::fused_op::execute_fused(&cluster, &dag, &plan, &values, &strategy);
+            let mut run = RunSummary::completed(name, &Default::default());
+            match result {
+                Ok(_) => run.consolidation_bytes = cluster.comm().total(),
+                Err(e) => run.status = RunStatus::from_error(&e),
+            }
+            run
+        });
+        let (measured, status) = (run.consolidation_bytes, run.status);
         let max_tasks: u64 = match name {
             "BFO" | "RFO" => (grid_i * grid_j) as u64,
             _ => (grid_i * grid_j) as u64 * (case.k / case.block_size).max(1) as u64,
@@ -139,9 +141,6 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Measurement> {
             max_tasks.into(),
             status.label().into(),
         ]);
-        let mut run = RunSummary::completed(name, &Default::default());
-        run.status = status;
-        run.consolidation_bytes = measured;
         measurements.push(Measurement {
             experiment: "table1".into(),
             label: format!("{pqr}"),

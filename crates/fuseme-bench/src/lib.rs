@@ -15,8 +15,13 @@
 //! so simulated elapsed times, O.O.M. thresholds, and the 12-hour timeout
 //! remain directly comparable to the paper's reported numbers.
 
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
+
+use fuseme::obs::{self, SpanKind};
 use fuseme::prelude::*;
-use fuseme_plan::QueryDag;
+use fuseme_exec::driver::EngineStats;
 use serde::{Deserialize, Serialize};
 
 pub mod experiments;
@@ -145,23 +150,15 @@ pub fn build_engine(kind: EngineKind, cc: ClusterConfig, partition_bytes: u64) -
     }
 }
 
-/// Runs one query on a fresh engine, classifying failures like the paper's
-/// bars ("O.O.M.", "T.O.").
-///
-/// When the `FUSEME_TRACE_DIR` environment variable is set, every
-/// measurement also records a structured trace and exports it there (see
-/// [`measure_traced`]); file names are sequenced `run-NNNN-<engine>`.
-pub fn measure(engine: &Engine, dag: &QueryDag, binds: &Bindings) -> RunSummary {
-    if let Some(dir) = std::env::var_os("FUSEME_TRACE_DIR") {
-        static TRACE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let seq = TRACE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let name = format!("run-{seq:04}-{}", engine.kind().name());
-        return measure_traced(engine, dag, binds, std::path::Path::new(&dir), &name);
-    }
-    measure_inner(engine, dag, binds)
+/// Runs one query on a fresh engine through [`measure_with`], classifying
+/// failures like the paper's bars ("O.O.M.", "T.O.").
+pub fn measure(experiment: &str, engine: &Engine, dag: &QueryDag, binds: &Bindings) -> RunSummary {
+    measure_with(experiment, || run_query(engine, dag, binds))
 }
 
-fn measure_inner(engine: &Engine, dag: &QueryDag, binds: &Bindings) -> RunSummary {
+/// The body of [`measure`]: resets the engine's clock and ledger, then
+/// runs the query.
+fn run_query(engine: &Engine, dag: &QueryDag, binds: &Bindings) -> RunSummary {
     engine.reset_metrics();
     match engine.run(dag, binds) {
         Ok(outcome) => RunSummary::completed(engine.kind().name(), &outcome.stats),
@@ -169,30 +166,57 @@ fn measure_inner(engine: &Engine, dag: &QueryDag, binds: &Bindings) -> RunSummar
     }
 }
 
-/// [`measure`] with structured tracing: records the run, attaches the
-/// [`TraceSummary`] to the returned [`RunSummary`], and exports three files
-/// under `dir` — `<name>.trace.json` (chrome://tracing), `<name>.summary.json`
-/// (the summary as JSON), and `<name>.pva.txt` (the predicted-vs-actual
-/// report). Export failures are reported to stderr, never panicking a
-/// benchmark sweep.
-pub fn measure_traced(
-    engine: &Engine,
-    dag: &QueryDag,
-    binds: &Bindings,
-    dir: &std::path::Path,
-    name: &str,
-) -> RunSummary {
-    let rec = Recorder::new();
-    fuseme::obs::install(&rec);
-    let span =
-        fuseme::obs::handle().scope_span(fuseme::obs::SpanKind::Session, || name.to_string());
-    let run = measure_inner(engine, dag, binds);
-    // `measure_inner` resets the clock first, so the session span covers
-    // simulated time from zero.
-    span.set_sim(0.0, engine.cluster().elapsed_secs());
-    drop(span);
-    fuseme::obs::uninstall();
+/// The harness's one measurement door: runs `body` (one measured run on a
+/// fresh cluster) and writes its wall time into the summary when the run
+/// completed.
+///
+/// When the `FUSEME_TRACE_DIR` environment variable is set, the run is
+/// also recorded under one session span, the [`TraceSummary`] is attached
+/// to the returned summary, and three files are exported there, named
+/// `<experiment>-<NNNN>-<engine>`: `NNNN` is a process-wide sequence
+/// number, and characters of the engine name other than letters, digits
+/// and `-` become `_`. The files are `.trace.json` (chrome://tracing),
+/// `.summary.json` (the summary as JSON) and `.pva.txt` (the
+/// predicted-vs-actual report). Export failures are reported to stderr,
+/// never panicking a sweep.
+pub fn measure_with(experiment: &str, body: impl FnOnce() -> RunSummary) -> RunSummary {
+    let dir = std::env::var_os("FUSEME_TRACE_DIR").map(PathBuf::from);
+    measure_in(dir.as_deref(), experiment, body)
+}
 
+/// [`measure_with`] with the trace directory passed explicitly (`None`
+/// records nothing).
+fn measure_in(
+    trace_dir: Option<&Path>,
+    experiment: &str,
+    body: impl FnOnce() -> RunSummary,
+) -> RunSummary {
+    let Some(dir) = trace_dir else {
+        return timed(body);
+    };
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let rec = Recorder::new();
+    obs::install(&rec);
+    let span = obs::handle().scope_span(SpanKind::Session, || format!("{experiment}-{seq:04}"));
+    let run = timed(body);
+    // Every body starts on a fresh cluster clock, so the session covers
+    // simulated time from zero to the end of the last recorded span.
+    let sim_end = rec
+        .spans()
+        .iter()
+        .map(|s| s.sim_start_secs + s.sim_dur_secs)
+        .fold(0.0, f64::max);
+    span.set_sim(0.0, sim_end);
+    drop(span);
+    obs::uninstall();
+
+    let engine: Vec<&str> = run
+        .engine
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter(|word| !word.is_empty())
+        .collect();
+    let name = format!("{experiment}-{seq:04}-{}", engine.join("_"));
     let summary = summarize(&rec);
     let write = |suffix: &str, contents: String| {
         if let Err(e) = std::fs::create_dir_all(dir)
@@ -215,6 +239,49 @@ pub fn measure_traced(
         ),
     );
     run.with_trace(summary)
+}
+
+/// Runs `body`, writing its wall time into the summary if it completed.
+fn timed(body: impl FnOnce() -> RunSummary) -> RunSummary {
+    let wall = Instant::now();
+    let mut run = body();
+    if run.status == RunStatus::Completed {
+        run.wall_secs = wall.elapsed().as_secs_f64();
+    }
+    run
+}
+
+/// Summarizes everything a session has run so far: without an `error`,
+/// its cluster's cumulative traffic and simulated clock plus the session's
+/// fault and cache counters; with one, the error's failure class. Wall
+/// time is left to [`measure_with`].
+pub fn session_summary(session: &Session, error: Option<&SessionError>) -> RunSummary {
+    let engine = session.engine().kind().name();
+    match error {
+        None => {
+            let cluster = session.engine().cluster();
+            let stats = EngineStats {
+                comm: cluster.comm(),
+                sim_secs: cluster.elapsed_secs(),
+                faults: session.fault_stats(),
+                cache: session.cache_stats(),
+                ..EngineStats::default()
+            };
+            RunSummary::completed(engine, &stats)
+        }
+        Some(SessionError::Exec(e)) => RunSummary::failed(engine, e),
+        Some(other) => RunSummary::failed(engine, &SimError::Task(other.to_string())),
+    }
+}
+
+/// The `(root, P, Q, R)` choices of one run, as [`RunSummary::pqr`] lists
+/// them.
+pub fn pqr_list(stats: &EngineStats) -> Vec<(usize, usize, usize, usize)> {
+    stats
+        .pqr_choices
+        .iter()
+        .map(|(root, p)| (*root, p.p, p.q, p.r))
+        .collect()
 }
 
 /// Formats bytes as the paper's GB figures (decimal).
@@ -268,6 +335,7 @@ pub fn write_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fuseme_workloads::gnmf::Gnmf;
     use std::sync::Arc;
 
     #[test]
@@ -304,6 +372,25 @@ mod tests {
         assert_eq!(k1000 / k200, 5);
     }
 
+    /// The files one traced run exported under `dir`, asserting there is
+    /// exactly one trace set there; returns the chrome trace's contents.
+    fn exported_trace(dir: &Path) -> String {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names.len(), 3, "{names:?}");
+        for (name, suffix) in names.iter().zip(["pva.txt", "summary.json", "trace.json"]) {
+            assert!(name.ends_with(suffix), "{names:?}");
+        }
+        std::fs::read_to_string(dir.join(&names[2])).unwrap()
+    }
+
+    fn trace_dir(test: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("fuseme-{test}-{}", std::process::id()))
+    }
+
     #[test]
     fn measure_traced_exports_and_reconciles() {
         let mut cc = ClusterConfig::test_small();
@@ -323,20 +410,72 @@ mod tests {
         .into_iter()
         .collect();
 
-        let dir = std::env::temp_dir().join(format!("fuseme-trace-{}", std::process::id()));
-        let run = measure_traced(&engine, &dag, &binds, &dir, "t");
+        let dir = trace_dir("trace");
+        let run = measure_in(Some(&dir), "t", || run_query(&engine, &dag, &binds));
         assert_eq!(run.status, RunStatus::Completed);
         let trace = run.trace.as_ref().expect("trace attached");
         assert_eq!(trace.total_bytes(), run.comm_total());
-        for suffix in ["trace.json", "summary.json", "pva.txt"] {
-            let path = dir.join(format!("t.{suffix}"));
-            assert!(path.exists(), "missing {}", path.display());
-        }
         // The chrome trace is non-trivial JSON.
-        let chrome = std::fs::read_to_string(dir.join("t.trace.json")).unwrap();
+        let chrome = exported_trace(&dir);
         assert!(chrome.starts_with('['));
         assert!(chrome.contains("\"cat\":\"stage\""));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn tiny_gnmf() -> Gnmf {
+        Gnmf {
+            users: 60,
+            items: 40,
+            factor: 10,
+            block_size: 10,
+            density: 0.2,
+        }
+    }
+
+    fn gnmf_session(mem_per_task: u64) -> Session {
+        let mut cc = ClusterConfig::test_small();
+        cc.mem_per_task = mem_per_task;
+        let mut session = Session::new(Engine::fuseme(cc));
+        tiny_gnmf().bind_inputs(&mut session, 42).unwrap();
+        session
+    }
+
+    #[test]
+    fn traced_session_run_exports_and_reconciles() {
+        let mut session = gnmf_session(256 << 20);
+        let dir = trace_dir("session-trace");
+        let run = measure_in(Some(&dir), "gnmf", || {
+            let error = tiny_gnmf().run(&mut session, 2).err();
+            session_summary(&session, error.as_ref())
+        });
+        assert_eq!(run.status, RunStatus::Completed);
+        assert!(run.wall_secs > 0.0);
+        let trace = run.trace.as_ref().expect("trace attached");
+        // Both iterations' traffic is in the trace and in the summary.
+        assert_eq!(trace.total_bytes(), run.comm_total());
+        assert!(!trace.units.is_empty());
+        exported_trace(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn session_failures_become_failed_summaries() {
+        // A 1-byte θ_t fails memory admission.
+        let mut session = gnmf_session(1);
+        let oom = measure_in(None, "oom", || {
+            let error = tiny_gnmf().iterate(&mut session).err();
+            session_summary(&session, error.as_ref())
+        });
+        assert_eq!(oom.status, RunStatus::OutOfMemory);
+        assert!(oom.wall_secs.is_nan());
+
+        let mut session = gnmf_session(256 << 20);
+        let bad = measure_in(None, "bad", || {
+            let error = session.run_script("O = missing %*% X\noutput O").err();
+            session_summary(&session, error.as_ref())
+        });
+        assert_eq!(bad.status, RunStatus::Failed);
+        assert!(bad.wall_secs.is_nan());
     }
 
     #[test]

@@ -18,6 +18,18 @@
 //!    multiplication's partial results are combined per `(p,q)` group and
 //!    the `O`-space operators run in a second stage; aggregation-rooted
 //!    plans additionally combine per-task aggregation partials.
+//!
+//! Single operators execute through the same machinery: the driver wraps
+//! each [`NodeId`] outside a fused unit into a singleton [`PartialPlan`]
+//! and hands it to [`execute_fused`].
+//!
+//! * A singleton matrix multiplication under the CFO strategy *is*
+//!   DistME's CuboidMM (cuboid partitioning of one `ba(×)`).
+//! * Under the broadcast strategy it is Spark's map-side ("mapmm")
+//!   broadcast join, and under replication the classic replicated matrix
+//!   multiply ("rmm") — what SystemDS picks between.
+//! * Element-wise, transpose, and aggregation singletons run as one-node
+//!   Cell plans: output blocks striped over the cluster, inputs routed once.
 
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
@@ -1371,5 +1383,82 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A singleton plan around one operator, as the driver builds for
+    /// nodes outside any fused unit.
+    fn singleton(op: NodeId) -> PartialPlan {
+        PartialPlan::new(BTreeSet::from([op]), op)
+    }
+
+    #[test]
+    fn cuboid_mm_matches_reference() {
+        let bs = 5;
+        let a = gen::dense_uniform(30, 20, bs, -1.0, 1.0, 1).unwrap();
+        let b_m = gen::sparse_uniform(20, 25, bs, 0.3, -1.0, 1.0, 2).unwrap();
+        let expected = a.matmul(&b_m).unwrap();
+        let mut b = DagBuilder::new();
+        let ae = b.input("A", *a.meta());
+        let be = b.input("B", *b_m.meta());
+        let mm = b.matmul(ae, be);
+        let dag = b.finish(vec![mm]);
+        let values: ValueMap = HashMap::from([(ae.id(), Arc::new(a)), (be.id(), Arc::new(b_m))]);
+        let cluster = Cluster::new(ClusterConfig::test_small());
+        let model =
+            crate::driver::ExecConfig::for_cluster(&cluster, crate::MatmulStrategy::Cfo).model;
+        let plan = singleton(mm.id());
+        let tree = SpaceTree::build(&dag, &plan);
+        let pqr = fuseme_fusion::optimizer::optimize(&dag, &plan, &tree, &model).pqr;
+        let out = execute_fused(&cluster, &dag, &plan, &values, &Strategy::Cuboid { pqr }).unwrap();
+        assert!(out.approx_eq(&expected, 1e-9));
+        assert!(pqr.tasks() >= 1);
+    }
+
+    #[test]
+    fn single_transpose_and_agg() {
+        let bs = 4;
+        let x = gen::dense_uniform(12, 8, bs, -2.0, 2.0, 3).unwrap();
+        let mut b = DagBuilder::new();
+        let xe = b.input("X", *x.meta());
+        let t = b.transpose(xe);
+        let cs = b.col_agg(xe, AggOp::Max);
+        let dag = b.finish(vec![t, cs]);
+        let values: ValueMap = HashMap::from([(xe.id(), Arc::new(x.clone()))]);
+        let cluster = Cluster::new(ClusterConfig::test_small());
+        let one = Strategy::Cuboid {
+            pqr: Pqr { p: 1, q: 1, r: 1 },
+        };
+        let tr = execute_fused(&cluster, &dag, &singleton(t.id()), &values, &one).unwrap();
+        assert!(tr.approx_eq(&x.transpose().unwrap(), 1e-12));
+        let mx = execute_fused(&cluster, &dag, &singleton(cs.id()), &values, &one).unwrap();
+        assert!(mx.approx_eq(&x.col_agg(AggOp::Max).unwrap(), 1e-12));
+    }
+
+    #[test]
+    fn single_elementwise_chain_unfused_matches() {
+        let bs = 4;
+        let x = gen::dense_uniform(8, 8, bs, 0.5, 1.5, 9).unwrap();
+        let y = gen::dense_uniform(8, 8, bs, 0.5, 1.5, 10).unwrap();
+        let mut b = DagBuilder::new();
+        let xe = b.input("X", *x.meta());
+        let ye = b.input("Y", *y.meta());
+        let mul = b.binary(xe, ye, BinOp::Mul);
+        let sq = b.unary(mul, UnaryOp::Sqrt);
+        let dag = b.finish(vec![sq]);
+        let cluster = Cluster::new(ClusterConfig::test_small());
+        let one = Strategy::Cuboid {
+            pqr: Pqr { p: 1, q: 1, r: 1 },
+        };
+        let mut values: ValueMap = HashMap::from([
+            (xe.id(), Arc::new(x.clone())),
+            (ye.id(), Arc::new(y.clone())),
+        ]);
+        let mid = execute_fused(&cluster, &dag, &singleton(mul.id()), &values, &one).unwrap();
+        values.insert(mul.id(), mid);
+        let out = execute_fused(&cluster, &dag, &singleton(sq.id()), &values, &one).unwrap();
+        let expected = x.zip(&y, BinOp::Mul).unwrap().map(UnaryOp::Sqrt).unwrap();
+        assert!(out.approx_eq(&expected, 1e-12));
+        // Unfused execution moved the intermediate across the wire.
+        assert!(cluster.comm().consolidation_bytes > x.actual_size_bytes());
     }
 }

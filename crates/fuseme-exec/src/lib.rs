@@ -11,10 +11,8 @@
 //! * [`fused_op`] — the three distributed fused operators: the paper's CFO
 //!   (cuboid `(P,Q,R)` partitioning, two-stage execution when `R > 1`), and
 //!   the baseline BFO (broadcast) and RFO (replication). DistME's CuboidMM
-//!   is the CFO applied to a single-multiplication plan.
-//! * [`unfused`] — per-operator execution for plan nodes outside any fused
-//!   unit (element-wise, transpose, aggregations), plus standalone matmul
-//!   via a singleton fused plan.
+//!   is the CFO applied to a single-multiplication plan, and plan nodes
+//!   outside any fused unit run as singleton plans through the same path.
 //! * [`driver`] — executes a whole [`fuseme_fusion::FusionPlan`] over named
 //!   inputs, materializing unit outputs and collecting run statistics.
 
@@ -23,7 +21,6 @@
 pub mod driver;
 pub mod fused_op;
 pub mod kernel;
-pub mod unfused;
 
 pub use driver::{execute_plan, EngineStats, ExecConfig, MatmulStrategy, OptOutcome};
 pub use fused_op::Strategy;

@@ -107,8 +107,6 @@ pub fn estimate_with_cache(
         } => {
             // A plan without matmul: executed as one Cell-style fused
             // operator over T tasks; inputs move once, no replication.
-            let divisor = 1; // per-task share handled by caller context
-            let _ = divisor;
             for &v in ext_inputs {
                 let sz = size_bytes(dag, v);
                 est.mem_bytes += sz / plan_parallelism(dag, plan) as u64;

@@ -243,12 +243,12 @@ fn build_region(
     // Pass-through subspaces: a side with no in-region operators still needs
     // its external input represented (e.g. plain U feeding the matmul).
     let l = if left_region.is_empty() {
-        Box::new(passthrough(dag, node.inputs[0], plan))
+        Box::new(passthrough(node.inputs[0], plan))
     } else {
         Box::new(build_region(dag, &left_region, node.inputs[0], false, plan))
     };
     let r = if right_region.is_empty() {
-        Box::new(passthrough(dag, node.inputs[1], plan))
+        Box::new(passthrough(node.inputs[1], plan))
     } else {
         Box::new(build_region(
             dag,
@@ -304,8 +304,7 @@ fn flat(
 /// plan member (e.g. the output of the main MM-space flowing into a nested
 /// multiplication), nothing is materialized and the region is empty;
 /// otherwise it carries the single external input.
-fn passthrough(dag: &QueryDag, input: NodeId, plan: &PartialPlan) -> SpaceTree {
-    let _ = dag;
+fn passthrough(input: NodeId, plan: &PartialPlan) -> SpaceTree {
     let ext_inputs = if plan.ops.contains(&input) {
         Vec::new()
     } else {

@@ -21,7 +21,7 @@ fn measure_engine(kind: EngineKind, workload: &SimpleNmf, seed: u64) -> RunSumma
     let engine = fuseme_bench::build_engine(kind, cc, cc.partition_bytes);
     let dag = workload.dag();
     let binds = workload.generate(seed).unwrap();
-    fuseme_bench::measure(&engine, &dag, &binds)
+    fuseme_bench::measure("paper_claims", &engine, &dag, &binds)
 }
 
 /// §6.2 / Fig. 12: the CFO beats SystemDS's operator choice on both time
