@@ -12,8 +12,10 @@
 //!    times), BFO routes the main matrix by need and *broadcasts* every side
 //!    matrix whole, RFO routes everything by need at output-block
 //!    granularity (sides replicated up to `I`/`J` times).
-//! 2. **Local operation** — each task runs the fused kernel for its output
-//!    blocks (no intermediate matrices).
+//! 2. **Local operation** — each task runs the unit's [`UnitKernel`], the
+//!    plan lowered once into block programs, over the output blocks of its
+//!    tile that the plan's sparsity gate lets through (no intermediate
+//!    matrices).
 //! 3. **Matrix aggregation** — with cuboid `R > 1` the main
 //!    multiplication's partial results are combined per `(p,q)` group and
 //!    the `O`-space operators run in a second stage; aggregation-rooted
@@ -31,7 +33,7 @@
 //! * Element-wise, transpose, and aggregation singletons run as one-node
 //!   Cell plans: output blocks striped over the cluster, inputs routed once.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -44,7 +46,7 @@ use fuseme_plan::{NodeId, OpKind, QueryDag};
 use fuseme_sim::executor::run_stage;
 use fuseme_sim::{Cluster, Phase, SimError, TaskWork};
 
-use crate::kernel::{footprints, Footprint, KernelCtx, LocalStore};
+use crate::kernel::{footprints, BlockProgram, Footprint, LocalStore, MmBlocks, TaskProgram};
 
 /// Materialized values available to an operator: input leaves plus outputs
 /// of earlier execution units.
@@ -82,9 +84,12 @@ enum AggShape {
 
 /// What a task hands back: output blocks (final, or aggregation partials
 /// when the plan is rooted at an aggregation) or partial main-multiplication
-/// blocks (stage 1 of two-stage cuboid execution).
-enum TaskOut {
+/// blocks (stage 1 of two-stage cuboid execution), each in coordinate order.
+#[derive(Debug)]
+pub enum TaskOut {
+    /// Output blocks or aggregation partials.
     Blocks(Vec<((usize, usize), Arc<Block>)>),
+    /// Partial main-multiplication blocks over the task's k-slice.
     MmPartial(Vec<((usize, usize), Arc<Block>)>),
 }
 
@@ -100,18 +105,20 @@ pub struct Layout {
     /// Inputs routed whole to every task instead of by footprint: BFO's
     /// side matrices.
     pub broadcast: BTreeSet<NodeId>,
-    main_mm: Option<NodeId>,
+    /// The plan's main multiplication, if any.
+    pub main_mm: Option<NodeId>,
     /// k-axis partitions (R); `> 1` means two-stage execution.
-    r: usize,
+    pub r: usize,
     /// Whether output coordinates are transposed relative to the main
     /// multiplication's `(i, j)` grid.
-    parity: bool,
+    pub parity: bool,
 }
 
 /// One stage-1 task of a [`Layout`].
 #[derive(Debug, Clone)]
 pub struct TaskSlice {
-    id: usize,
+    /// Task id: the task's position in [`Layout::tasks`].
+    pub id: usize,
     /// The blocks of [`Layout::compute_node`] the task computes: a cuboid
     /// tile or a stripe. Routing starts here. Kernels visit them in
     /// [`Footprint::coords`] order, which is also the order in which
@@ -120,9 +127,175 @@ pub struct TaskSlice {
     /// The task's k-slice of the main multiplication's common dimension.
     pub k_range: Range<usize>,
     /// `(p,q)` group for two-stage aggregation; equals `id` single-stage.
-    group: usize,
+    pub group: usize,
     /// The group member that runs the stage-2 reduction.
-    is_reducer: bool,
+    pub is_reducer: bool,
+}
+
+/// A fused plan lowered once per exec unit: the block programs every task
+/// of the unit runs.
+#[derive(Debug)]
+pub struct UnitKernel {
+    /// The compute node's program: supported output blocks and, single
+    /// stage or in stage 2, their values.
+    compute: BlockProgram,
+    /// Stage 1 of a two-stage layout: the main multiplication's program.
+    mm: Option<BlockProgram>,
+    two_stage: bool,
+    parity: bool,
+    agg: Option<(AggOp, AggShape)>,
+    compute_meta: fuseme_matrix::MatrixMeta,
+    root_meta: fuseme_matrix::MatrixMeta,
+}
+
+impl UnitKernel {
+    /// Lowers `plan` for the tasks of `layout`.
+    pub fn compile(dag: &QueryDag, plan: &PartialPlan, layout: &Layout) -> UnitKernel {
+        let (agg, _) = compute_target(dag, plan);
+        let compile = |node| BlockProgram::compile(dag, &plan.ops, layout.main_mm, node);
+        let two_stage = layout.r > 1;
+        UnitKernel {
+            compute: compile(layout.compute_node),
+            mm: layout.main_mm.filter(|_| two_stage).map(compile),
+            two_stage,
+            parity: layout.parity,
+            agg,
+            compute_meta: dag.node(layout.compute_node).meta,
+            root_meta: dag.node(plan.root).meta,
+        }
+    }
+
+    /// A stage-1 task: its output blocks, or in a two-stage layout its
+    /// partial main-multiplication blocks at the output blocks the plan's
+    /// sparsity gate lets through.
+    pub fn stage1(&self, task: &TaskSlice, store: &LocalStore) -> Result<TaskOut, SimError> {
+        let mut compute = self.compute.bind(store, task.k_range.clone());
+        if !self.two_stage {
+            return self.full(&mut compute, &task.out);
+        }
+        let Some(mm) = &self.mm else {
+            return Err(SimError::Task(
+                "two-stage execution requires a matmul".into(),
+            ));
+        };
+        let mut mm = mm.bind(store, task.k_range.clone());
+        // Only output blocks the plan's sparsity gate lets through need
+        // multiplication partials — skipping the rest is what keeps the
+        // never-materialized intermediate from existing (paper Fig. 1(a)'s
+        // dotted cells).
+        let mut wanted: Vec<(usize, usize)> = compute
+            .supported(&task.out)
+            .into_iter()
+            .map(|(bi, bj)| if self.parity { (bj, bi) } else { (bi, bj) })
+            .collect();
+        wanted.sort_unstable();
+        wanted.dedup();
+        let mut out = Vec::new();
+        for c in wanted {
+            if mm.has_support(c) {
+                out.push((c, mm.eval(c)?));
+            }
+        }
+        Ok(TaskOut::MmPartial(out))
+    }
+
+    /// A stage-2 reducer: the task's output blocks from its group's
+    /// aggregated main-multiplication blocks, if the group produced any.
+    pub fn stage2(
+        &self,
+        task: &TaskSlice,
+        store: &LocalStore,
+        mm: Option<&MmBlocks>,
+    ) -> Result<TaskOut, SimError> {
+        let base = self.compute.bind(store, 0..0);
+        let mut program = match mm {
+            Some(values) => base.with_mm_override(values),
+            None => base,
+        };
+        self.full(&mut program, &task.out)
+    }
+
+    /// Runs full kernels for a tile's supported blocks; folds aggregation
+    /// roots into partial aggregation blocks.
+    fn full(&self, program: &mut TaskProgram<'_>, tile: &Footprint) -> Result<TaskOut, SimError> {
+        let supported = program.supported(tile);
+        let Some((op, shape)) = self.agg else {
+            let mut out = Vec::with_capacity(supported.len());
+            for c in supported {
+                let b = program.eval(c)?;
+                if b.nnz() > 0 {
+                    out.push((c, b));
+                }
+            }
+            return Ok(TaskOut::Blocks(out));
+        };
+        // Every tile block folds in, unsupported ones as zero blocks (one
+        // per distinct block shape).
+        let mut zeros: Vec<Block> = Vec::new();
+        let mut next = supported.iter().peekable();
+        let mut partials: BTreeMap<(usize, usize), DenseBlock> = BTreeMap::new();
+        for (bi, bj) in tile.coords() {
+            let evaluated;
+            let value: &Block = if next.next_if_eq(&&(bi, bj)).is_some() {
+                evaluated = program.eval((bi, bj))?;
+                &evaluated
+            } else {
+                let (r, c) = self.compute_meta.block_dims(bi, bj);
+                let at = match zeros.iter().position(|z| (z.rows(), z.cols()) == (r, c)) {
+                    Some(at) => at,
+                    None => {
+                        zeros.push(Block::zero(r, c));
+                        zeros.len() - 1
+                    }
+                };
+                &zeros[at]
+            };
+            fold_partial(&mut partials, value, (bi, bj), op, shape, &self.root_meta);
+        }
+        Ok(TaskOut::Blocks(
+            partials
+                .into_iter()
+                .map(|(coord, b)| (coord, Arc::new(Block::Dense(b))))
+                .collect(),
+        ))
+    }
+}
+
+/// Folds one compute block into the task's aggregation partials.
+fn fold_partial(
+    partials: &mut BTreeMap<(usize, usize), DenseBlock>,
+    value: &Block,
+    (bi, bj): (usize, usize),
+    op: AggOp,
+    shape: AggShape,
+    root_meta: &fuseme_matrix::MatrixMeta,
+) {
+    match shape {
+        AggShape::Full => {
+            let v = value.agg(op);
+            let slot = partials
+                .entry((0, 0))
+                .or_insert_with(|| DenseBlock::filled(1, 1, op.identity()));
+            let cur = slot.get(0, 0);
+            slot.set(0, 0, op.combine(cur, v));
+        }
+        AggShape::Row => {
+            let part = value.row_agg(op);
+            let slot = partials.entry((bi, 0)).or_insert_with(|| {
+                let (r, _) = root_meta.block_dims(bi, 0);
+                DenseBlock::filled(r, 1, op.identity())
+            });
+            combine_into(slot, &part, op);
+        }
+        AggShape::Col => {
+            let part = value.col_agg(op);
+            let slot = partials.entry((0, bj)).or_insert_with(|| {
+                let (_, c) = root_meta.block_dims(0, bj);
+                DenseBlock::filled(1, c, op.identity())
+            });
+            combine_into(slot, &part, op);
+        }
+    }
 }
 
 /// Executes one fused plan on the cluster and returns its materialized
@@ -137,7 +310,6 @@ pub fn execute_fused(
     let (agg_kind, _) = compute_target(dag, plan);
     let layout = task_layout(cluster, dag, plan, values, strategy);
     let (compute_node, main_mm) = (layout.compute_node, layout.main_mm);
-    let parity = layout.parity;
     let two_stage = layout.r > 1;
 
     // ----- analytic pre-checks ----------------------------------------------
@@ -273,6 +445,7 @@ pub fn execute_fused(
         .unwrap_or(0);
 
     // ----- stage 1 -------------------------------------------------------------
+    let kernel = &UnitKernel::compile(dag, plan, &layout);
     let mut work: Vec<TaskWork<'_, TaskOut>> = Vec::new();
     for (task, store) in layout.tasks.iter().zip(stores.iter()) {
         // Replica-cache hits ship nothing: their share of the store arrived
@@ -290,45 +463,12 @@ pub fn execute_fused(
         } else {
             held + out_share
         };
-        let ops = &plan.ops;
-        let tile = &task.out;
-        let k_range = task.k_range.clone();
         work.push(TaskWork {
             task_id: task.id,
             recv_bytes: recv,
             mem_bytes: mem,
             flops: flops_per_task,
-            job: Box::new(move || {
-                let mut ctx = KernelCtx::new(dag, ops, main_mm, k_range, store);
-                if two_stage {
-                    let Some(mm) = main_mm else {
-                        return Err(SimError::Task(
-                            "two-stage execution requires a matmul".into(),
-                        ));
-                    };
-                    // Only output blocks the plan's sparsity gate lets
-                    // through need multiplication partials — skipping the
-                    // rest is what keeps the never-materialized
-                    // intermediate from existing (paper Fig. 1(a)'s dotted
-                    // cells).
-                    let mut wanted: Vec<(usize, usize)> = tile
-                        .coords()
-                        .filter(|&(bi, bj)| ctx.has_support(compute_node, bi, bj))
-                        .map(|(bi, bj)| if parity { (bj, bi) } else { (bi, bj) })
-                        .collect();
-                    wanted.sort_unstable();
-                    wanted.dedup();
-                    let mut out = Vec::new();
-                    for (bi, bj) in wanted {
-                        if ctx.has_support(mm, bi, bj) {
-                            out.push(((bi, bj), ctx.eval(mm, bi, bj)?));
-                        }
-                    }
-                    Ok(TaskOut::MmPartial(out))
-                } else {
-                    run_full_kernels(&mut ctx, dag, plan, compute_node, tile, agg_kind)
-                }
-            }),
+            job: Box::new(move || kernel.stage1(task, store)),
         });
     }
     let stage1 =
@@ -336,27 +476,12 @@ pub fn execute_fused(
 
     // ----- stage 2 (cuboid aggregation across the k-axis) ----------------------
     let outputs: Vec<TaskOut> = if two_stage {
-        let mut grouped: HashMap<usize, HashMap<(usize, usize), Arc<Block>>> = HashMap::new();
-        let mut agg_bytes: HashMap<usize, u64> = HashMap::new();
-        for (task, out) in layout.tasks.iter().zip(stage1.outputs) {
-            let TaskOut::MmPartial(parts) = out else {
-                return Err(SimError::Task("stage-1 output kind mismatch".into()));
-            };
-            let slot = grouped.entry(task.group).or_default();
-            for (coord, block) in parts {
-                if !task.is_reducer {
-                    *agg_bytes.entry(task.group).or_default() += block.size_bytes();
-                }
-                merge_partial(slot, coord, block)?;
-            }
-        }
+        let (grouped, agg_bytes) = group_partials(&layout, stage1.outputs)?;
         let grouped = &grouped;
         let mut reducers: Vec<TaskWork<'_, TaskOut>> = Vec::new();
         for task in layout.tasks.iter().filter(|t| t.is_reducer) {
             let store = &stores[task.id];
             let recv = agg_bytes.get(&task.group).copied().unwrap_or(0);
-            let tile = &task.out;
-            let ops = &plan.ops;
             let group = task.group;
             // For a multiplication-rooted plan the output *is* the
             // aggregated partial — counting both would double-charge.
@@ -372,15 +497,7 @@ pub fn execute_fused(
                 recv_bytes: recv,
                 mem_bytes: store.total_bytes() + partial_share + out_extra,
                 flops: flops_per_task,
-                job: Box::new(move || {
-                    let mm_vals = grouped.get(&group);
-                    let base = KernelCtx::new(dag, ops, main_mm, 0..0, store);
-                    let mut ctx = match mm_vals {
-                        Some(vals) => base.with_mm_override(vals),
-                        None => base,
-                    };
-                    run_full_kernels(&mut ctx, dag, plan, compute_node, tile, agg_kind)
-                }),
+                job: Box::new(move || kernel.stage2(task, store, grouped.get(&group))),
             });
         }
         run_stage(cluster, Phase::Aggregation, reducers)
@@ -730,83 +847,39 @@ fn equivalent_pqr(dag: &QueryDag, plan: &PartialPlan, strategy: &Strategy, layou
     }
 }
 
-/// Runs full kernels for a task's output blocks; folds aggregation roots
-/// into partial aggregation blocks.
-fn run_full_kernels(
-    ctx: &mut KernelCtx<'_>,
-    dag: &QueryDag,
-    plan: &PartialPlan,
-    compute_node: NodeId,
-    tile: &Footprint,
-    agg: Option<(AggOp, AggShape)>,
-) -> Result<TaskOut, SimError> {
-    match agg {
-        None => {
-            let mut out = Vec::new();
-            for (bi, bj) in tile.coords() {
-                if ctx.has_support(compute_node, bi, bj) {
-                    let b = ctx.eval(compute_node, bi, bj)?;
-                    if b.nnz() > 0 {
-                        out.push(((bi, bj), b));
-                    }
-                }
-            }
-            Ok(TaskOut::Blocks(out))
-        }
-        Some((op, shape)) => {
-            let meta = dag.node(compute_node).meta;
-            let root_meta = dag.node(plan.root).meta;
-            let mut partials: HashMap<(usize, usize), DenseBlock> = HashMap::new();
-            for (bi, bj) in tile.coords() {
-                let value = if ctx.has_support(compute_node, bi, bj) {
-                    ctx.eval(compute_node, bi, bj)?
-                } else {
-                    let (r, c) = meta.block_dims(bi, bj);
-                    Arc::new(Block::zero(r, c))
-                };
-                match shape {
-                    AggShape::Full => {
-                        let v = value.agg(op);
-                        let slot = partials
-                            .entry((0, 0))
-                            .or_insert_with(|| DenseBlock::filled(1, 1, op.identity()));
-                        let cur = slot.get(0, 0);
-                        slot.set(0, 0, op.combine(cur, v));
-                    }
-                    AggShape::Row => {
-                        let part = value.row_agg(op);
-                        let slot = partials.entry((bi, 0)).or_insert_with(|| {
-                            let (r, _) = root_meta.block_dims(bi, 0);
-                            DenseBlock::filled(r, 1, op.identity())
-                        });
-                        combine_into(slot, &part, op);
-                    }
-                    AggShape::Col => {
-                        let part = value.col_agg(op);
-                        let slot = partials.entry((0, bj)).or_insert_with(|| {
-                            let (_, c) = root_meta.block_dims(0, bj);
-                            DenseBlock::filled(1, c, op.identity())
-                        });
-                        combine_into(slot, &part, op);
-                    }
-                }
-            }
-            Ok(TaskOut::Blocks(
-                partials
-                    .into_iter()
-                    .map(|(coord, b)| (coord, Arc::new(Block::Dense(b))))
-                    .collect(),
-            ))
-        }
-    }
-}
-
 fn combine_into(acc: &mut DenseBlock, part: &DenseBlock, op: AggOp) {
     debug_assert_eq!(acc.rows(), part.rows());
     debug_assert_eq!(acc.cols(), part.cols());
     for (a, &p) in acc.data_mut().iter_mut().zip(part.data()) {
         *a = op.combine(*a, p);
     }
+}
+
+/// Values per `(p,q)` group of a two-stage layout.
+pub type ByGroup<T> = HashMap<usize, T>;
+
+/// Sums stage-1 partials per `(p,q)` group, in task order. Also returns
+/// the bytes each group's reducer receives: every partial of a non-reducer
+/// member.
+pub fn group_partials(
+    layout: &Layout,
+    outputs: Vec<TaskOut>,
+) -> Result<(ByGroup<MmBlocks>, ByGroup<u64>), SimError> {
+    let mut grouped: ByGroup<MmBlocks> = HashMap::new();
+    let mut agg_bytes: ByGroup<u64> = HashMap::new();
+    for (task, out) in layout.tasks.iter().zip(outputs) {
+        let TaskOut::MmPartial(parts) = out else {
+            return Err(SimError::Task("stage-1 output kind mismatch".into()));
+        };
+        let slot = grouped.entry(task.group).or_default();
+        for (coord, block) in parts {
+            if !task.is_reducer {
+                *agg_bytes.entry(task.group).or_default() += block.size_bytes();
+            }
+            merge_partial(slot, coord, block)?;
+        }
+    }
+    Ok((grouped, agg_bytes))
 }
 
 /// Sums a partial multiplication block into the group accumulator.

@@ -1,18 +1,36 @@
-//! The fused-kernel interpreter and its routing mirror.
+//! Fused kernels as compiled block programs, and their routing mirror.
 //!
 //! A *kernel* (paper Fig. 8) is the fused computation of one output block:
-//! it pulls the input blocks it touches from the task's local store and
+//! it pulls the input blocks it touches from the task's [`LocalStore`] and
 //! evaluates the plan's operator DAG at block granularity, materializing
-//! only per-block scratch. Two entry points recurse per block:
+//! only per-block scratch. [`BlockProgram::compile`] lowers a plan once per
+//! exec unit into two halves that every task of the unit shares:
 //!
-//! * [`KernelCtx::eval`] — compute the value of a plan node at a block
-//!   coordinate;
-//! * [`KernelCtx::has_support`] — decide whether an output block can be
-//!   non-zero at all; empty-gated blocks are skipped entirely, which is the
-//!   block-level form of the paper's sparsity exploitation.
+//! * a **value program**: the plan's operators in topological order over
+//!   reusable slots, one instruction per `(node, transpose parity)`. A
+//!   multiplication's operands that are themselves plan members get a
+//!   sub-program of their own whose results are memoized per task by block
+//!   coordinate, so `L`- and `R`-space values the whole tile reuses are
+//!   computed once. Element-wise operators run in place on blocks nobody
+//!   else reads (the multiplication's accumulator among them), and an
+//!   element-wise chain behind a zero-dominant gate runs only at the sparse
+//!   gate block's stored positions — the cells the paper's fused operator
+//!   computes (Fig. 1(a)).
+//! * a **support rule**: the zero-propagation logic that decides whether a
+//!   block can be non-zero at all, compiled to a small tree over "block
+//!   present in the store" facts. A task enumerates its supported output
+//!   blocks from the blocks present in its store when a sparse input gates
+//!   the output, and a multiplication walks only the `k`s present on
+//!   both sides, in increasing `k`.
 //!
-//! Routing does not recurse per block. [`footprints`] applies the same
-//! access rules — element-wise operators read their own coordinates, a
+//! [`BlockProgram::bind`] attaches a compiled program to one task's store
+//! and k-slice. Results are bit-identical to evaluating the plan recursively
+//! per block with [`Block`]'s own operators: every element sees the same
+//! operations in the same order, and every block takes the same dense or
+//! sparse format.
+//!
+//! Routing does not recurse per block either. [`footprints`] applies the
+//! same access rules — element-wise operators read their own coordinates, a
 //! transpose swaps them, a multiplication reads its row band of the left
 //! input and column band of the right over its k-slice — once per plan
 //! node to a whole task's output tile, and yields each input's needed
@@ -28,20 +46,102 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use fuseme_matrix::{Block, DenseBlock};
+use fuseme_matrix::{BinOp, Block, DenseBlock, MatrixMeta, SparseBlock, UnaryOp};
 use fuseme_plan::{NodeId, OpKind, QueryDag};
 use fuseme_sim::SimError;
 
+/// Block coordinate `(row, col)` in a node's grid.
+type Coord = (usize, usize);
+
+/// Aggregated main-multiplication blocks of one `(p,q)` group (stage 2).
+pub type MmBlocks = HashMap<Coord, Arc<Block>>;
+
+fn swap_if(swap: bool, (i, j): Coord) -> Coord {
+    if swap {
+        (j, i)
+    } else {
+        (i, j)
+    }
+}
+
+/// One node's blocks in a task's store, sorted row-major by coordinate.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct NodeBlocks {
+    coords: Vec<Coord>,
+    blocks: Vec<Arc<Block>>,
+    bytes: u64,
+    /// Positions into `coords` in column-major order, built by the first
+    /// column walk.
+    by_col: OnceLock<Vec<u32>>,
+}
+
+impl NodeBlocks {
+    fn insert(&mut self, coord: Coord, block: Arc<Block>) {
+        self.bytes += block.size_bytes();
+        self.by_col = OnceLock::new();
+        // Routing inserts product terms row-major, so appends dominate.
+        if self.coords.last().is_none_or(|&last| last < coord) {
+            self.coords.push(coord);
+            self.blocks.push(block);
+            return;
+        }
+        match self.coords.binary_search(&coord) {
+            Ok(at) => {
+                self.bytes -= self.blocks[at].size_bytes();
+                self.blocks[at] = block;
+            }
+            Err(at) => {
+                self.coords.insert(at, coord);
+                self.blocks.insert(at, block);
+            }
+        }
+    }
+
+    fn get(&self, coord: Coord) -> Option<&Arc<Block>> {
+        let at = self.coords.binary_search(&coord).ok()?;
+        Some(&self.blocks[at])
+    }
+
+    /// The columns `k ∈ ks` present in row `i`, ascending.
+    fn row(&self, i: usize, ks: &Range<usize>) -> impl Iterator<Item = usize> + '_ {
+        let lo = self.coords.partition_point(|&c| c < (i, ks.start));
+        let hi = self.coords.partition_point(|&c| c < (i, ks.end));
+        self.coords[lo..hi.max(lo)].iter().map(|c| c.1)
+    }
+
+    /// The rows `k ∈ ks` present in column `j`, ascending.
+    fn col(&self, j: usize, ks: &Range<usize>) -> impl Iterator<Item = usize> + '_ {
+        let order = self.by_col.get_or_init(|| {
+            let mut order: Vec<u32> = (0..self.coords.len() as u32).collect();
+            order.sort_unstable_by_key(|&p| {
+                let (r, c) = self.coords[p as usize];
+                (c, r)
+            });
+            order
+        });
+        let key = |p: &u32| {
+            let (r, c) = self.coords[*p as usize];
+            (c, r)
+        };
+        let lo = order.partition_point(|p| key(p) < (j, ks.start));
+        let hi = order.partition_point(|p| key(p) < (j, ks.end));
+        order[lo..hi.max(lo)]
+            .iter()
+            .map(|&p| self.coords[p as usize].0)
+    }
+}
+
 /// A task's local collection of input blocks, keyed by the plan node that
-/// produced them (input leaf or materialized intermediate) and grid
-/// coordinate.
+/// produced them (input leaf or materialized intermediate) and then by grid
+/// coordinate. Each node keeps a coordinate-sorted list, so the store holds
+/// memory in proportion to the blocks present and looks blocks up without
+/// hashing.
 #[derive(Debug, Default, Clone)]
 pub struct LocalStore {
-    blocks: HashMap<(NodeId, (usize, usize)), Arc<Block>>,
-    /// Bytes held per node, kept current by [`LocalStore::insert`].
-    node_bytes: BTreeMap<NodeId, u64>,
+    /// Sorted by node id.
+    nodes: Vec<(NodeId, NodeBlocks)>,
 }
 
 impl LocalStore {
@@ -52,274 +152,51 @@ impl LocalStore {
 
     /// Installs a block for `(node, coord)`, replacing any block already
     /// there.
-    pub fn insert(&mut self, node: NodeId, coord: (usize, usize), block: Arc<Block>) {
-        let added = block.size_bytes();
-        let replaced = self
-            .blocks
-            .insert((node, coord), block)
-            .map_or(0, |old| old.size_bytes());
-        let total = self.node_bytes.entry(node).or_default();
-        *total = *total - replaced + added;
+    pub fn insert(&mut self, node: NodeId, coord: Coord, block: Arc<Block>) {
+        let at = self.nodes.partition_point(|(n, _)| *n < node);
+        if self.nodes.get(at).is_none_or(|(n, _)| *n != node) {
+            self.nodes.insert(at, (node, NodeBlocks::default()));
+        }
+        self.nodes[at].1.insert(coord, block);
+    }
+
+    /// The blocks held for `node`, if any.
+    pub(crate) fn node(&self, node: NodeId) -> Option<&NodeBlocks> {
+        let at = self.nodes.binary_search_by_key(&node, |(n, _)| *n).ok()?;
+        Some(&self.nodes[at].1)
     }
 
     /// The block at `(node, coord)`, if present (absent = all-zero).
-    pub fn get(&self, node: NodeId, coord: (usize, usize)) -> Option<&Arc<Block>> {
-        self.blocks.get(&(node, coord))
+    pub fn get(&self, node: NodeId, coord: Coord) -> Option<&Arc<Block>> {
+        self.node(node)?.get(coord)
     }
 
-    /// Every `(node, coord)` held, in no particular order.
-    pub fn keys(&self) -> impl Iterator<Item = (NodeId, (usize, usize))> + '_ {
-        self.blocks.keys().copied()
+    /// Every `(node, coord)` held, by node and then row-major.
+    pub fn keys(&self) -> impl Iterator<Item = (NodeId, Coord)> + '_ {
+        self.nodes
+            .iter()
+            .flat_map(|(n, nb)| nb.coords.iter().map(move |&c| (*n, c)))
     }
 
     /// Total bytes held (= what consolidation shipped to this task).
     pub fn total_bytes(&self) -> u64 {
-        self.node_bytes.values().sum()
+        self.nodes.iter().map(|(_, nb)| nb.bytes).sum()
     }
 
     /// Bytes held for one input node (= that input's share of the task's
     /// consolidation traffic; what a replica-cache hit avoids re-shipping).
     pub fn node_bytes(&self, node: NodeId) -> u64 {
-        self.node_bytes.get(&node).copied().unwrap_or(0)
+        self.node(node).map_or(0, |nb| nb.bytes)
     }
 
     /// Number of blocks held.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.nodes.iter().map(|(_, nb)| nb.coords.len()).sum()
     }
 
     /// `true` when no blocks are held.
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
-}
-
-/// Evaluation context for one task's kernels.
-pub struct KernelCtx<'a> {
-    dag: &'a QueryDag,
-    /// Operators belonging to the fused plan (kernel recursion stays inside;
-    /// everything else must come from the store).
-    ops: &'a BTreeSet<NodeId>,
-    /// The plan's main matrix multiplication, if any.
-    main_mm: Option<NodeId>,
-    /// The task's k-slice for the main multiplication (block indices).
-    k_range: Range<usize>,
-    store: &'a LocalStore,
-    /// Stage-2 override: fully aggregated main-multiplication blocks.
-    mm_override: Option<&'a HashMap<(usize, usize), Arc<Block>>>,
-    memo: HashMap<(NodeId, usize, usize), Arc<Block>>,
-}
-
-impl<'a> KernelCtx<'a> {
-    /// Creates a context. `k_range` is the slice of block indices of the
-    /// main multiplication's common dimension assigned to this task (pass
-    /// the full range when `R = 1` or there is no multiplication).
-    pub fn new(
-        dag: &'a QueryDag,
-        ops: &'a BTreeSet<NodeId>,
-        main_mm: Option<NodeId>,
-        k_range: Range<usize>,
-        store: &'a LocalStore,
-    ) -> Self {
-        KernelCtx {
-            dag,
-            ops,
-            main_mm,
-            k_range,
-            store,
-            mm_override: None,
-            memo: HashMap::new(),
-        }
-    }
-
-    /// Installs aggregated main-multiplication results (stage 2): `eval` on
-    /// the main multiplication reads these instead of recomputing.
-    pub fn with_mm_override(mut self, values: &'a HashMap<(usize, usize), Arc<Block>>) -> Self {
-        self.mm_override = Some(values);
-        self
-    }
-
-    fn block_dims(&self, node: NodeId, bi: usize, bj: usize) -> (usize, usize) {
-        self.dag.node(node).meta.block_dims(bi, bj)
-    }
-
-    /// Evaluates plan node `node` at block coordinate `(bi, bj)`.
-    ///
-    /// Returns the block value; absent sparse inputs read as zero blocks.
-    /// Results are memoized per task, so diamond-shaped plans (a node
-    /// consumed twice inside the fusion) compute once — the paper's Row
-    /// template "scan X once, use twice" falls out of this.
-    pub fn eval(&mut self, node: NodeId, bi: usize, bj: usize) -> Result<Arc<Block>, SimError> {
-        if let Some(hit) = self.memo.get(&(node, bi, bj)) {
-            return Ok(Arc::clone(hit));
-        }
-        let value = self.eval_uncached(node, bi, bj)?;
-        self.memo.insert((node, bi, bj), Arc::clone(&value));
-        Ok(value)
-    }
-
-    fn fetch_external(&self, node: NodeId, bi: usize, bj: usize) -> Arc<Block> {
-        match self.store.get(node, (bi, bj)) {
-            Some(b) => Arc::clone(b),
-            None => {
-                let (r, c) = self.block_dims(node, bi, bj);
-                Arc::new(Block::zero(r, c))
-            }
-        }
-    }
-
-    fn eval_uncached(
-        &mut self,
-        node: NodeId,
-        bi: usize,
-        bj: usize,
-    ) -> Result<Arc<Block>, SimError> {
-        // Values produced outside the plan come from the local store.
-        if !self.ops.contains(&node) {
-            return Ok(self.fetch_external(node, bi, bj));
-        }
-        // Stage-2: the main multiplication's aggregated value is injected.
-        if Some(node) == self.main_mm {
-            if let Some(vals) = self.mm_override {
-                return Ok(match vals.get(&(bi, bj)) {
-                    Some(b) => Arc::clone(b),
-                    None => {
-                        let (r, c) = self.block_dims(node, bi, bj);
-                        Arc::new(Block::zero(r, c))
-                    }
-                });
-            }
-        }
-        let n = self.dag.node(node);
-        let value: Block = match &n.kind {
-            OpKind::Input { .. } | OpKind::Scalar(_) => {
-                unreachable!("leaves are never plan members")
-            }
-            OpKind::Unary(op) => {
-                let x = self.eval(n.inputs[0], bi, bj)?;
-                x.map(*op)
-            }
-            OpKind::Binary(op) => {
-                let (l_id, r_id) = (n.inputs[0], n.inputs[1]);
-                match (self.scalar_of(l_id), self.scalar_of(r_id)) {
-                    (Some(s), None) => {
-                        let x = self.eval(r_id, bi, bj)?;
-                        x.scalar_zip(s, *op)
-                    }
-                    (None, Some(s)) => {
-                        let x = self.eval(l_id, bi, bj)?;
-                        x.zip_scalar(s, *op)
-                    }
-                    (None, None) => {
-                        let l = self.eval(l_id, bi, bj)?;
-                        let r = self.eval(r_id, bi, bj)?;
-                        l.zip(&r, *op)?
-                    }
-                    (Some(_), Some(_)) => {
-                        return Err(SimError::Task(
-                            "binary over two scalars inside a kernel".into(),
-                        ))
-                    }
-                }
-            }
-            OpKind::Transpose => {
-                let x = self.eval(n.inputs[0], bj, bi)?;
-                x.transpose()
-            }
-            OpKind::MatMul => {
-                let (l_id, r_id) = (n.inputs[0], n.inputs[1]);
-                let ks = self.mm_k_range(node);
-                let (rows, cols) = self.block_dims(node, bi, bj);
-                // Collect the k-terms with support on both sides (absent
-                // sparse blocks contribute nothing).
-                let mut terms = Vec::new();
-                for k in ks {
-                    if !self.has_support(l_id, bi, k) || !self.has_support(r_id, k, bj) {
-                        continue;
-                    }
-                    terms.push((self.eval(l_id, bi, k)?, self.eval(r_id, k, bj)?));
-                }
-                match terms.as_slice() {
-                    [] => Block::zero(rows, cols),
-                    // A single-term product goes through the format-aware
-                    // Gustavson kernel, which can build a sparse output
-                    // directly instead of densifying and re-compacting.
-                    [(l, r)] => l.gemm_auto(r)?,
-                    // Multi-term sums keep the single dense accumulator so
-                    // the summation order (and thus bit pattern) matches
-                    // the reference path exactly.
-                    _ => {
-                        let mut acc = DenseBlock::zeros(rows, cols);
-                        for (l, r) in &terms {
-                            l.gemm_acc(r, &mut acc)?;
-                        }
-                        Block::Dense(acc).compact()
-                    }
-                }
-            }
-            OpKind::FullAgg(_) | OpKind::RowAgg(_) | OpKind::ColAgg(_) => {
-                return Err(SimError::Task(
-                    "aggregation nodes are folded by the operator driver, not eval()".into(),
-                ))
-            }
-        };
-        Ok(Arc::new(value))
-    }
-
-    fn mm_k_range(&self, mm: NodeId) -> Range<usize> {
-        mm_k_range(self.dag, self.main_mm, &self.k_range, mm)
-    }
-
-    fn scalar_of(&self, node: NodeId) -> Option<f64> {
-        scalar_of(self.dag, node)
-    }
-
-    /// `true` if the value of `node` at `(bi, bj)` can have non-zeros.
-    /// Conservative: `true` unless provably all-zero from absent input
-    /// blocks and zero-propagation rules. This powers block-level sparsity
-    /// exploitation — kernels for unsupported output blocks never run.
-    pub fn has_support(&self, node: NodeId, bi: usize, bj: usize) -> bool {
-        if !self.ops.contains(&node) {
-            return self.store.get(node, (bi, bj)).is_some();
-        }
-        let n = self.dag.node(node);
-        match &n.kind {
-            OpKind::Input { .. } | OpKind::Scalar(_) => unreachable!("leaves not members"),
-            OpKind::Unary(op) => {
-                if op.preserves_zero() {
-                    self.has_support(n.inputs[0], bi, bj)
-                } else {
-                    true
-                }
-            }
-            OpKind::Binary(op) => {
-                let (l_id, r_id) = (n.inputs[0], n.inputs[1]);
-                match (self.scalar_of(l_id), self.scalar_of(r_id)) {
-                    (Some(s), None) => op.apply(s, 0.0) != 0.0 || self.has_support(r_id, bi, bj),
-                    (None, Some(s)) => op.apply(0.0, s) != 0.0 || self.has_support(l_id, bi, bj),
-                    (None, None) => {
-                        let l = self.has_support(l_id, bi, bj);
-                        let r = self.has_support(r_id, bi, bj);
-                        if op.zero_dominant() {
-                            l && r
-                        } else {
-                            l || r
-                        }
-                    }
-                    (Some(_), Some(_)) => true,
-                }
-            }
-            OpKind::Transpose => self.has_support(n.inputs[0], bj, bi),
-            OpKind::MatMul => {
-                if self.mm_override.is_some() && Some(node) == self.main_mm {
-                    return true;
-                }
-                let (l_id, r_id) = (n.inputs[0], n.inputs[1]);
-                self.mm_k_range(node)
-                    .any(|k| self.has_support(l_id, bi, k) && self.has_support(r_id, k, bj))
-            }
-            OpKind::FullAgg(_) | OpKind::RowAgg(_) | OpKind::ColAgg(_) => true,
-        }
+        self.len() == 0
     }
 }
 
@@ -346,6 +223,838 @@ fn scalar_of(dag: &QueryDag, node: NodeId) -> Option<f64> {
     }
 }
 
+// ----- support rules -----------------------------------------------------------
+
+/// When a node's block can be non-zero. Conservative: true unless provably
+/// all-zero from absent input blocks and zero-propagation rules.
+#[derive(Debug)]
+enum Sup {
+    All,
+    /// An external node's block is in the store, at swapped coordinates
+    /// when `swap`.
+    Present {
+        load: usize,
+        swap: bool,
+    },
+    And(Box<Sup>, Box<Sup>),
+    Or(Box<Sup>, Box<Sup>),
+    MatMul(Box<MmSup>),
+}
+
+/// A multiplication's support: some `k` with both operands supported.
+#[derive(Debug)]
+struct MmSup {
+    /// The multiplication's coordinates are the program's swapped.
+    swap: bool,
+    /// The plan's main multiplication: sums over the task's k-slice, and
+    /// reads the aggregated value when one is installed.
+    main: bool,
+    /// Common dimension in blocks, for nested multiplications.
+    k_full: usize,
+    left: Sup,
+    right: Sup,
+}
+
+impl Sup {
+    fn and(a: Sup, b: Sup) -> Sup {
+        match (a, b) {
+            (Sup::All, x) | (x, Sup::All) => x,
+            (a, b) => Sup::And(Box::new(a), Box::new(b)),
+        }
+    }
+
+    fn or(a: Sup, b: Sup) -> Sup {
+        match (a, b) {
+            (Sup::All, _) | (_, Sup::All) => Sup::All,
+            (a, b) => Sup::Or(Box::new(a), Box::new(b)),
+        }
+    }
+
+    fn holds(&self, t: &Bound<'_>, c: Coord) -> bool {
+        match self {
+            Sup::All => true,
+            Sup::Present { load, swap } => t.block(*load, swap_if(*swap, c)).is_some(),
+            Sup::And(a, b) => a.holds(t, c) && b.holds(t, c),
+            Sup::Or(a, b) => a.holds(t, c) || b.holds(t, c),
+            Sup::MatMul(m) => m.any_term(t, swap_if(m.swap, c)),
+        }
+    }
+
+    /// An input whose present blocks bound this support from above.
+    fn driver(&self) -> Option<(usize, bool)> {
+        match self {
+            Sup::Present { load, swap } => Some((*load, *swap)),
+            Sup::And(a, b) => a.driver().or_else(|| b.driver()),
+            _ => None,
+        }
+    }
+}
+
+impl MmSup {
+    fn ks(&self, t: &Bound<'_>) -> Range<usize> {
+        if self.main {
+            t.k_range.clone()
+        } else {
+            0..self.k_full
+        }
+    }
+
+    fn any_term(&self, t: &Bound<'_>, at: Coord) -> bool {
+        if self.main && t.mm_override.is_some() {
+            return true;
+        }
+        let mut any = false;
+        self.terms(t, at, |_| {
+            any = true;
+            false
+        });
+        any
+    }
+
+    /// Calls `f` with every `k` of the slice, ascending, at which both
+    /// operands are supported, until `f` returns `false`. Candidates come
+    /// from an operand's present blocks (a row or a column of a store
+    /// node) where one bounds the support, else from the whole slice.
+    fn terms(&self, t: &Bound<'_>, (i, j): Coord, mut f: impl FnMut(usize) -> bool) {
+        let ks = self.ks(t);
+        let both = |k: usize| self.left.holds(t, (i, k)) && self.right.holds(t, (k, j));
+        let mut visit = |cands: &mut dyn Iterator<Item = usize>| {
+            for k in cands {
+                if both(k) && !f(k) {
+                    return;
+                }
+            }
+        };
+        // The left operand at (i, k) is its store node's row i, or column
+        // i when transposed; the right operand at (k, j) the other way.
+        let walk = match (self.left.driver(), self.right.driver()) {
+            (Some((load, swap)), _) => Some((load, !swap, i)),
+            (None, Some((load, swap))) => Some((load, swap, j)),
+            (None, None) => None,
+        };
+        match walk {
+            Some((load, by_row, fixed)) => {
+                let Some(nb) = t.loads[load] else { return };
+                if by_row {
+                    visit(&mut nb.row(fixed, &ks));
+                } else {
+                    visit(&mut nb.col(fixed, &ks));
+                }
+            }
+            None => visit(&mut ks.clone()),
+        }
+    }
+}
+
+// ----- value programs ------------------------------------------------------------
+
+/// An element-wise operator with at most one block operand.
+#[derive(Debug, Clone, Copy)]
+enum Cell {
+    Unary(UnaryOp),
+    /// `x op s`.
+    Right(BinOp, f64),
+    /// `s op x`.
+    Left(BinOp, f64),
+}
+
+impl Cell {
+    fn apply(self, x: f64) -> f64 {
+        match self {
+            Cell::Unary(op) => op.apply(x),
+            Cell::Right(op, s) => op.apply(x, s),
+            Cell::Left(op, s) => op.apply(s, x),
+        }
+    }
+
+    fn on(self, b: &Block) -> Block {
+        match self {
+            Cell::Unary(op) => b.map(op),
+            Cell::Right(op, s) => b.zip_scalar(s, op),
+            Cell::Left(op, s) => b.scalar_zip(s, op),
+        }
+    }
+
+    /// [`Cell::on`] for a block nobody else reads: dense blocks are
+    /// updated in place, element by element exactly as `on` would.
+    fn on_owned(self, b: Block) -> Block {
+        match b {
+            Block::Dense(mut d) => {
+                for v in d.data_mut() {
+                    *v = self.apply(*v);
+                }
+                Block::Dense(d)
+            }
+            sparse => self.on(&sparse),
+        }
+    }
+}
+
+/// Element-wise steps feeding one side of a zero-dominant [`Op::Zip`],
+/// held back until the other side's format is known.
+#[derive(Debug)]
+struct Chain {
+    base: usize,
+    /// The chain's operators, base side first.
+    cells: Vec<Cell>,
+}
+
+impl Chain {
+    fn apply(&self, x: f64) -> f64 {
+        self.cells.iter().fold(x, |x, c| c.apply(x))
+    }
+}
+
+#[derive(Debug)]
+enum Op {
+    /// An external node's block from the store (zero when absent).
+    Load(usize),
+    Cell(Cell, usize),
+    Zip {
+        op: BinOp,
+        l: usize,
+        r: usize,
+        /// Deferred element-wise chains on the left and right.
+        chains: [Option<Chain>; 2],
+    },
+    Transpose(usize),
+    MatMul(Box<MatMulOp>),
+    /// Evaluation fails with this message.
+    Fail(&'static str),
+}
+
+#[derive(Debug)]
+struct MatMulOp {
+    sup: MmSup,
+    left: Operand,
+    right: Operand,
+    /// Index of this multiplication's runtime state in its region.
+    state: usize,
+}
+
+/// Where a multiplication operand's blocks come from.
+#[derive(Debug)]
+enum Operand {
+    /// Straight from the store.
+    Load(usize),
+    /// A plan member computed by its own sub-program and memoized per task.
+    Program(Region),
+}
+
+#[derive(Debug)]
+struct Instr {
+    meta: MatrixMeta,
+    /// The instruction works at the region coordinate swapped.
+    swap: bool,
+    op: Op,
+    /// Readers of this slot; the region's caller counts as one for the
+    /// root.
+    uses: u32,
+    /// Part of a [`Chain`]: run by the consuming `Zip`, not in order.
+    deferred: bool,
+}
+
+/// A topologically ordered program computing one node at one coordinate.
+#[derive(Debug)]
+struct Region {
+    instrs: Vec<Instr>,
+    sup: Sup,
+    matmuls: usize,
+}
+
+/// Lowering state: the plan, and the external nodes read so far.
+struct Lower<'a> {
+    dag: &'a QueryDag,
+    ops: &'a BTreeSet<NodeId>,
+    main_mm: Option<NodeId>,
+    loads: Vec<NodeId>,
+}
+
+impl Lower<'_> {
+    fn load(&mut self, node: NodeId) -> usize {
+        match self.loads.iter().position(|&n| n == node) {
+            Some(at) => at,
+            None => {
+                self.loads.push(node);
+                self.loads.len() - 1
+            }
+        }
+    }
+
+    /// The support rule of `node` at swapped coordinates when `swap`.
+    fn sup(&mut self, node: NodeId, swap: bool) -> Sup {
+        if !self.ops.contains(&node) {
+            return Sup::Present {
+                load: self.load(node),
+                swap,
+            };
+        }
+        let dag = self.dag;
+        let n = dag.node(node);
+        match &n.kind {
+            OpKind::Unary(op) if op.preserves_zero() => self.sup(n.inputs[0], swap),
+            OpKind::Binary(op) => {
+                let (l, r) = (n.inputs[0], n.inputs[1]);
+                match (scalar_of(dag, l), scalar_of(dag, r)) {
+                    (Some(s), None) if op.apply(s, 0.0) == 0.0 => self.sup(r, swap),
+                    (None, Some(s)) if op.apply(0.0, s) == 0.0 => self.sup(l, swap),
+                    (None, None) => {
+                        let (a, b) = (self.sup(l, swap), self.sup(r, swap));
+                        if op.zero_dominant() {
+                            Sup::and(a, b)
+                        } else {
+                            Sup::or(a, b)
+                        }
+                    }
+                    _ => Sup::All,
+                }
+            }
+            OpKind::Transpose => self.sup(n.inputs[0], !swap),
+            OpKind::MatMul => Sup::MatMul(Box::new(self.mm_sup(node, swap))),
+            _ => Sup::All,
+        }
+    }
+
+    fn mm_sup(&mut self, node: NodeId, swap: bool) -> MmSup {
+        let dag = self.dag;
+        let n = dag.node(node);
+        MmSup {
+            swap,
+            main: Some(node) == self.main_mm,
+            k_full: mm_k_range(self.dag, None, &(0..0), node).end,
+            left: self.sup(n.inputs[0], false),
+            right: self.sup(n.inputs[1], false),
+        }
+    }
+
+    fn region(&mut self, root: NodeId) -> Region {
+        let mut r = Region {
+            instrs: Vec::new(),
+            sup: self.sup(root, false),
+            matmuls: 0,
+        };
+        let mut seen = HashMap::new();
+        self.value(&mut r, &mut seen, root, false);
+        defer_chains(&mut r.instrs);
+        r
+    }
+
+    /// Appends the instructions computing `node` (children first, left
+    /// before right) unless present, and returns its slot, counting the
+    /// caller as one more reader.
+    fn value(
+        &mut self,
+        r: &mut Region,
+        seen: &mut HashMap<(NodeId, bool), usize>,
+        node: NodeId,
+        swap: bool,
+    ) -> usize {
+        if let Some(&slot) = seen.get(&(node, swap)) {
+            r.instrs[slot].uses += 1;
+            return slot;
+        }
+        let dag = self.dag;
+        let n = dag.node(node);
+        let op = if !self.ops.contains(&node) {
+            Op::Load(self.load(node))
+        } else {
+            match &n.kind {
+                OpKind::Unary(op) => {
+                    Op::Cell(Cell::Unary(*op), self.value(r, seen, n.inputs[0], swap))
+                }
+                OpKind::Binary(op) => {
+                    let (l, rr) = (n.inputs[0], n.inputs[1]);
+                    match (scalar_of(dag, l), scalar_of(dag, rr)) {
+                        (Some(s), None) => {
+                            Op::Cell(Cell::Left(*op, s), self.value(r, seen, rr, swap))
+                        }
+                        (None, Some(s)) => {
+                            Op::Cell(Cell::Right(*op, s), self.value(r, seen, l, swap))
+                        }
+                        (None, None) => Op::Zip {
+                            op: *op,
+                            l: self.value(r, seen, l, swap),
+                            r: self.value(r, seen, rr, swap),
+                            chains: [None, None],
+                        },
+                        (Some(_), Some(_)) => Op::Fail("binary over two scalars inside a kernel"),
+                    }
+                }
+                OpKind::Transpose => Op::Transpose(self.value(r, seen, n.inputs[0], !swap)),
+                OpKind::MatMul => {
+                    let sup = self.mm_sup(node, swap);
+                    let left = self.operand(n.inputs[0]);
+                    let right = self.operand(n.inputs[1]);
+                    r.matmuls += 1;
+                    Op::MatMul(Box::new(MatMulOp {
+                        sup,
+                        left,
+                        right,
+                        state: r.matmuls - 1,
+                    }))
+                }
+                OpKind::Input { .. } | OpKind::Scalar(_) => {
+                    Op::Fail("leaves are never plan members")
+                }
+                OpKind::FullAgg(_) | OpKind::RowAgg(_) | OpKind::ColAgg(_) => {
+                    Op::Fail("aggregation nodes are folded by the operator driver, not eval()")
+                }
+            }
+        };
+        r.instrs.push(Instr {
+            meta: n.meta,
+            swap,
+            op,
+            uses: 1,
+            deferred: false,
+        });
+        let slot = r.instrs.len() - 1;
+        seen.insert((node, swap), slot);
+        slot
+    }
+
+    fn operand(&mut self, node: NodeId) -> Operand {
+        if self.ops.contains(&node) {
+            Operand::Program(self.region(node))
+        } else {
+            Operand::Load(self.load(node))
+        }
+    }
+}
+
+/// Marks, for every zero-dominant `Zip`, the single-reader element-wise
+/// steps beneath each side as a deferred [`Chain`].
+fn defer_chains(instrs: &mut [Instr]) {
+    for z in 0..instrs.len() {
+        let Op::Zip { op, l, r, .. } = instrs[z].op else {
+            continue;
+        };
+        if !op.zero_dominant() || l == r {
+            continue;
+        }
+        for (side, top) in [l, r].into_iter().enumerate() {
+            let mut steps = Vec::new();
+            let mut cells = Vec::new();
+            let mut cur = top;
+            while let (Op::Cell(cell, src), 1) = (&instrs[cur].op, instrs[cur].uses) {
+                steps.push(cur);
+                cells.push(*cell);
+                cur = *src;
+            }
+            if steps.is_empty() {
+                continue;
+            }
+            cells.reverse();
+            for s in steps {
+                instrs[s].deferred = true;
+            }
+            if let Op::Zip { chains, .. } = &mut instrs[z].op {
+                chains[side] = Some(Chain { base: cur, cells });
+            }
+        }
+    }
+}
+
+/// A fused plan lowered once per exec unit: the value program and support
+/// rule of one node, shared by every task of the unit.
+#[derive(Debug)]
+pub struct BlockProgram {
+    region: Region,
+    /// External nodes read, indexed by the program's load ids.
+    loads: Vec<NodeId>,
+}
+
+impl BlockProgram {
+    /// Lowers the computation of `root` inside the plan `ops`. `main_mm`
+    /// is the plan's main multiplication, which sums over each task's
+    /// k-slice; nested multiplications sum over their full common
+    /// dimension.
+    pub fn compile(
+        dag: &QueryDag,
+        ops: &BTreeSet<NodeId>,
+        main_mm: Option<NodeId>,
+        root: NodeId,
+    ) -> BlockProgram {
+        let mut lower = Lower {
+            dag,
+            ops,
+            main_mm,
+            loads: Vec::new(),
+        };
+        let region = lower.region(root);
+        BlockProgram {
+            region,
+            loads: lower.loads,
+        }
+    }
+
+    /// Binds the program to one task: its store and its k-slice of the
+    /// main multiplication (the full range when `R = 1`).
+    pub fn bind<'s>(&'s self, store: &'s LocalStore, k_range: Range<usize>) -> TaskProgram<'s> {
+        TaskProgram {
+            program: self,
+            bound: Bound {
+                loads: self.loads.iter().map(|&n| store.node(n)).collect(),
+                k_range,
+                mm_override: None,
+            },
+            state: RegionState::new(&self.region),
+        }
+    }
+}
+
+/// What a program reads at run time.
+struct Bound<'s> {
+    loads: Vec<Option<&'s NodeBlocks>>,
+    k_range: Range<usize>,
+    mm_override: Option<&'s MmBlocks>,
+}
+
+impl<'s> Bound<'s> {
+    fn block(&self, load: usize, c: Coord) -> Option<&'s Arc<Block>> {
+        self.loads[load]?.get(c)
+    }
+}
+
+/// A slot's value.
+#[derive(Default)]
+enum Val<'s> {
+    #[default]
+    Empty,
+    Ref(&'s Arc<Block>),
+    Own(Block),
+}
+
+impl Val<'_> {
+    fn block(&self) -> Result<&Block, SimError> {
+        match self {
+            Val::Ref(b) => Ok(b.as_ref()),
+            Val::Own(b) => Ok(b),
+            Val::Empty => Err(empty_slot()),
+        }
+    }
+
+    fn into_arc(self) -> Result<Arc<Block>, SimError> {
+        match self {
+            Val::Ref(b) => Ok(Arc::clone(b)),
+            Val::Own(b) => Ok(Arc::new(b)),
+            Val::Empty => Err(empty_slot()),
+        }
+    }
+}
+
+fn empty_slot() -> SimError {
+    SimError::Task("block program read an empty slot".into())
+}
+
+fn zero_block(meta: &MatrixMeta, (bi, bj): Coord) -> Block {
+    let (r, c) = meta.block_dims(bi, bj);
+    Block::zero(r, c)
+}
+
+/// Per-task scratch of one region: its slots and its multiplications'.
+struct RegionState<'s> {
+    slots: Vec<Val<'s>>,
+    matmuls: Vec<MatMulState<'s>>,
+}
+
+struct MatMulState<'s> {
+    ks: Vec<usize>,
+    left: Option<Memo<'s>>,
+    right: Option<Memo<'s>>,
+}
+
+/// A computed operand's blocks, by coordinate, for the whole task.
+struct Memo<'s> {
+    state: RegionState<'s>,
+    values: BTreeMap<Coord, Arc<Block>>,
+}
+
+impl<'s> RegionState<'s> {
+    fn new(region: &Region) -> RegionState<'s> {
+        let mut matmuls = Vec::with_capacity(region.matmuls);
+        for ins in &region.instrs {
+            if let Op::MatMul(mm) = &ins.op {
+                let memo = |o: &Operand| match o {
+                    Operand::Load(_) => None,
+                    Operand::Program(sub) => Some(Memo {
+                        state: RegionState::new(sub),
+                        values: BTreeMap::new(),
+                    }),
+                };
+                matmuls.push(MatMulState {
+                    ks: Vec::new(),
+                    left: memo(&mm.left),
+                    right: memo(&mm.right),
+                });
+            }
+        }
+        RegionState {
+            slots: (0..region.instrs.len()).map(|_| Val::Empty).collect(),
+            matmuls,
+        }
+    }
+}
+
+/// Takes a slot's value for its last reader, or borrows it.
+fn cell_input<'a, 's>(slots: &'a mut [Val<'s>], instrs: &[Instr], src: usize) -> Input<'a, 's> {
+    if instrs[src].uses == 1 {
+        Input::Taken(std::mem::take(&mut slots[src]))
+    } else {
+        Input::Shared(&slots[src])
+    }
+}
+
+enum Input<'a, 's> {
+    Taken(Val<'s>),
+    Shared(&'a Val<'s>),
+}
+
+impl Input<'_, '_> {
+    /// Runs `cells` in order, in place when the value is ours.
+    fn run(self, cells: &[Cell]) -> Result<Block, SimError> {
+        let Some((first, rest)) = cells.split_first() else {
+            return Err(empty_slot());
+        };
+        let mut b = match self {
+            Input::Taken(Val::Own(b)) => first.on_owned(b),
+            Input::Taken(v) => first.on(v.block()?),
+            Input::Shared(v) => first.on(v.block()?),
+        };
+        for c in rest {
+            b = c.on_owned(b);
+        }
+        Ok(b)
+    }
+}
+
+fn eval_region<'s>(
+    region: &Region,
+    st: &mut RegionState<'s>,
+    t: &Bound<'s>,
+    c: Coord,
+) -> Result<Val<'s>, SimError> {
+    let instrs = &region.instrs;
+    for (x, ins) in instrs.iter().enumerate() {
+        if ins.deferred {
+            continue;
+        }
+        let at = swap_if(ins.swap, c);
+        let value = match &ins.op {
+            Op::Load(load) => match t.block(*load, at) {
+                Some(b) => Val::Ref(b),
+                None => Val::Own(zero_block(&ins.meta, at)),
+            },
+            Op::Cell(cell, src) => {
+                Val::Own(cell_input(&mut st.slots, instrs, *src).run(std::slice::from_ref(cell))?)
+            }
+            Op::Zip { op, l, r, chains } => {
+                Val::Own(zip(instrs, &mut st.slots, *op, [*l, *r], chains)?)
+            }
+            Op::Transpose(src) => Val::Own(st.slots[*src].block()?.transpose()),
+            Op::MatMul(mm) => matmul(mm, &ins.meta, &mut st.matmuls[mm.state], t, at)?,
+            Op::Fail(msg) => return Err(SimError::Task((*msg).into())),
+        };
+        st.slots[x] = value;
+    }
+    Ok(std::mem::take(&mut st.slots[instrs.len() - 1]))
+}
+
+/// A zero-dominant product of a sparse block and a deferred chain over a
+/// dense block, computed at the sparse block's stored positions only —
+/// exactly what `Block::zip` stores for `sparse * dense` (the pattern of
+/// the sparse side, values `sparse · dense`), without the dense side ever
+/// existing.
+fn gate(sparse: &SparseBlock, base: &DenseBlock, chain: &Chain) -> Block {
+    Block::Sparse(sparse.map_stored(|r, c, v| v * chain.apply(base.get(r, c))))
+}
+
+fn zip(
+    instrs: &[Instr],
+    slots: &mut [Val<'_>],
+    op: BinOp,
+    sides: [usize; 2],
+    chains: &[Option<Chain>; 2],
+) -> Result<Block, SimError> {
+    // Chains over a non-dense base run now: their format depends on the
+    // values. Chains over a dense base stay dense whatever they compute.
+    let mut ready: [Option<Block>; 2] = [None, None];
+    for s in 0..2 {
+        if let Some(ch) = &chains[s] {
+            if slots[ch.base].block()?.is_sparse() {
+                ready[s] = Some(cell_input(slots, instrs, ch.base).run(&ch.cells)?);
+            }
+        }
+    }
+    for (g, d) in [(0, 1), (1, 0)] {
+        let Some(ch) = chains[d].as_ref().filter(|_| ready[d].is_none()) else {
+            continue;
+        };
+        let gate_val = match (&ready[g], chains[g].is_some()) {
+            (Some(b), _) => b,
+            (None, false) => slots[sides[g]].block()?,
+            (None, true) => continue,
+        };
+        if let (Block::Sparse(s), Block::Dense(base)) = (gate_val, slots[ch.base].block()?) {
+            if (s.rows(), s.cols()) == (base.rows(), base.cols()) {
+                return Ok(gate(s, base, ch));
+            }
+        }
+    }
+    for s in 0..2 {
+        if let (Some(ch), None) = (&chains[s], &ready[s]) {
+            ready[s] = Some(cell_input(slots, instrs, ch.base).run(&ch.cells)?);
+        }
+    }
+    let side = |s: usize| -> Result<&Block, SimError> {
+        match &ready[s] {
+            Some(b) => Ok(b),
+            None => slots[sides[s]].block(),
+        }
+    };
+    Ok(side(0)?.zip(side(1)?, op)?)
+}
+
+fn matmul<'s>(
+    mm: &MatMulOp,
+    meta: &MatrixMeta,
+    st: &mut MatMulState<'s>,
+    t: &Bound<'s>,
+    (i, j): Coord,
+) -> Result<Val<'s>, SimError> {
+    if mm.sup.main {
+        if let Some(values) = t.mm_override {
+            return Ok(match values.get(&(i, j)) {
+                Some(b) => Val::Ref(b),
+                None => Val::Own(zero_block(meta, (i, j))),
+            });
+        }
+    }
+    st.ks.clear();
+    mm.sup.terms(t, (i, j), |k| {
+        st.ks.push(k);
+        true
+    });
+    for &k in &st.ks {
+        fill(&mm.left, &mut st.left, t, (i, k))?;
+        fill(&mm.right, &mut st.right, t, (k, j))?;
+    }
+    fn operand<'a>(
+        o: &Operand,
+        memo: &'a Option<Memo<'_>>,
+        t: &Bound<'a>,
+        c: Coord,
+    ) -> Result<&'a Block, SimError> {
+        let b = match (o, memo) {
+            (Operand::Load(load), _) => t.block(*load, c).map(|b| &**b),
+            (Operand::Program(_), Some(m)) => m.values.get(&c).map(|b| &**b),
+            (Operand::Program(_), None) => None,
+        };
+        b.ok_or_else(empty_slot)
+    }
+    let term = |k: usize| -> Result<(&Block, &Block), SimError> {
+        Ok((
+            operand(&mm.left, &st.left, t, (i, k))?,
+            operand(&mm.right, &st.right, t, (k, j))?,
+        ))
+    };
+    Ok(Val::Own(match st.ks.as_slice() {
+        [] => zero_block(meta, (i, j)),
+        // A single-term product goes through the format-aware Gustavson
+        // kernel, which can build a sparse output directly instead of
+        // densifying and re-compacting.
+        &[k] => {
+            let (l, r) = term(k)?;
+            l.gemm_auto(r)?
+        }
+        // Multi-term sums keep the single dense accumulator so the
+        // summation order (and thus bit pattern) matches the reference
+        // path exactly.
+        ks => {
+            let (rows, cols) = meta.block_dims(i, j);
+            let mut acc = DenseBlock::zeros(rows, cols);
+            for &k in ks {
+                let (l, r) = term(k)?;
+                l.gemm_acc(r, &mut acc)?;
+            }
+            Block::Dense(acc).compact()
+        }
+    }))
+}
+
+/// Computes a memoized operand's block at `c` unless the task has it.
+fn fill<'s>(
+    operand: &Operand,
+    memo: &mut Option<Memo<'s>>,
+    t: &Bound<'s>,
+    c: Coord,
+) -> Result<(), SimError> {
+    if let (Operand::Program(region), Some(m)) = (operand, memo) {
+        if !m.values.contains_key(&c) {
+            let v = eval_region(region, &mut m.state, t, c)?.into_arc()?;
+            m.values.insert(c, v);
+        }
+    }
+    Ok(())
+}
+
+/// A [`BlockProgram`] bound to one task's store and k-slice.
+pub struct TaskProgram<'s> {
+    program: &'s BlockProgram,
+    bound: Bound<'s>,
+    state: RegionState<'s>,
+}
+
+impl<'s> TaskProgram<'s> {
+    /// Installs aggregated main-multiplication results (stage 2): the main
+    /// multiplication reads these instead of recomputing, and counts as
+    /// supported everywhere.
+    pub fn with_mm_override(mut self, values: &'s MmBlocks) -> Self {
+        self.bound.mm_override = Some(values);
+        self
+    }
+
+    /// `true` if the program's node can be non-zero at `c`.
+    pub fn has_support(&self, c: Coord) -> bool {
+        self.program.region.sup.holds(&self.bound, c)
+    }
+
+    /// The coordinates of `tile` at which the node can be non-zero, in
+    /// tile order. When a sparse input gates the node, candidates are that
+    /// input's blocks present in the store rather than every coordinate of
+    /// the tile.
+    pub fn supported(&self, tile: &Footprint) -> Vec<Coord> {
+        let sup = &self.program.region.sup;
+        if let (Some((load, swap)), true) = (sup.driver(), tile.is_row_major()) {
+            let Some(nb) = self.bound.loads[load] else {
+                return Vec::new();
+            };
+            if nb.coords.len() < tile.len() {
+                let mut out: Vec<Coord> = nb
+                    .coords
+                    .iter()
+                    .map(|&c| swap_if(swap, c))
+                    .filter(|&c| tile.contains(c) && sup.holds(&self.bound, c))
+                    .collect();
+                if swap {
+                    out.sort_unstable();
+                }
+                return out;
+            }
+        }
+        tile.coords()
+            .filter(|&c| sup.holds(&self.bound, c))
+            .collect()
+    }
+
+    /// The node's block at `c`.
+    pub fn eval(&mut self, c: Coord) -> Result<Arc<Block>, SimError> {
+        eval_region(&self.program.region, &mut self.state, &self.bound, c)?.into_arc()
+    }
+}
+
+// ----- footprints ----------------------------------------------------------------
+
 /// A set of block coordinates of one node, kept as a short union of terms
 /// rather than enumerated: what a task computes of a node, or needs of an
 /// input. Terms may overlap; [`Footprint::coords`] then repeats
@@ -357,8 +1066,8 @@ pub struct Footprint {
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Term {
-    /// Exactly these coordinates.
-    Blocks(Vec<(usize, usize)>),
+    /// Exactly these coordinates, sorted row-major and distinct.
+    Blocks(Vec<Coord>),
     /// Every coordinate of `rows × cols`; both sides sorted, distinct and
     /// non-empty.
     Product(Vec<usize>, Vec<usize>),
@@ -385,8 +1094,11 @@ fn distinct(it: impl Iterator<Item = usize>) -> Vec<usize> {
 }
 
 impl Footprint {
-    /// Exactly the given coordinates (a striped task's round-robin share).
-    pub fn blocks(coords: Vec<(usize, usize)>) -> Self {
+    /// Exactly the given coordinates (a striped task's round-robin share),
+    /// kept sorted row-major.
+    pub fn blocks(mut coords: Vec<Coord>) -> Self {
+        coords.sort_unstable();
+        coords.dedup();
         let mut fp = Footprint::default();
         if !coords.is_empty() {
             fp.terms.push(Term::Blocks(coords));
@@ -408,9 +1120,9 @@ impl Footprint {
     }
 
     /// Every coordinate, term by term; a product runs row-major.
-    pub fn coords(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+    pub fn coords(&self) -> impl Iterator<Item = Coord> + '_ {
         self.terms.iter().flat_map(|t| {
-            let (listed, product): (&[(usize, usize)], _) = match t {
+            let (listed, product): (&[Coord], _) = match t {
                 Term::Blocks(b) => (b, None),
                 Term::Product(r, c) => (&[], Some((r, c))),
             };
@@ -419,6 +1131,32 @@ impl Footprint {
                     .into_iter()
                     .flat_map(|(r, c)| r.iter().flat_map(move |&i| c.iter().map(move |&j| (i, j)))),
             )
+        })
+    }
+
+    /// Number of coordinates [`Footprint::coords`] yields.
+    fn len(&self) -> usize {
+        self.terms
+            .iter()
+            .map(|t| match t {
+                Term::Blocks(b) => b.len(),
+                Term::Product(r, c) => r.len() * c.len(),
+            })
+            .sum()
+    }
+
+    /// `true` when [`Footprint::coords`] yields distinct coordinates in
+    /// row-major order: at most one term (every task tile).
+    fn is_row_major(&self) -> bool {
+        self.terms.len() <= 1
+    }
+
+    fn contains(&self, c: Coord) -> bool {
+        self.terms.iter().any(|t| match t {
+            Term::Blocks(b) => b.binary_search(&c).is_ok(),
+            Term::Product(r, cols) => {
+                r.binary_search(&c.0).is_ok() && cols.binary_search(&c.1).is_ok()
+            }
         })
     }
 
@@ -437,7 +1175,11 @@ impl Footprint {
             .terms
             .iter()
             .map(|t| match t {
-                Term::Blocks(b) => Term::Blocks(b.iter().map(|&(i, j)| (j, i)).collect()),
+                Term::Blocks(b) => {
+                    let mut b: Vec<Coord> = b.iter().map(|&(i, j)| (j, i)).collect();
+                    b.sort_unstable();
+                    Term::Blocks(b)
+                }
                 Term::Product(r, c) => Term::Product(c.clone(), r.clone()),
             })
             .collect();
@@ -514,7 +1256,7 @@ pub fn footprints(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fuseme_matrix::{gen, BinOp, BlockedMatrix, UnaryOp};
+    use fuseme_matrix::{gen, BlockedMatrix};
     use fuseme_plan::DagBuilder;
 
     /// Builds the NMF query O = X * log(U×Vᵀ + eps) with all blocks of all
@@ -563,18 +1305,26 @@ mod tests {
         (dag, ops, out.id(), mm.id(), store, expected)
     }
 
+    fn assert_close(got: &Block, want: &Block) {
+        let (g, w) = (got.to_dense(), want.to_dense());
+        assert_eq!((g.rows(), g.cols()), (w.rows(), w.cols()));
+        for (a, b) in g.data().iter().zip(w.data()) {
+            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        }
+    }
+
     #[test]
     fn kernel_matches_reference_per_block() {
         let (dag, ops, root, mm, store, expected) = setup();
-        let mut ctx = KernelCtx::new(&dag, &ops, Some(mm), 0..2, &store);
+        let program = BlockProgram::compile(&dag, &ops, Some(mm), root);
+        let mut task = program.bind(&store, 0..2);
         for bi in 0..4 {
             for bj in 0..4 {
-                let got = ctx.eval(root, bi, bj).unwrap();
-                let want = expected.block_or_zero(bi, bj);
-                let g = got.to_dense();
-                let w = want.to_dense();
-                for (a, b) in g.data().iter().zip(w.data()) {
-                    assert!((a - b).abs() < 1e-9, "block ({bi},{bj})");
+                let got = task.eval((bi, bj)).unwrap();
+                assert_close(&got, &expected.block_or_zero(bi, bj));
+                // X gates the output: the result keeps X's sparse pattern.
+                if let Some(x) = expected.block(bi, bj) {
+                    assert_eq!(got.is_sparse(), x.is_sparse(), "block ({bi},{bj})");
                 }
             }
         }
@@ -583,31 +1333,32 @@ mod tests {
     #[test]
     fn support_skips_empty_gated_blocks() {
         let (dag, ops, root, mm, store, _) = setup();
-        // Remove all X blocks: every output block loses support.
+        // Build a store without X at all: every output block loses support.
         let x_id = dag
             .nodes()
             .iter()
             .find(|n| matches!(&n.kind, OpKind::Input { name } if name == "X"))
             .unwrap()
             .id;
-        let keys: Vec<_> = (0..4).flat_map(|i| (0..4).map(move |j| (i, j))).collect();
-        // Build a store without X at all.
         let mut emptied = LocalStore::new();
-        for node in dag.nodes() {
-            if let OpKind::Input { .. } = &node.kind {
-                if node.id != x_id {
-                    for &c in &keys {
-                        if let Some(b) = store.get(node.id, c) {
-                            emptied.insert(node.id, c, Arc::clone(b));
-                        }
-                    }
-                }
-            }
+        for (node, c) in store.keys().filter(|(n, _)| *n != x_id) {
+            emptied.insert(node, c, Arc::clone(store.get(node, c).unwrap()));
         }
-        let ctx = KernelCtx::new(&dag, &ops, Some(mm), 0..2, &emptied);
-        for &(bi, bj) in &keys {
-            assert!(!ctx.has_support(root, bi, bj));
+        let program = BlockProgram::compile(&dag, &ops, Some(mm), root);
+        let task = program.bind(&emptied, 0..2);
+        let tile = Footprint::product(0..4, 0..4);
+        for c in tile.coords() {
+            assert!(!task.has_support(c));
         }
+        assert!(task.supported(&tile).is_empty());
+        // With X present, the supported blocks are exactly X's.
+        let full = program.bind(&store, 0..2);
+        let x_blocks: Vec<Coord> = store
+            .keys()
+            .filter(|(n, _)| *n == x_id)
+            .map(|k| k.1)
+            .collect();
+        assert_eq!(full.supported(&tile), x_blocks);
     }
 
     #[test]
@@ -615,14 +1366,15 @@ mod tests {
         let (dag, ops, _root, mm, store, _) = setup();
         // Evaluate the matmul on two k-slices; their sum must equal the
         // full-range evaluation.
-        let mut full = KernelCtx::new(&dag, &ops, Some(mm), 0..2, &store);
-        let mut lo = KernelCtx::new(&dag, &ops, Some(mm), 0..1, &store);
-        let mut hi = KernelCtx::new(&dag, &ops, Some(mm), 1..2, &store);
+        let program = BlockProgram::compile(&dag, &ops, Some(mm), mm);
+        let mut full = program.bind(&store, 0..2);
+        let mut lo = program.bind(&store, 0..1);
+        let mut hi = program.bind(&store, 1..2);
         for bi in 0..4 {
             for bj in 0..4 {
-                let f = full.eval(mm, bi, bj).unwrap().to_dense();
-                let a = lo.eval(mm, bi, bj).unwrap().to_dense();
-                let b = hi.eval(mm, bi, bj).unwrap().to_dense();
+                let f = full.eval((bi, bj)).unwrap().to_dense();
+                let a = lo.eval((bi, bj)).unwrap().to_dense();
+                let b = hi.eval((bi, bj)).unwrap().to_dense();
                 for ((x, y), z) in f.data().iter().zip(a.data()).zip(b.data()) {
                     assert!((x - (y + z)).abs() < 1e-9);
                 }
@@ -633,23 +1385,22 @@ mod tests {
     #[test]
     fn mm_override_used_in_stage_two() {
         let (dag, ops, root, mm, store, expected) = setup();
-        // Precompute full mm blocks, then hand them to a stage-2 context
+        // Precompute full mm blocks, then hand them to a stage-2 program
         // with an empty k-range: results must still be correct.
-        let mut pre = KernelCtx::new(&dag, &ops, Some(mm), 0..2, &store);
-        let mut agg: HashMap<(usize, usize), Arc<Block>> = HashMap::new();
+        let mm_program = BlockProgram::compile(&dag, &ops, Some(mm), mm);
+        let mut pre = mm_program.bind(&store, 0..2);
+        let mut agg = MmBlocks::new();
         for bi in 0..4 {
             for bj in 0..4 {
-                agg.insert((bi, bj), pre.eval(mm, bi, bj).unwrap());
+                agg.insert((bi, bj), pre.eval((bi, bj)).unwrap());
             }
         }
-        let mut stage2 = KernelCtx::new(&dag, &ops, Some(mm), 0..0, &store).with_mm_override(&agg);
+        let program = BlockProgram::compile(&dag, &ops, Some(mm), root);
+        let mut stage2 = program.bind(&store, 0..0).with_mm_override(&agg);
         for bi in 0..4 {
             for bj in 0..4 {
-                let got = stage2.eval(root, bi, bj).unwrap().to_dense();
-                let want = expected.block_or_zero(bi, bj).to_dense();
-                for (a, b) in got.data().iter().zip(want.data()) {
-                    assert!((a - b).abs() < 1e-9);
-                }
+                let got = stage2.eval((bi, bj)).unwrap();
+                assert_close(&got, &expected.block_or_zero(bi, bj));
             }
         }
     }
@@ -662,7 +1413,7 @@ mod tests {
         k_range: Range<usize>,
         root: NodeId,
         out: Footprint,
-    ) -> BTreeSet<(NodeId, (usize, usize))> {
+    ) -> BTreeSet<(NodeId, Coord)> {
         footprints(dag, ops, Some(mm), k_range, root, out)
             .into_iter()
             .flat_map(|(n, fp)| fp.coords().map(move |c| (n, c)).collect::<Vec<_>>())
@@ -703,7 +1454,8 @@ mod tests {
 
     #[test]
     fn memoization_reuses_diamond_values() {
-        // (X×S)ᵀ×X-style reuse: X read twice, evaluated once per block.
+        // A node read twice inside the plan is one instruction: computed
+        // once per block.
         let bs = 4;
         let x = gen::dense_uniform(8, 8, bs, 0.0, 1.0, 7).unwrap();
         let mut b = DagBuilder::new();
@@ -716,12 +1468,54 @@ mod tests {
         for (bi, bj, blk) in x.iter_blocks() {
             store.insert(xe.id(), (bi, bj), Arc::clone(blk));
         }
-        let mut ctx = KernelCtx::new(&dag, &ops, None, 0..0, &store);
-        let v = ctx.eval(dbl.id(), 0, 0).unwrap();
+        let program = BlockProgram::compile(&dag, &ops, None, dbl.id());
+        let mut task = program.bind(&store, 0..0);
+        let v = task.eval((0, 0)).unwrap();
         let direct = x.block_or_zero(0, 0).map(UnaryOp::Square);
         let expect = direct.zip(&direct, BinOp::Add).unwrap();
         assert_eq!(v.to_dense(), expect.to_dense());
-        // Memo holds sq at (0,0) exactly once.
-        assert!(ctx.memo.contains_key(&(sq.id(), 0, 0)));
+        // Load X, square, add: sq has one slot with two readers.
+        let instrs = &program.region.instrs;
+        assert_eq!(instrs.len(), 3);
+        assert_eq!(instrs[1].uses, 2);
+    }
+
+    #[test]
+    fn gated_chain_is_deferred_and_transposes_are_memoized() {
+        let (dag, ops, root, mm, _, _) = setup();
+        let program = BlockProgram::compile(&dag, &ops, Some(mm), root);
+        // X, the multiplication, +eps and log; the chain waits for X.
+        let instrs = &program.region.instrs;
+        let deferred = instrs.iter().filter(|i| i.deferred).count();
+        assert_eq!((instrs.len(), deferred), (5, 2));
+        // t(V) is a multiplication operand with a program of its own; U
+        // comes straight from the store.
+        let Some(Op::MatMul(m)) = instrs
+            .iter()
+            .map(|i| &i.op)
+            .find(|o| matches!(o, Op::MatMul(_)))
+        else {
+            panic!("no multiplication");
+        };
+        assert!(matches!(m.left, Operand::Load(_)));
+        assert!(matches!(m.right, Operand::Program(_)));
+    }
+
+    #[test]
+    fn store_keeps_blocks_sorted_per_node() {
+        let blk = |v: f64| Arc::new(Block::Dense(DenseBlock::filled(1, 1, v)));
+        let mut s = LocalStore::new();
+        s.insert(3, (1, 0), blk(1.0));
+        s.insert(1, (0, 1), blk(2.0));
+        s.insert(3, (0, 2), blk(3.0));
+        s.insert(3, (1, 0), blk(4.0));
+        let keys: Vec<_> = s.keys().collect();
+        assert_eq!(keys, vec![(1, (0, 1)), (3, (0, 2)), (3, (1, 0))]);
+        assert_eq!(s.get(3, (1, 0)).unwrap().get(0, 0), 4.0);
+        assert_eq!((s.len(), s.total_bytes(), s.node_bytes(3)), (3, 24, 16));
+        let nb = s.node(3).unwrap();
+        assert_eq!(nb.row(1, &(0..5)).collect::<Vec<_>>(), vec![0]);
+        assert_eq!(nb.col(2, &(0..5)).collect::<Vec<_>>(), vec![0]);
+        assert_eq!(nb.col(2, &(1..5)).count(), 0);
     }
 }

@@ -3,10 +3,12 @@
 //! Everything executes on the `fuseme-sim` simulated cluster and reuses one
 //! shared machinery:
 //!
-//! * [`kernel`] — the fused-kernel interpreter. Given a task's local block
-//!   store it evaluates a partial fusion plan per output block *without
-//!   materializing intermediate matrices*, exploits sparsity by skipping
-//!   output blocks whose gate is empty; its routing mirror computes the
+//! * [`kernel`] — fused kernels as block programs. Each exec unit lowers
+//!   its partial fusion plan once into a topologically ordered program over
+//!   reusable slots plus a compiled support rule; each task then computes
+//!   its output blocks *without materializing intermediate matrices*,
+//!   visiting only the blocks a sparse gate lets through, found from the
+//!   blocks present in its local store. Its routing mirror computes the
 //!   input blocks a whole task needs in closed form, once per plan node.
 //! * [`fused_op`] — the three distributed fused operators: the paper's CFO
 //!   (cuboid `(P,Q,R)` partitioning, two-stage execution when `R > 1`), and
@@ -24,4 +26,4 @@ pub mod kernel;
 
 pub use driver::{execute_plan, EngineStats, ExecConfig, MatmulStrategy, OptOutcome};
 pub use fused_op::Strategy;
-pub use kernel::{KernelCtx, LocalStore};
+pub use kernel::{BlockProgram, LocalStore};

@@ -1,0 +1,173 @@
+//! Block programs against the recursive interpreter they replaced.
+//!
+//! Every exec unit lowers its plan once into block programs
+//! (`fuseme_exec::kernel::BlockProgram`) that tasks run from the blocks
+//! present in their stores. The oracle (`common::oracle`) is the plan
+//! interpreted per block, probing support coordinate by coordinate. On
+//! random query DAGs — element-wise, multiplication and aggregation roots
+//! (`sum`, `rowSums`, `colSums`, min, max) — under cuboid (`R = 1` and
+//! `R > 1`), striped, BFO and RFO layouts, and on both the default and the
+//! block-sparse bindings, every task must agree with the oracle on:
+//!
+//! * the supported output coordinates of its tile, in tile order;
+//! * every output block, stage-1 partial and aggregation partial, bit for
+//!   bit: same format, same pattern, same `to_bits` of every value
+//!   (so ±0.0 and NaN count).
+
+use proptest::prelude::*;
+
+mod common;
+
+use common::oracle::{self, KernelCtx};
+use common::{both_bindings, plans, random_kernel_dag, values_for};
+use fuseme_exec::fused_op::{group_partials, route, task_layout, Layout, UnitKernel};
+use fuseme_exec::kernel::{BlockProgram, MmBlocks};
+use fuseme_exec::{LocalStore, Strategy};
+use fuseme_fusion::optimizer::Pqr;
+use fuseme_fusion::plan::PartialPlan;
+use fuseme_plan::{OpKind, QueryDag};
+use fuseme_sim::{Cluster, ClusterConfig, SimError};
+
+/// Outputs agree when both succeed bit-identically or both fail.
+fn check<T>(
+    got: &Result<T, SimError>,
+    want: &Result<T, SimError>,
+    cmp: impl Fn(&T, &T) -> Option<String>,
+) -> Result<(), String> {
+    match (got, want) {
+        (Ok(g), Ok(w)) => cmp(g, w).map_or(Ok(()), Err),
+        (Err(_), Err(_)) => Ok(()),
+        (Ok(_), Err(e)) => Err(format!("program succeeded, oracle failed: {e}")),
+        (Err(e), Ok(_)) => Err(format!("program failed: {e}")),
+    }
+}
+
+/// The supported coordinates of a task's tile, program vs oracle.
+fn check_support(
+    dag: &QueryDag,
+    plan: &PartialPlan,
+    layout: &Layout,
+    program: &BlockProgram,
+    (tile_k, store): (std::ops::Range<usize>, &LocalStore),
+    tile: &fuseme_exec::kernel::Footprint,
+    mm: Option<&MmBlocks>,
+) -> Result<(), String> {
+    let base = program.bind(store, tile_k.clone());
+    let bound = match mm {
+        Some(v) => base.with_mm_override(v),
+        None => base,
+    };
+    let ctx = KernelCtx::new(dag, &plan.ops, layout.main_mm, tile_k, store);
+    let ctx = match mm {
+        Some(v) => ctx.with_mm_override(v),
+        None => ctx,
+    };
+    let want: Vec<_> = tile
+        .coords()
+        .filter(|&(bi, bj)| ctx.has_support(layout.compute_node, bi, bj))
+        .collect();
+    let got = bound.supported(tile);
+    if got == want {
+        Ok(())
+    } else {
+        Err(format!("supported {got:?}, want {want:?}"))
+    }
+}
+
+/// Runs every task of `plan` under `strategy` through the unit kernel and
+/// the oracle, stage by stage.
+fn compare_unit(
+    cluster: &Cluster,
+    dag: &QueryDag,
+    plan: &PartialPlan,
+    values: &fuseme_exec::fused_op::ValueMap,
+    strategy: &Strategy,
+) -> Result<(), String> {
+    let layout = task_layout(cluster, dag, plan, values, strategy);
+    let stores = route(dag, plan, values, &layout);
+    let kernel = UnitKernel::compile(dag, plan, &layout);
+    let program = BlockProgram::compile(dag, &plan.ops, layout.main_mm, layout.compute_node);
+    let mut partials = Vec::new();
+    for (t, (task, store)) in layout.tasks.iter().zip(&stores).enumerate() {
+        let at = |e: String| format!("stage-1 task {t}: {e}");
+        check_support(
+            dag,
+            plan,
+            &layout,
+            &program,
+            (task.k_range.clone(), store),
+            &task.out,
+            None,
+        )
+        .map_err(at)?;
+        let got = kernel.stage1(task, store);
+        let want = oracle::stage1(dag, plan, &layout, task, store);
+        check(&got, &want, oracle::diff).map_err(at)?;
+        match got {
+            Ok(out) => partials.push(out),
+            Err(_) => return Ok(()),
+        }
+    }
+    if layout.r <= 1 {
+        return Ok(());
+    }
+    let (grouped, _) = group_partials(&layout, partials).map_err(|e| e.to_string())?;
+    for task in layout.tasks.iter().filter(|t| t.is_reducer) {
+        let at = |e: String| format!("stage-2 group {}: {e}", task.group);
+        let store = &stores[task.id];
+        let mm = grouped.get(&task.group);
+        check_support(dag, plan, &layout, &program, (0..0, store), &task.out, mm).map_err(at)?;
+        let got = kernel.stage2(task, store, mm);
+        let want = oracle::stage2(dag, plan, &layout, task, store, mm);
+        check(&got, &want, oracle::diff).map_err(at)?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn block_programs_match_interpreter(
+        ops in proptest::collection::vec(0u8..16, 1..12),
+        gate in proptest::bool::ANY,
+        root in 0u8..8,
+        seed in 0u64..10_000,
+        p in 1usize..6,
+        q in 1usize..6,
+        r in 2usize..5,
+        partition_bytes in 64u64..8192,
+        slots in 1usize..6,
+    ) {
+        let dag = random_kernel_dag(&ops, gate, root);
+        let mut cc = ClusterConfig::test_small();
+        cc.tasks_per_node = slots;
+        cc.partition_bytes = partition_bytes;
+        cc.mem_per_task = 256 << 20;
+        let cluster = Cluster::new(cc);
+        let strategies = [
+            Strategy::Cuboid { pqr: Pqr { p, q, r: 1 } },
+            Strategy::Cuboid { pqr: Pqr { p, q, r } },
+            Strategy::Broadcast { partition_bytes },
+            Strategy::Replication,
+        ];
+        for plan in plans(&dag, &cluster) {
+            // Nodes that fold into an aggregation inside a plan are not
+            // executable; the driver never builds such plans.
+            if plan.ops.iter().any(|&n| n != plan.root && matches!(
+                dag.node(n).kind,
+                OpKind::FullAgg(_) | OpKind::RowAgg(_) | OpKind::ColAgg(_)
+            )) {
+                continue;
+            }
+            for binds in both_bindings(seed) {
+                let values = values_for(&dag, &plan, &binds, seed);
+                for strategy in &strategies {
+                    if let Err(e) = compare_unit(&cluster, &dag, &plan, &values, strategy) {
+                        prop_assert!(false, "{}\n{:?} on plan {:?}\n{}", e, strategy, plan, dag);
+                    }
+                }
+            }
+        }
+    }
+}

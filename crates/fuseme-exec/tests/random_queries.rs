@@ -13,7 +13,7 @@ use proptest::prelude::*;
 
 mod common;
 
-use common::{bindings, random_dag};
+use common::{both_bindings, random_dag};
 use fuseme_exec::driver::{execute_plan, ExecConfig, MatmulStrategy};
 use fuseme_exec::fused_op::{execute_fused, ValueMap};
 use fuseme_exec::Strategy;
@@ -40,7 +40,7 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let dag = random_dag(&ops);
-        let binds = bindings(seed);
+        for binds in both_bindings(seed) {
         let reference = evaluate(&dag, &binds).unwrap();
         let want = reference[0].as_matrix().unwrap();
 
@@ -67,6 +67,7 @@ proptest! {
         let plan = FusionPlan::assemble(&dag, vec![]);
         let (roots, _) = execute_plan(&cl, &dag, &plan, &binds, &config).unwrap();
         prop_assert!(roots[0].approx_eq(want, 1e-9), "unfused diverges on\n{dag}");
+        }
     }
 
     /// Operator-level: a whole-query fused plan executed at arbitrary
@@ -97,7 +98,7 @@ proptest! {
         if plan.validate(&dag).is_err() {
             return Ok(()); // interior materialization point: not executable fused
         }
-        let binds = bindings(seed);
+        for binds in both_bindings(seed) {
         let reference = evaluate(&dag, &binds).unwrap();
         let want = reference[0].as_matrix().unwrap();
         let values: ValueMap = dag
@@ -118,5 +119,6 @@ proptest! {
         )
         .unwrap_or_else(|e| panic!("({p},{q},{r}) failed: {e}\n{dag}"));
         prop_assert!(out.approx_eq(want, 1e-9), "({p},{q},{r}) diverges on\n{dag}");
+        }
     }
 }

@@ -6,9 +6,9 @@
 //! over the task's k-slice for the main multiplication and the full common
 //! dimension for nested ones, and collect every external block touched. On
 //! random query DAGs and random layouts (cuboid `(P,Q,R)`, striped task
-//! counts, BFO broadcast sides, RFO), every task's routed store must hold
-//! exactly the oracle's `(node, coord)` keys, each pointing at the input's
-//! own block.
+//! counts, BFO broadcast sides, RFO), under both the default and the
+//! block-sparse bindings, every task's routed store must hold exactly the
+//! oracle's `(node, coord)` keys, each pointing at the input's own block.
 
 use std::collections::{BTreeSet, HashSet};
 use std::ops::Range;
@@ -18,13 +18,11 @@ use proptest::prelude::*;
 
 mod common;
 
-use common::{bindings, random_dag};
-use fuseme_exec::fused_op::{route, task_layout, ValueMap};
-use fuseme_exec::{ExecConfig, MatmulStrategy, Strategy};
-use fuseme_fusion::cfg::Cfg;
+use common::{both_bindings, plans, random_dag, values_for};
+use fuseme_exec::fused_op::{route, task_layout};
+use fuseme_exec::Strategy;
 use fuseme_fusion::optimizer::Pqr;
-use fuseme_fusion::plan::{ExecUnit, PartialPlan};
-use fuseme_matrix::gen;
+use fuseme_fusion::plan::PartialPlan;
 use fuseme_plan::{NodeId, OpKind, QueryDag};
 use fuseme_sim::{Cluster, ClusterConfig};
 
@@ -77,69 +75,6 @@ fn walk(
     }
 }
 
-/// Plans to route: every fused unit CFG picks, every single operator as a
-/// singleton plan, and the whole query when it is one legal plan.
-fn plans(dag: &QueryDag, cluster: &Cluster) -> Vec<PartialPlan> {
-    let config = ExecConfig::for_cluster(cluster, MatmulStrategy::Cfo);
-    let mut out: Vec<PartialPlan> = Cfg::new(config.model)
-        .plan(dag)
-        .units
-        .into_iter()
-        .filter_map(|u| match u {
-            ExecUnit::Fused(p) => Some(p),
-            ExecUnit::Single(_) => None,
-        })
-        .collect();
-    let members: Vec<NodeId> = dag
-        .nodes()
-        .iter()
-        .filter(|n| !n.kind.is_leaf())
-        .map(|n| n.id)
-        .collect();
-    out.extend(
-        members
-            .iter()
-            .map(|&id| PartialPlan::new(BTreeSet::from([id]), id)),
-    );
-    let whole = PartialPlan::new(members.into_iter().collect(), dag.roots()[0]);
-    if whole.validate(dag).is_ok() {
-        out.push(whole);
-    }
-    out
-}
-
-/// Values for a plan's external inputs: the bindings for input leaves, a
-/// seeded sparse matrix of the node's shape for intermediates (routing only
-/// looks at which blocks exist).
-fn values_for(dag: &QueryDag, plan: &PartialPlan, seed: u64) -> ValueMap {
-    let binds = bindings(seed);
-    plan.external_inputs(dag)
-        .into_iter()
-        .filter_map(|id| {
-            let n = dag.node(id);
-            let m = match &n.kind {
-                OpKind::Scalar(_) => return None,
-                OpKind::Input { name } => Arc::clone(&binds[name]),
-                _ => {
-                    let meta = n.meta;
-                    let m = gen::sparse_uniform(
-                        meta.shape.rows,
-                        meta.shape.cols,
-                        meta.block_size,
-                        0.1,
-                        -1.0,
-                        1.0,
-                        seed + id as u64,
-                    )
-                    .unwrap();
-                    Arc::new(m)
-                }
-            };
-            Some((id, m))
-        })
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -163,8 +98,11 @@ proptest! {
             Strategy::Broadcast { partition_bytes },
             Strategy::Replication,
         ];
-        for plan in plans(&dag, &cluster) {
-            let values = values_for(&dag, &plan, seed);
+        for (plan, binds) in plans(&dag, &cluster)
+            .into_iter()
+            .flat_map(|p| both_bindings(seed).map(|b| (p.clone(), b)))
+        {
+            let values = values_for(&dag, &plan, &binds, seed);
             let main_mm = plan.main_matmul(&dag);
             for strategy in &strategies {
                 let layout = task_layout(&cluster, &dag, &plan, &values, strategy);

@@ -209,7 +209,7 @@ fn lower_binary(
         BinaryOp::Pow => BinOp::Pow,
         BinaryOp::NotEq => BinOp::NotEq,
         BinaryOp::Greater => BinOp::Greater,
-        BinaryOp::MatMul => unreachable!("handled above"),
+        BinaryOp::MatMul => return err("%*% requires matrix operands"),
     };
     let ln = as_node(l, builder);
     let rn = as_node(r, builder);

@@ -98,10 +98,9 @@ impl Parser<'_> {
                 }
                 Ok(Stmt::Output(names))
             }
-            Some(Token::Ident(_)) => {
-                let Some(Token::Ident(name)) = self.bump() else {
-                    unreachable!("peeked an identifier")
-                };
+            Some(Token::Ident(name)) => {
+                let name = name.clone();
+                self.pos += 1;
                 match self.bump() {
                     Some(Token::Assign) => {}
                     other => {

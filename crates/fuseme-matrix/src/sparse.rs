@@ -275,15 +275,25 @@ impl SparseBlock {
                 op: "sparse*dense",
             });
         }
-        let mut out = self.clone();
+        Ok(self.map_stored(|r, c, v| v * rhs.get(r, c)))
+    }
+
+    /// A block with `self`'s pattern whose stored values are
+    /// `f(row, col, value)`. Entries stay stored even where `f` returns
+    /// zero, as in [`SparseBlock::mul_dense`].
+    pub fn map_stored(&self, mut f: impl FnMut(usize, usize, f64) -> f64) -> SparseBlock {
+        let mut values = Vec::with_capacity(self.values.len());
         for r in 0..self.rows {
-            let range = self.row_ptr[r]..self.row_ptr[r + 1];
-            for i in range {
-                let c = self.col_idx[i] as usize;
-                out.values[i] = self.values[i] * rhs.get(r, c);
-            }
+            let (cols, vals) = self.row_entries(r);
+            values.extend(cols.iter().zip(vals).map(|(&c, &v)| f(r, c as usize, v)));
         }
-        Ok(out)
+        SparseBlock {
+            rows: self.rows,
+            cols: self.cols,
+            row_ptr: self.row_ptr.clone(),
+            col_idx: self.col_idx.clone(),
+            values,
+        }
     }
 
     /// General element-wise binary against a dense block, producing a dense
