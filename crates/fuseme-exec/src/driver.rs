@@ -28,7 +28,7 @@ use fuseme_sim::{
     SimError,
 };
 
-use crate::fused_op::{execute_fused, Strategy, ValueMap};
+use crate::fused_op::{execute_fused, main_input, Strategy, ValueMap};
 
 /// Engine policy for executing (fused plans containing) matrix
 /// multiplication.
@@ -621,18 +621,7 @@ fn choose_strategy(
         MatmulStrategy::SystemDsRule { partition_bytes } => {
             // BFO when the main matrix repartitions into fewer partitions
             // than the multiplication's I or J extent; RFO otherwise.
-            let main_bytes = plan
-                .external_inputs(dag)
-                .into_iter()
-                .filter(|id| !matches!(dag.node(*id).kind, OpKind::Scalar(_)))
-                .map(|id| {
-                    values
-                        .get(&id)
-                        .map(|m| m.actual_size_bytes())
-                        .unwrap_or_else(|| dag.node(id).meta.size_bytes())
-                })
-                .max()
-                .unwrap_or(1);
+            let main_bytes = main_input(dag, plan, values).map_or(1, |(_, bytes)| bytes);
             let partitions = main_bytes.div_ceil(partition_bytes.max(1));
             let (i, j, _) = mm_dims(dag, mm);
             if partitions < i as u64 || partitions < j as u64 {

@@ -536,10 +536,11 @@ pub fn task_layout(
     let (_, compute_node) = compute_target(dag, plan);
     let grid = dag.node(compute_node).meta.grid();
     let main_mm = plan.main_matmul(dag);
-    let main = match strategy {
+    let (main, main_bytes) = match strategy {
         Strategy::Broadcast { .. } => main_input(dag, plan, values),
         _ => None,
-    };
+    }
+    .unzip();
     let (tasks, r, parity) = match (strategy, main_mm) {
         (Strategy::Cuboid { pqr }, Some(mm)) => cuboid_layout(dag, plan, mm, *pqr, compute_node),
         _ => {
@@ -552,10 +553,7 @@ pub fn task_layout(
                     // partition count (paper §6.2: a sparse main under-
                     // utilizes the cluster); more partitions than slots
                     // simply wave-schedule.
-                    let main_bytes = main
-                        .and_then(|id| values.get(&id))
-                        .map(|m| m.actual_size_bytes())
-                        .unwrap_or(1);
+                    let main_bytes = main_bytes.unwrap_or(1);
                     (main_bytes.div_ceil((*partition_bytes).max(1)) as usize).clamp(1, nblocks)
                 }
                 _ => {
@@ -603,8 +601,9 @@ pub fn task_layout(
 /// [`footprints`] — the paper's cuboid slices (Eq. 4: `L`-space inputs as
 /// `(P,1,R)`, `R`-space as `(1,Q,R)`, `O`-space as `(P,Q,1)`) for cuboid
 /// tiles, exact block lists through element-wise paths for stripes. Only
-/// in-bounds blocks present in the input are routed; broadcast inputs go
-/// whole to every task.
+/// blocks present in the input are routed, found by walking each input's
+/// block list ([`Footprint::present`]) rather than probing every footprint
+/// coordinate; broadcast inputs go whole to every task.
 pub fn route(
     dag: &QueryDag,
     plan: &PartialPlan,
@@ -626,23 +625,14 @@ pub fn route(
             if layout.broadcast.contains(&node) {
                 continue; // routed whole below
             }
-            let Some(m) = values.get(&node) else {
-                continue;
-            };
-            let g = m.meta().grid();
-            for (bi, bj) in fp.coords() {
-                if bi < g.block_rows && bj < g.block_cols {
-                    if let Some(b) = m.block(bi, bj) {
-                        store.insert(node, (bi, bj), Arc::clone(b));
-                    }
-                }
+            if let Some(m) = values.get(&node) {
+                let blocks = fp.present(m.blocks()).map(|(at, b)| (at, Arc::clone(b)));
+                store.insert(node, blocks.collect());
             }
         }
         for &side in &layout.broadcast {
             if let Some(m) = values.get(&side) {
-                for (bi, bj, b) in m.iter_blocks() {
-                    store.insert(side, (bi, bj), Arc::clone(b));
-                }
+                store.insert(side, m.blocks().clone());
             }
         }
         stores.push(store);
@@ -805,18 +795,20 @@ fn coordinate_parity(
     Ok(parity)
 }
 
-/// The plan input with the largest materialized footprint — BFO's "main"
-/// matrix, which is repartitioned rather than broadcast.
-fn main_input(dag: &QueryDag, plan: &PartialPlan, values: &ValueMap) -> Option<NodeId> {
+/// BFO's "main" matrix and its bytes: the non-scalar plan input with the
+/// largest materialized footprint (the last of equals), which is
+/// repartitioned rather than broadcast. Every external input is in
+/// `values` when a unit runs.
+pub(crate) fn main_input(
+    dag: &QueryDag,
+    plan: &PartialPlan,
+    values: &ValueMap,
+) -> Option<(NodeId, u64)> {
     plan.external_inputs(dag)
         .into_iter()
         .filter(|id| !matches!(dag.node(*id).kind, OpKind::Scalar(_)))
-        .max_by_key(|id| {
-            values
-                .get(id)
-                .map(|m| m.actual_size_bytes())
-                .unwrap_or_else(|| fuseme_fusion::cost::size_bytes(dag, *id))
-        })
+        .filter_map(|id| values.get(&id).map(|m| (id, m.actual_size_bytes())))
+        .max_by_key(|&(_, bytes)| bytes)
 }
 
 /// The `(P,Q,R)` a strategy is equivalent to in the paper's cost model
@@ -900,10 +892,11 @@ fn merge_partial(
     Ok(())
 }
 
-/// Collects task outputs into the plan root's matrix. Aggregation partials
-/// from different tasks combine with the aggregation operator; every
-/// partial except the combiner-local first contribution per slot is charged
-/// to the aggregation phase.
+/// Collects task outputs into the plan root's matrix, whose block list is
+/// built once from every output block. Aggregation partials from different
+/// tasks combine with the aggregation operator; every partial except the
+/// combiner-local first contribution per slot is charged to the
+/// aggregation phase.
 fn assemble(
     cluster: &Cluster,
     dag: &QueryDag,
@@ -911,8 +904,7 @@ fn assemble(
     agg_kind: Option<(AggOp, AggShape)>,
     outputs: Vec<TaskOut>,
 ) -> Result<Arc<BlockedMatrix>, SimError> {
-    let root_meta = dag.node(plan.root).meta;
-    let mut result = BlockedMatrix::zeros(root_meta).map_err(|e| SimError::Task(e.to_string()))?;
+    let mut result = Vec::new();
     let mut agg_slots: HashMap<(usize, usize), Arc<Block>> = HashMap::new();
     let mut shuffled = 0u64;
     for out in outputs {
@@ -926,9 +918,7 @@ fn assemble(
                 None => {
                     // Consolidation boundary: re-compact so the next unit's
                     // shuffled replica bytes reflect the block's actual nnz.
-                    result
-                        .set_block(bi, bj, (*block).clone().compact())
-                        .map_err(|e| SimError::Task(e.to_string()))?;
+                    result.push(((bi, bj), Arc::new((*block).clone().compact())));
                 }
                 Some((op, _)) => match agg_slots.remove(&(bi, bj)) {
                     None => {
@@ -961,12 +951,14 @@ fn assemble(
             span.set(fuseme_obs::keys::BYTES, shuffled);
             span.set(fuseme_obs::keys::TASKS, 0u64);
         }
-        for ((bi, bj), block) in agg_slots {
-            result
-                .set_block(bi, bj, (*block).clone().compact())
-                .map_err(|e| SimError::Task(e.to_string()))?;
-        }
+        result.extend(
+            agg_slots
+                .into_iter()
+                .map(|(at, block)| (at, Arc::new((*block).clone().compact()))),
+        );
     }
+    let mut result = BlockedMatrix::from_blocks(dag.node(plan.root).meta, result)
+        .map_err(|e| SimError::Task(e.to_string()))?;
     result.refresh_density();
     Ok(Arc::new(result))
 }

@@ -23,6 +23,10 @@
 //!   the output, and a multiplication walks only the `k`s present on
 //!   both sides, in increasing `k`.
 //!
+//! A task's [`LocalStore`] keeps one [`BlockList`] per plan node, the same
+//! sorted list a `BlockedMatrix` keeps its blocks in, so a multiplication's
+//! `k` walks are that list's row and column walks.
+//!
 //! [`BlockProgram::bind`] attaches a compiled program to one task's store
 //! and k-slice. Results are bit-identical to evaluating the plan recursively
 //! per block with [`Block`]'s own operators: every element sees the same
@@ -34,9 +38,11 @@
 //! transpose swaps them, a multiplication reads its row band of the left
 //! input and column band of the right over its k-slice — once per plan
 //! node to a whole task's output tile, and yields each input's needed
-//! blocks as a few row × column products or exact lists. It is deliberately
-//! *not* sparsity-pruned: consolidation ships whole cuboid slices, matching
-//! the paper's partition-granular communication.
+//! blocks as a few row × column products or exact lists, which
+//! [`Footprint::present`] resolves against the input's block list. It is
+//! deliberately *not* sparsity-pruned: consolidation ships whole cuboid
+//! slices (every present block in them), matching the paper's
+//! partition-granular communication.
 //!
 //! The main matrix multiplication sums over the task's `k`-slice only; with
 //! `R > 1` that produces a *partial* result which the aggregation stage
@@ -46,14 +52,11 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use fuseme_matrix::{BinOp, Block, DenseBlock, MatrixMeta, SparseBlock, UnaryOp};
+use fuseme_matrix::{BinOp, Block, BlockList, Coord, DenseBlock, MatrixMeta, SparseBlock, UnaryOp};
 use fuseme_plan::{NodeId, OpKind, QueryDag};
 use fuseme_sim::SimError;
-
-/// Block coordinate `(row, col)` in a node's grid.
-type Coord = (usize, usize);
 
 /// Aggregated main-multiplication blocks of one `(p,q)` group (stage 2).
 pub type MmBlocks = HashMap<Coord, Arc<Block>>;
@@ -66,82 +69,15 @@ fn swap_if(swap: bool, (i, j): Coord) -> Coord {
     }
 }
 
-/// One node's blocks in a task's store, sorted row-major by coordinate.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct NodeBlocks {
-    coords: Vec<Coord>,
-    blocks: Vec<Arc<Block>>,
-    bytes: u64,
-    /// Positions into `coords` in column-major order, built by the first
-    /// column walk.
-    by_col: OnceLock<Vec<u32>>,
-}
-
-impl NodeBlocks {
-    fn insert(&mut self, coord: Coord, block: Arc<Block>) {
-        self.bytes += block.size_bytes();
-        self.by_col = OnceLock::new();
-        // Routing inserts product terms row-major, so appends dominate.
-        if self.coords.last().is_none_or(|&last| last < coord) {
-            self.coords.push(coord);
-            self.blocks.push(block);
-            return;
-        }
-        match self.coords.binary_search(&coord) {
-            Ok(at) => {
-                self.bytes -= self.blocks[at].size_bytes();
-                self.blocks[at] = block;
-            }
-            Err(at) => {
-                self.coords.insert(at, coord);
-                self.blocks.insert(at, block);
-            }
-        }
-    }
-
-    fn get(&self, coord: Coord) -> Option<&Arc<Block>> {
-        let at = self.coords.binary_search(&coord).ok()?;
-        Some(&self.blocks[at])
-    }
-
-    /// The columns `k ∈ ks` present in row `i`, ascending.
-    fn row(&self, i: usize, ks: &Range<usize>) -> impl Iterator<Item = usize> + '_ {
-        let lo = self.coords.partition_point(|&c| c < (i, ks.start));
-        let hi = self.coords.partition_point(|&c| c < (i, ks.end));
-        self.coords[lo..hi.max(lo)].iter().map(|c| c.1)
-    }
-
-    /// The rows `k ∈ ks` present in column `j`, ascending.
-    fn col(&self, j: usize, ks: &Range<usize>) -> impl Iterator<Item = usize> + '_ {
-        let order = self.by_col.get_or_init(|| {
-            let mut order: Vec<u32> = (0..self.coords.len() as u32).collect();
-            order.sort_unstable_by_key(|&p| {
-                let (r, c) = self.coords[p as usize];
-                (c, r)
-            });
-            order
-        });
-        let key = |p: &u32| {
-            let (r, c) = self.coords[*p as usize];
-            (c, r)
-        };
-        let lo = order.partition_point(|p| key(p) < (j, ks.start));
-        let hi = order.partition_point(|p| key(p) < (j, ks.end));
-        order[lo..hi.max(lo)]
-            .iter()
-            .map(|&p| self.coords[p as usize].0)
-    }
-}
-
 /// A task's local collection of input blocks, keyed by the plan node that
 /// produced them (input leaf or materialized intermediate) and then by grid
-/// coordinate. Each node keeps a coordinate-sorted list, so the store holds
-/// memory in proportion to the blocks present and looks blocks up without
-/// hashing.
+/// coordinate. Each node keeps one [`BlockList`], the same sorted list a
+/// matrix stores its blocks in, so the store holds memory in proportion to
+/// the blocks present and looks blocks up without hashing.
 #[derive(Debug, Default, Clone)]
 pub struct LocalStore {
     /// Sorted by node id.
-    nodes: Vec<(NodeId, NodeBlocks)>,
+    nodes: Vec<(NodeId, BlockList)>,
 }
 
 impl LocalStore {
@@ -150,18 +86,21 @@ impl LocalStore {
         LocalStore::default()
     }
 
-    /// Installs a block for `(node, coord)`, replacing any block already
-    /// there.
-    pub fn insert(&mut self, node: NodeId, coord: Coord, block: Arc<Block>) {
-        let at = self.nodes.partition_point(|(n, _)| *n < node);
-        if self.nodes.get(at).is_none_or(|(n, _)| *n != node) {
-            self.nodes.insert(at, (node, NodeBlocks::default()));
+    /// Installs `blocks` as everything held for `node`, replacing what was
+    /// held; an empty list holds nothing.
+    pub fn insert(&mut self, node: NodeId, blocks: BlockList) {
+        if blocks.is_empty() {
+            return;
         }
-        self.nodes[at].1.insert(coord, block);
+        let at = self.nodes.partition_point(|(n, _)| *n < node);
+        match self.nodes.get_mut(at) {
+            Some((n, held)) if *n == node => *held = blocks,
+            _ => self.nodes.insert(at, (node, blocks)),
+        }
     }
 
     /// The blocks held for `node`, if any.
-    pub(crate) fn node(&self, node: NodeId) -> Option<&NodeBlocks> {
+    pub(crate) fn node(&self, node: NodeId) -> Option<&BlockList> {
         let at = self.nodes.binary_search_by_key(&node, |(n, _)| *n).ok()?;
         Some(&self.nodes[at].1)
     }
@@ -175,28 +114,18 @@ impl LocalStore {
     pub fn keys(&self) -> impl Iterator<Item = (NodeId, Coord)> + '_ {
         self.nodes
             .iter()
-            .flat_map(|(n, nb)| nb.coords.iter().map(move |&c| (*n, c)))
+            .flat_map(|(n, nb)| nb.coords().iter().map(move |&c| (*n, c)))
     }
 
     /// Total bytes held (= what consolidation shipped to this task).
     pub fn total_bytes(&self) -> u64 {
-        self.nodes.iter().map(|(_, nb)| nb.bytes).sum()
+        self.nodes.iter().map(|(_, nb)| nb.size_bytes()).sum()
     }
 
     /// Bytes held for one input node (= that input's share of the task's
     /// consolidation traffic; what a replica-cache hit avoids re-shipping).
     pub fn node_bytes(&self, node: NodeId) -> u64 {
-        self.node(node).map_or(0, |nb| nb.bytes)
-    }
-
-    /// Number of blocks held.
-    pub fn len(&self) -> usize {
-        self.nodes.iter().map(|(_, nb)| nb.coords.len()).sum()
-    }
-
-    /// `true` when no blocks are held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.node(node).map_or(0, BlockList::size_bytes)
     }
 }
 
@@ -705,7 +634,7 @@ impl BlockProgram {
 
 /// What a program reads at run time.
 struct Bound<'s> {
-    loads: Vec<Option<&'s NodeBlocks>>,
+    loads: Vec<Option<&'s BlockList>>,
     k_range: Range<usize>,
     mm_override: Option<&'s MmBlocks>,
 }
@@ -1029,9 +958,9 @@ impl<'s> TaskProgram<'s> {
             let Some(nb) = self.bound.loads[load] else {
                 return Vec::new();
             };
-            if nb.coords.len() < tile.len() {
+            if nb.len() < tile.len() {
                 let mut out: Vec<Coord> = nb
-                    .coords
+                    .coords()
                     .iter()
                     .map(|&c| swap_if(swap, c))
                     .filter(|&c| tile.contains(c) && sup.holds(&self.bound, c))
@@ -1132,6 +1061,30 @@ impl Footprint {
                     .flat_map(|(r, c)| r.iter().flat_map(move |&i| c.iter().map(move |&j| (i, j)))),
             )
         })
+    }
+
+    /// The blocks of `list` at the footprint's coordinates, term by term: a
+    /// product walks each row's present blocks over the term's column span,
+    /// an exact list looks each coordinate up. Overlapping terms repeat
+    /// blocks.
+    pub fn present<'a>(
+        &'a self,
+        list: &'a BlockList,
+    ) -> impl Iterator<Item = (Coord, &'a Arc<Block>)> {
+        self.terms
+            .iter()
+            .flat_map(move |t| -> Box<dyn Iterator<Item = _>> {
+                match t {
+                    Term::Blocks(b) => Box::new(
+                        b.iter()
+                            .filter_map(move |&at| list.get(at).map(|x| (at, x))),
+                    ),
+                    Term::Product(rows, cols) => Box::new(rows.iter().flat_map(move |&i| {
+                        list.range((i, cols[0]), (i, cols[cols.len() - 1] + 1))
+                            .filter(move |((_, j), _)| cols.binary_search(j).is_ok())
+                    })),
+                }
+            })
     }
 
     /// Number of coordinates [`Footprint::coords`] yields.
@@ -1289,9 +1242,7 @@ mod tests {
 
         let mut store = LocalStore::new();
         for (m, id) in [(&x, xe.id()), (&u, ue.id()), (&v, ve.id())] {
-            for (bi, bj, blk) in m.iter_blocks() {
-                store.insert(id, (bi, bj), Arc::clone(blk));
-            }
+            store.insert(id, m.blocks().clone());
         }
         let expected = {
             let uvt = u.matmul(&v.transpose().unwrap()).unwrap();
@@ -1341,8 +1292,8 @@ mod tests {
             .unwrap()
             .id;
         let mut emptied = LocalStore::new();
-        for (node, c) in store.keys().filter(|(n, _)| *n != x_id) {
-            emptied.insert(node, c, Arc::clone(store.get(node, c).unwrap()));
+        for (node, _) in store.keys().filter(|(n, _)| *n != x_id) {
+            emptied.insert(node, store.node(node).unwrap().clone());
         }
         let program = BlockProgram::compile(&dag, &ops, Some(mm), root);
         let task = program.bind(&emptied, 0..2);
@@ -1465,9 +1416,7 @@ mod tests {
         let dag = b.finish(vec![dbl]);
         let ops = BTreeSet::from([sq.id(), dbl.id()]);
         let mut store = LocalStore::new();
-        for (bi, bj, blk) in x.iter_blocks() {
-            store.insert(xe.id(), (bi, bj), Arc::clone(blk));
-        }
+        store.insert(xe.id(), x.blocks().clone());
         let program = BlockProgram::compile(&dag, &ops, None, dbl.id());
         let mut task = program.bind(&store, 0..0);
         let v = task.eval((0, 0)).unwrap();
@@ -1505,14 +1454,24 @@ mod tests {
     fn store_keeps_blocks_sorted_per_node() {
         let blk = |v: f64| Arc::new(Block::Dense(DenseBlock::filled(1, 1, v)));
         let mut s = LocalStore::new();
-        s.insert(3, (1, 0), blk(1.0));
-        s.insert(1, (0, 1), blk(2.0));
-        s.insert(3, (0, 2), blk(3.0));
-        s.insert(3, (1, 0), blk(4.0));
+        s.insert(
+            3,
+            [((1, 0), blk(1.0)), ((0, 2), blk(3.0))]
+                .into_iter()
+                .collect(),
+        );
+        s.insert(1, [((0, 1), blk(2.0))].into_iter().collect());
+        s.insert(
+            3,
+            [((1, 0), blk(1.0)), ((0, 2), blk(3.0)), ((1, 0), blk(4.0))]
+                .into_iter()
+                .collect(),
+        );
+        s.insert(2, BlockList::default());
         let keys: Vec<_> = s.keys().collect();
         assert_eq!(keys, vec![(1, (0, 1)), (3, (0, 2)), (3, (1, 0))]);
         assert_eq!(s.get(3, (1, 0)).unwrap().get(0, 0), 4.0);
-        assert_eq!((s.len(), s.total_bytes(), s.node_bytes(3)), (3, 24, 16));
+        assert_eq!((s.total_bytes(), s.node_bytes(3)), (24, 16));
         let nb = s.node(3).unwrap();
         assert_eq!(nb.row(1, &(0..5)).collect::<Vec<_>>(), vec![0]);
         assert_eq!(nb.col(2, &(0..5)).collect::<Vec<_>>(), vec![0]);

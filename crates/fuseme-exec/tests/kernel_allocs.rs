@@ -10,7 +10,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use fuseme_exec::kernel::{BlockProgram, Footprint};
 use fuseme_exec::LocalStore;
@@ -66,9 +65,7 @@ fn nmf_chain_allocates_five_times_per_output_block() {
     let ops = BTreeSet::from([vt.id(), mm.id(), add.id(), lg.id(), out.id()]);
     let mut store = LocalStore::new();
     for (m, id) in [(&x, xe.id()), (&u, ue.id()), (&v, ve.id())] {
-        for (bi, bj, blk) in m.iter_blocks() {
-            store.insert(id, (bi, bj), Arc::clone(blk));
-        }
+        store.insert(id, m.blocks().clone());
     }
 
     let program = BlockProgram::compile(&dag, &ops, Some(mm.id()), out.id());

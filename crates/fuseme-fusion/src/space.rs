@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 use fuseme_plan::{NodeId, QueryDag};
 use serde::{Deserialize, Serialize};
 
-use crate::plan::PartialPlan;
+use crate::plan::{reaches_via_consumers, PartialPlan};
 
 /// Which subspace a region occupies relative to its parent multiplication.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -218,7 +218,7 @@ fn build_region(
                     // consumer edges inside the region.
                     !matmuls
                         .iter()
-                        .any(|&other| other != m && reachable_via_consumers(dag, region, m, other))
+                        .any(|&other| other != m && reaches_via_consumers(dag, region, m, other))
                 })
                 .collect();
             topmost
@@ -331,32 +331,6 @@ fn upstream_within(dag: &QueryDag, region: &BTreeSet<NodeId>, from: NodeId) -> B
         }
     }
     out
-}
-
-/// `true` if `to` is reachable from `from` following consumer edges while
-/// staying inside `region`.
-fn reachable_via_consumers(
-    dag: &QueryDag,
-    region: &BTreeSet<NodeId>,
-    from: NodeId,
-    to: NodeId,
-) -> bool {
-    let mut stack = vec![from];
-    let mut seen = BTreeSet::new();
-    while let Some(id) = stack.pop() {
-        if !seen.insert(id) {
-            continue;
-        }
-        for &c in dag.consumers(id) {
-            if c == to {
-                return true;
-            }
-            if region.contains(&c) {
-                stack.push(c);
-            }
-        }
-    }
-    false
 }
 
 #[cfg(test)]

@@ -296,26 +296,6 @@ impl DenseBlock {
         Ok(out)
     }
 
-    /// Dot product of row `i` of `self` with column `j` of `rhs`.
-    ///
-    /// This is the kernel behind sparsity exploitation (paper Fig. 1(a)):
-    /// a fused operator computes only the output cells backed by a non-zero
-    /// of the sparse driver, each as one row-by-column dot product.
-    pub fn dot_row_col(&self, i: usize, rhs: &DenseBlock, j: usize) -> Result<f64> {
-        if self.cols != rhs.rows {
-            return Err(Error::GemmMismatch {
-                left_cols: self.cols,
-                right_rows: rhs.rows,
-            });
-        }
-        let row = self.row(i);
-        let mut acc = 0.0;
-        for (k, &a) in row.iter().enumerate() {
-            acc += a * rhs.data[k * rhs.cols + j];
-        }
-        Ok(acc)
-    }
-
     /// Full aggregation to a scalar. A degenerate extent aggregates to the
     /// implicit zero, never the fold identity (±inf for `Min`/`Max`).
     pub fn agg(&self, op: AggOp) -> f64 {
@@ -513,18 +493,6 @@ mod tests {
             a.gemm_acc_tiled(&b2, &mut bad_out),
             Err(Error::DimMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn dot_row_col_matches_gemm() {
-        let a = blk(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let b = blk(3, 2, &[7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        let c = a.gemm(&b).unwrap();
-        for i in 0..2 {
-            for j in 0..2 {
-                assert_eq!(a.dot_row_col(i, &b, j).unwrap(), c.get(i, j));
-            }
-        }
     }
 
     #[test]

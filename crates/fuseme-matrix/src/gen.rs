@@ -113,9 +113,8 @@ pub fn ratings(
     seed: u64,
 ) -> Result<BlockedMatrix> {
     let mut m = sparse_uniform(users, items, block_size, density, 0.5, 5.5, seed)?;
-    // Round values to rating grades.
-    let grid = m.meta().grid();
-    for (bi, bj) in grid.coords() {
+    // Round values to rating grades, replacing each sparse block in place.
+    for (bi, bj) in m.blocks().coords().to_vec() {
         if let Some(b) = m.block(bi, bj) {
             if let Block::Sparse(s) = b.as_ref() {
                 let triples: Vec<_> = s

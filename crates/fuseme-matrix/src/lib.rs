@@ -9,16 +9,19 @@
 //! * [`SparseBlock`] — a CSR tile for sparse matrices,
 //! * [`Block`] — the dynamic dense/sparse union with full per-block kernels
 //!   (element-wise ops, GEMM, transpose, aggregations),
-//! * [`BlockedMatrix`] — a logical matrix as a grid of blocks, where absent
-//!   blocks are implicitly all-zero,
+//! * [`BlockList`] — the present blocks of a matrix, sorted row-major; the
+//!   one block store behind matrices and the executor's task stores,
+//! * [`BlockedMatrix`] — a logical matrix over a grid of blocks, storing only
+//!   the present ones (absent blocks are implicitly all-zero),
 //! * [`gen`] — seeded synthetic generators used by the evaluation harness.
 //!
-//! Everything is deterministic: generators take explicit seeds, block grids
+//! Everything is deterministic: generators take explicit seeds, block lists
 //! iterate in row-major order, and no kernel depends on hash iteration order.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod block;
+pub mod block_list;
 pub mod dense;
 pub mod error;
 pub mod gen;
@@ -29,6 +32,7 @@ pub mod ops;
 pub mod sparse;
 
 pub use block::Block;
+pub use block_list::{BlockList, Coord};
 pub use dense::DenseBlock;
 pub use error::{Error, Result};
 pub use matrix::BlockedMatrix;

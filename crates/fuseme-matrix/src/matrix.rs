@@ -1,24 +1,29 @@
-//! Logical matrices as grids of shared blocks.
+//! Logical matrices over a grid of shared blocks, storing only the blocks
+//! present.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::block::Block;
+use crate::block_list::{BlockList, Coord};
 use crate::dense::DenseBlock;
 use crate::error::{Error, Result};
 use crate::meta::{MatrixMeta, Shape};
 use crate::ops::{AggOp, BinOp, UnaryOp};
 use crate::sparse::SparseBlock;
 
-/// A matrix partitioned into a row-major grid of square blocks.
+/// A matrix partitioned into a row-major grid of square blocks, of which
+/// only the present ones are stored (a [`BlockList`]).
 ///
 /// Blocks are reference-counted ([`Arc`]) because the distributed simulator
 /// replicates and broadcasts them between tasks; replication charges the
 /// communication ledger by `size_bytes` while sharing the underlying buffer
 /// in-process. An absent block is implicitly all-zero — sparse matrices
-/// routinely have empty blocks.
+/// routinely have empty blocks, and neither memory nor a walk over the
+/// blocks pays for them.
 ///
 /// The whole-matrix operations on this type are *single-node reference
 /// implementations*: the distributed engines in `fuseme-exec` must produce
@@ -27,8 +32,8 @@ use crate::sparse::SparseBlock;
 #[derive(Debug, Serialize, Deserialize)]
 pub struct BlockedMatrix {
     meta: MatrixMeta,
-    /// Row-major block grid; `None` means an all-zero block.
-    blocks: Vec<Option<Arc<Block>>>,
+    /// The present blocks, row-major.
+    blocks: BlockList,
     /// Process-unique identity, assigned at construction. Sharing an `Arc`
     /// keeps the uid; cloning or rebuilding assigns a fresh one. The
     /// simulator's replica cache keys on this to recognise a loop-invariant
@@ -56,14 +61,52 @@ impl Clone for BlockedMatrix {
     }
 }
 
+/// Checks that `block` fits the grid of `meta` at `(bi, bj)`.
+fn check_block(meta: &MatrixMeta, (bi, bj): Coord, block: &Block) -> Result<()> {
+    let grid = meta.grid();
+    if bi >= grid.block_rows || bj >= grid.block_cols {
+        return Err(Error::OutOfBounds {
+            index: (bi, bj),
+            extent: (grid.block_rows, grid.block_cols),
+        });
+    }
+    let expect = meta.block_dims(bi, bj);
+    if (block.rows(), block.cols()) != expect {
+        return Err(Error::DimMismatch {
+            left: (block.rows(), block.cols()),
+            right: expect,
+            op: "set_block",
+        });
+    }
+    Ok(())
+}
+
 impl BlockedMatrix {
     /// Creates an all-zero matrix with the given metadata.
     pub fn zeros(meta: MatrixMeta) -> Result<Self> {
+        BlockedMatrix::from_blocks(meta, Vec::<(Coord, Block)>::new())
+    }
+
+    /// Builds a matrix from `((bi, bj), block)` entries in any order,
+    /// validating each block against the grid; the last block given for a
+    /// coordinate wins. Sorts once, so it is the constructor for blocks
+    /// produced out of row-major order.
+    pub fn from_blocks<B: Into<Arc<Block>>>(
+        meta: MatrixMeta,
+        blocks: impl IntoIterator<Item = (Coord, B)>,
+    ) -> Result<Self> {
         meta.validate()?;
-        let n = meta.grid().num_blocks() as usize;
+        let blocks = blocks
+            .into_iter()
+            .map(|(at, b)| {
+                let b = b.into();
+                check_block(&meta, at, &b)?;
+                Ok((at, b))
+            })
+            .collect::<Result<BlockList>>()?;
         Ok(BlockedMatrix {
             meta,
-            blocks: vec![None; n],
+            blocks,
             uid: next_uid(),
         })
     }
@@ -74,19 +117,18 @@ impl BlockedMatrix {
         self.uid
     }
 
-    /// Builds a matrix from per-block contents produced by `f(bi, bj)`.
+    /// Builds a matrix from per-block contents produced by `f(bi, bj)`,
+    /// called for every grid coordinate in row-major order.
     pub fn from_fn(
         meta: MatrixMeta,
         mut f: impl FnMut(usize, usize) -> Option<Block>,
     ) -> Result<Self> {
-        let mut m = BlockedMatrix::zeros(meta)?;
+        meta.validate()?;
         let grid = meta.grid();
-        for (bi, bj) in grid.coords() {
-            if let Some(b) = f(bi, bj) {
-                m.set_block(bi, bj, b)?;
-            }
-        }
-        Ok(m)
+        let blocks = grid
+            .coords()
+            .filter_map(|(bi, bj)| f(bi, bj).map(|b| ((bi, bj), b)));
+        BlockedMatrix::from_blocks(meta, blocks)
     }
 
     /// Builds a small dense matrix from a row-major element buffer. Intended
@@ -128,14 +170,14 @@ impl BlockedMatrix {
         self.meta.shape
     }
 
-    /// Grid index of `(bi, bj)` in the row-major block vector.
-    fn idx(&self, bi: usize, bj: usize) -> usize {
-        bi * self.meta.grid().block_cols + bj
+    /// The present blocks.
+    pub fn blocks(&self) -> &BlockList {
+        &self.blocks
     }
 
     /// The block at `(bi, bj)`, or `None` when it is all-zero.
     pub fn block(&self, bi: usize, bj: usize) -> Option<&Arc<Block>> {
-        self.blocks[self.idx(bi, bj)].as_ref()
+        self.blocks.get((bi, bj))
     }
 
     /// The block at `(bi, bj)` materialized as an owned zero block when
@@ -150,40 +192,23 @@ impl BlockedMatrix {
         }
     }
 
-    /// Installs a block, validating its dimensions against the grid.
+    /// Installs a block, validating its dimensions against the grid. Cheap
+    /// when it replaces a block or extends the row-major order; use
+    /// [`from_blocks`](BlockedMatrix::from_blocks) to build out of order.
     pub fn set_block(&mut self, bi: usize, bj: usize, block: Block) -> Result<()> {
-        let grid = self.meta.grid();
-        if bi >= grid.block_rows || bj >= grid.block_cols {
-            return Err(Error::OutOfBounds {
-                index: (bi, bj),
-                extent: (grid.block_rows, grid.block_cols),
-            });
-        }
-        let expect = self.meta.block_dims(bi, bj);
-        if (block.rows(), block.cols()) != expect {
-            return Err(Error::DimMismatch {
-                left: (block.rows(), block.cols()),
-                right: expect,
-                op: "set_block",
-            });
-        }
-        let idx = self.idx(bi, bj);
-        self.blocks[idx] = Some(Arc::new(block));
+        check_block(&self.meta, (bi, bj), &block)?;
+        self.blocks.insert((bi, bj), Arc::new(block));
         Ok(())
     }
 
     /// Iterates present blocks as `(bi, bj, block)` in row-major order.
     pub fn iter_blocks(&self) -> impl Iterator<Item = (usize, usize, &Arc<Block>)> + '_ {
-        let grid = self.meta.grid();
-        self.blocks.iter().enumerate().filter_map(move |(i, b)| {
-            b.as_ref()
-                .map(|blk| (i / grid.block_cols, i % grid.block_cols, blk))
-        })
+        self.blocks.iter().map(|((bi, bj), b)| (bi, bj, b))
     }
 
     /// Number of present (non-implicit-zero) blocks.
     pub fn present_blocks(&self) -> usize {
-        self.blocks.iter().filter(|b| b.is_some()).count()
+        self.blocks.len()
     }
 
     /// Global element accessor.
@@ -213,7 +238,7 @@ impl BlockedMatrix {
 
     /// Exact total bytes of all present blocks.
     pub fn actual_size_bytes(&self) -> u64 {
-        self.iter_blocks().map(|(_, _, b)| b.size_bytes()).sum()
+        self.blocks.size_bytes()
     }
 
     /// Replaces the metadata density with the measured one (generators call
@@ -226,19 +251,29 @@ impl BlockedMatrix {
 
     /// Element-wise unary operation.
     pub fn map(&self, op: UnaryOp) -> Result<BlockedMatrix> {
+        self.map_blocks(op.preserves_zero(), |b| b.map(op))
+    }
+
+    /// Applies a per-block element-wise `f`: to the present blocks only
+    /// when it maps zero to zero (absent blocks stay absent), else to every
+    /// block, absent ones as zero blocks.
+    fn map_blocks(
+        &self,
+        preserves_zero: bool,
+        f: impl Fn(&Block) -> Block,
+    ) -> Result<BlockedMatrix> {
         let meta = MatrixMeta {
-            density: if op.preserves_zero() {
+            density: if preserves_zero {
                 self.meta.density
             } else {
                 1.0
             },
             ..self.meta
         };
-        if op.preserves_zero() {
-            // Absent blocks stay absent.
-            BlockedMatrix::from_fn(meta, |bi, bj| self.block(bi, bj).map(|b| b.map(op)))
+        if preserves_zero {
+            BlockedMatrix::from_blocks(meta, self.blocks.iter().map(|(at, b)| (at, f(b))))
         } else {
-            BlockedMatrix::from_fn(meta, |bi, bj| Some(self.block_or_zero(bi, bj).map(op)))
+            BlockedMatrix::from_fn(meta, |bi, bj| Some(f(&self.block_or_zero(bi, bj))))
         }
     }
 
@@ -260,8 +295,18 @@ impl BlockedMatrix {
             density,
             ..self.meta
         };
+        // Where both sides are absent the result is op(0, 0) everywhere, so
+        // only a non-zero op(0, 0) visits absent coordinates.
+        let coords: Vec<Coord> = if op.apply(0.0, 0.0) == 0.0 {
+            let mut c = [self.blocks.coords(), rhs.blocks.coords()].concat();
+            c.sort_unstable();
+            c.dedup();
+            c
+        } else {
+            self.meta.grid().coords().collect()
+        };
         let mut out = BlockedMatrix::zeros(meta)?;
-        for (bi, bj) in self.meta.grid().coords() {
+        for (bi, bj) in coords {
             let l = self.block(bi, bj);
             let r = rhs.block(bi, bj);
             let result = match (l, r) {
@@ -300,44 +345,22 @@ impl BlockedMatrix {
 
     /// Element-wise binary with a scalar on the right.
     pub fn zip_scalar(&self, scalar: f64, op: BinOp) -> Result<BlockedMatrix> {
-        let preserves = op.apply(0.0, scalar) == 0.0;
-        let meta = MatrixMeta {
-            density: if preserves { self.meta.density } else { 1.0 },
-            ..self.meta
-        };
-        BlockedMatrix::from_fn(meta, |bi, bj| {
-            if preserves {
-                self.block(bi, bj).map(|b| b.zip_scalar(scalar, op))
-            } else {
-                Some(self.block_or_zero(bi, bj).zip_scalar(scalar, op))
-            }
-        })
+        self.map_blocks(op.apply(0.0, scalar) == 0.0, |b| b.zip_scalar(scalar, op))
     }
 
     /// Element-wise binary with a scalar on the left.
     pub fn scalar_zip(&self, scalar: f64, op: BinOp) -> Result<BlockedMatrix> {
-        let preserves = op.apply(scalar, 0.0) == 0.0;
-        let meta = MatrixMeta {
-            density: if preserves { self.meta.density } else { 1.0 },
-            ..self.meta
-        };
-        BlockedMatrix::from_fn(meta, |bi, bj| {
-            if preserves {
-                self.block(bi, bj).map(|b| b.scalar_zip(scalar, op))
-            } else {
-                Some(self.block_or_zero(bi, bj).scalar_zip(scalar, op))
-            }
-        })
+        self.map_blocks(op.apply(scalar, 0.0) == 0.0, |b| b.scalar_zip(scalar, op))
     }
 
     /// Transpose.
     pub fn transpose(&self) -> Result<BlockedMatrix> {
         let meta = self.meta.transposed();
-        let mut out = BlockedMatrix::zeros(meta)?;
-        for (bi, bj, b) in self.iter_blocks() {
-            out.set_block(bj, bi, b.transpose())?;
-        }
-        Ok(out)
+        BlockedMatrix::from_blocks(
+            meta,
+            self.iter_blocks()
+                .map(|(bi, bj, b)| ((bj, bi), b.transpose())),
+        )
     }
 
     /// Matrix multiplication (reference implementation; the distributed
@@ -380,8 +403,9 @@ impl BlockedMatrix {
             let (br, bc) = meta.block_dims(bi, bj);
             let mut acc = DenseBlock::zeros(br, bc);
             let mut any = false;
-            for bk in 0..k_blocks {
-                if let (Some(a), Some(b)) = (self.block(bi, bk), rhs.block(bk, bj)) {
+            // Row bi's present blocks, ascending in k.
+            for ((_, bk), a) in self.blocks.range((bi, 0), (bi, k_blocks)) {
+                if let Some(b) = rhs.block(bk, bj) {
                     a.gemm_acc(b, &mut acc)?;
                     any = true;
                 }
@@ -476,17 +500,6 @@ impl BlockedMatrix {
             diff <= tol || diff <= tol * x.abs().max(y.abs())
         })
     }
-
-    /// Converts every present block to its cheaper representation.
-    pub fn compact(mut self) -> Self {
-        for slot in &mut self.blocks {
-            if let Some(b) = slot.take() {
-                let owned = Arc::try_unwrap(b).unwrap_or_else(|arc| (*arc).clone());
-                *slot = Some(Arc::new(owned.compact()));
-            }
-        }
-        self
-    }
 }
 
 /// Builds a `SparseBlock`-backed matrix from global `(row, col, value)`
@@ -498,8 +511,7 @@ pub fn from_triples(
     triples: &[(usize, usize, f64)],
 ) -> Result<BlockedMatrix> {
     let meta = MatrixMeta::sparse(rows, cols, block_size, 0.0);
-    let grid = meta.grid();
-    let mut per_block: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); grid.num_blocks() as usize];
+    let mut per_block: BTreeMap<Coord, Vec<(usize, usize, f64)>> = BTreeMap::new();
     for &(r, c, v) in triples {
         if r >= rows || c >= cols {
             return Err(Error::OutOfBounds {
@@ -507,18 +519,23 @@ pub fn from_triples(
                 extent: (rows, cols),
             });
         }
-        let bi = r / block_size;
-        let bj = c / block_size;
-        per_block[bi * grid.block_cols + bj].push((r % block_size, c % block_size, v));
+        let at = (r / block_size, c / block_size);
+        per_block
+            .entry(at)
+            .or_default()
+            .push((r % block_size, c % block_size, v));
     }
-    let mut m = BlockedMatrix::zeros(meta)?;
-    for (bi, bj) in grid.coords() {
-        let t = std::mem::take(&mut per_block[bi * grid.block_cols + bj]);
-        if !t.is_empty() {
+    let blocks = per_block
+        .into_iter()
+        .map(|((bi, bj), t)| {
             let (br, bc) = meta.block_dims(bi, bj);
-            m.set_block(bi, bj, Block::Sparse(SparseBlock::from_triples(br, bc, t)?))?;
-        }
-    }
+            Ok((
+                (bi, bj),
+                Block::Sparse(SparseBlock::from_triples(br, bc, t)?),
+            ))
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let mut m = BlockedMatrix::from_blocks(meta, blocks)?;
     m.refresh_density();
     Ok(m)
 }

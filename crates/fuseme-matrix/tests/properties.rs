@@ -7,7 +7,13 @@
 use proptest::prelude::*;
 
 use fuseme_matrix::matrix::from_triples;
-use fuseme_matrix::{AggOp, BinOp, Block, BlockedMatrix, DenseBlock, SparseBlock, UnaryOp};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use fuseme_matrix::{
+    AggOp, BinOp, Block, BlockList, BlockedMatrix, Coord, DenseBlock, MatrixMeta, SparseBlock,
+    UnaryOp,
+};
 
 /// Strategy: a dense block with dimensions in 1..=8 and small round values
 /// (halves), so arithmetic comparisons are exact.
@@ -266,5 +272,97 @@ proptest! {
         let via_sparse = sparse.matmul(&rhs).unwrap();
         let via_dense = dense.matmul(&rhs).unwrap();
         prop_assert_eq!(via_sparse.to_dense_vec(), via_dense.to_dense_vec());
+    }
+
+    /// The block list against a `BTreeMap` model: inserts in any order
+    /// (replacements included) and the same entries collected at once give
+    /// the same lookups, row-major iteration and byte total, and the row
+    /// and column walks equal brute-force filters over random ranges.
+    #[test]
+    fn block_list_matches_btreemap_model(
+        inserts in proptest::collection::vec((0usize..6, 0usize..6, 1usize..=4), 0..40),
+        walks in proptest::collection::vec((0usize..7, 0usize..7, 0usize..7), 1..8),
+    ) {
+        // A block's size encodes its insert, so replacements show.
+        let entries: Vec<(Coord, Arc<Block>)> = inserts
+            .iter()
+            .enumerate()
+            .map(|(n, &(i, j, c))| ((i, j), Arc::new(Block::Dense(DenseBlock::filled(1, c, n as f64)))))
+            .collect();
+        let mut model: BTreeMap<Coord, Arc<Block>> = BTreeMap::new();
+        let mut inserted = BlockList::default();
+        for (at, b) in &entries {
+            model.insert(*at, Arc::clone(b));
+            inserted.insert(*at, Arc::clone(b));
+        }
+        let collected: BlockList = entries.iter().cloned().collect();
+        let bytes: u64 = model.values().map(|b| b.size_bytes()).sum();
+        for list in [&inserted, &collected] {
+            prop_assert_eq!(list.len(), model.len());
+            prop_assert_eq!(list.size_bytes(), bytes);
+            let got: Vec<(Coord, &Arc<Block>)> = list.iter().collect();
+            let want: Vec<(Coord, &Arc<Block>)> = model.iter().map(|(c, b)| (*c, b)).collect();
+            prop_assert_eq!(got.len(), want.len());
+            for ((gc, gb), (wc, wb)) in got.iter().zip(&want) {
+                prop_assert_eq!(gc, wc);
+                prop_assert!(Arc::ptr_eq(gb, wb));
+            }
+            for i in 0..7 {
+                for j in 0..7 {
+                    let got = list.get((i, j)).map(Arc::as_ptr);
+                    prop_assert_eq!(got, model.get(&(i, j)).map(Arc::as_ptr));
+                }
+            }
+            for &(fixed, a, b) in &walks {
+                let ks = a.min(b)..a.max(b);
+                let row: Vec<usize> = list.row(fixed, &ks).collect();
+                let want: Vec<usize> = model.keys().filter(|c| c.0 == fixed && ks.contains(&c.1)).map(|c| c.1).collect();
+                prop_assert_eq!(row, want);
+                let col: Vec<usize> = list.col(fixed, &ks).collect();
+                let want: Vec<usize> = model.keys().filter(|c| c.1 == fixed && ks.contains(&c.0)).map(|c| c.0).collect();
+                prop_assert_eq!(col, want);
+            }
+        }
+    }
+
+    /// `transpose` (which produces blocks column-major), a serde round trip
+    /// and a `set_block` that replaces a block keep the present-block count
+    /// and the byte total exact.
+    #[test]
+    fn blocked_matrix_counts_stay_exact(
+        entries in proptest::collection::vec((0usize..12, 0usize..9, 1i32..=8), 0..30),
+        bs in 1usize..=5,
+    ) {
+        let mut seen = std::collections::BTreeSet::new();
+        let triples: Vec<(usize, usize, f64)> = entries
+            .into_iter()
+            .filter(|&(r, c, _)| seen.insert((r, c)))
+            .map(|(r, c, v)| (r, c, v as f64))
+            .collect();
+        let m = from_triples(12, 9, bs, &triples).unwrap();
+        let exact = |m: &BlockedMatrix| {
+            let present = m.iter_blocks().count();
+            let bytes: u64 = m.iter_blocks().map(|(_, _, b)| b.size_bytes()).sum();
+            (present, bytes)
+        };
+        prop_assert_eq!((m.present_blocks(), m.actual_size_bytes()), exact(&m));
+        let t = m.transpose().unwrap();
+        prop_assert_eq!((t.present_blocks(), t.actual_size_bytes()), exact(&t));
+        prop_assert_eq!(t.present_blocks(), m.present_blocks());
+        prop_assert_eq!(t.transpose().unwrap().to_dense_vec(), m.to_dense_vec());
+        let json = serde_json::to_string(&t).unwrap();
+        let back: BlockedMatrix = serde_json::from_str(&json).unwrap();
+        prop_assert_eq!((back.present_blocks(), back.actual_size_bytes()), exact(&t));
+        prop_assert_eq!(back.to_dense_vec(), t.to_dense_vec());
+        let mut r = t.clone();
+        if let Some((bi, bj, b)) = t.iter_blocks().last() {
+            let dense = Block::Dense(b.to_dense());
+            r.set_block(bi, bj, dense).unwrap();
+            prop_assert_eq!(r.present_blocks(), t.present_blocks());
+            prop_assert_eq!((r.present_blocks(), r.actual_size_bytes()), exact(&r));
+            prop_assert_eq!(r.to_dense_vec(), t.to_dense_vec());
+        }
+        let empty = BlockedMatrix::zeros(MatrixMeta::sparse(12, 9, bs, 0.0)).unwrap();
+        prop_assert_eq!((empty.present_blocks(), empty.actual_size_bytes()), (0, 0));
     }
 }

@@ -36,7 +36,6 @@
 pub mod export;
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -393,17 +392,10 @@ pub struct EventRecord {
     pub attrs: Vec<(String, Value)>,
 }
 
-/// Sink for monotonically accumulated named counters.
-pub trait MetricSink: Send + Sync {
-    /// Adds `delta` to the named counter.
-    fn add(&self, name: &str, delta: f64);
-}
-
 struct RecorderState {
     next_id: u64,
     spans: Vec<SpanRecord>,
     events: Vec<EventRecord>,
-    counters: BTreeMap<String, f64>,
 }
 
 /// Thread-safe in-memory span/event recorder.
@@ -435,7 +427,6 @@ impl Recorder {
                 next_id: 1,
                 spans: Vec::new(),
                 events: Vec::new(),
-                counters: BTreeMap::new(),
             }),
         })
     }
@@ -516,20 +507,9 @@ impl Recorder {
         self.lock().events.clone()
     }
 
-    /// Snapshot of the named counters.
-    pub fn counters(&self) -> BTreeMap<String, f64> {
-        self.lock().counters.clone()
-    }
-
     /// Builds the per-run summary (see [`export::summarize`]).
     pub fn summary(&self) -> TraceSummary {
         export::summarize(self)
-    }
-}
-
-impl MetricSink for Recorder {
-    fn add(&self, name: &str, delta: f64) {
-        *self.lock().counters.entry(name.to_string()).or_insert(0.0) += delta;
     }
 }
 
@@ -639,13 +619,6 @@ impl Handle {
     pub fn event(&self, name: &str, attrs: impl FnOnce() -> Vec<(String, Value)>) {
         if let Some(rec) = &self.rec {
             rec.add_event(current_span(), name.to_string(), attrs());
-        }
-    }
-
-    /// Adds `delta` to a named counter.
-    pub fn counter(&self, name: &str, delta: f64) {
-        if let Some(rec) = &self.rec {
-            rec.add(name, delta);
         }
     }
 }
@@ -776,15 +749,12 @@ mod tests {
         install(&rec);
         let span = handle().scope_span(SpanKind::Plan, || "p".into());
         handle().event("search", || vec![("evaluated".into(), Value::U64(17))]);
-        handle().counter("stages", 1.0);
-        handle().counter("stages", 2.0);
         let expected_parent = span.id();
         drop(span);
         uninstall();
         let events = rec.events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].parent, expected_parent);
-        assert_eq!(rec.counters().get("stages"), Some(&3.0));
     }
 
     #[test]

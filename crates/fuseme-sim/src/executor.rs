@@ -5,7 +5,7 @@ use fuseme_obs::{events, keys, SpanKind};
 
 use crate::cluster::Cluster;
 use crate::ledger::Phase;
-use crate::time::{SimClock, TaskCost, WaveSlot};
+use crate::time::{pack_waves, SimClock, TaskCost, WaveSlot};
 use crate::SimError;
 
 /// Trace label for a ledger phase.
@@ -167,12 +167,8 @@ pub fn run_stage<'a, T: Send + 'a>(
         })
         .collect();
 
-    // 3b. Longest-first wave packing (identical to the fault-free
-    // scheduler when no faults adjust the durations).
-    let slots = config.total_tasks();
-    assert!(slots > 0, "cluster must have at least one task slot");
-    let mut order: Vec<usize> = (0..costs.len()).collect();
-    order.sort_by(|&a, &b| task_secs[b].total_cmp(&task_secs[a]));
+    // 3b. Longest-first wave packing of the adjusted durations.
+    let waves = pack_waves(&task_secs, config.total_tasks());
 
     // 3c. Recovery accounting. Retried attempts re-consolidate their
     // inputs and redo their compute; with speculation on, any task
@@ -199,7 +195,7 @@ pub fn run_stage<'a, T: Send + 'a>(
         }
     }
     if ft.speculation {
-        for wave in order.chunks(slots) {
+        for wave in &waves {
             let mut wave_times: Vec<f64> = wave.iter().map(|&i| task_secs[i]).collect();
             wave_times.sort_by(|a, b| a.total_cmp(b));
             let median = wave_times[wave_times.len() / 2];
@@ -277,16 +273,7 @@ pub fn run_stage<'a, T: Send + 'a>(
         let mut clock = cluster.clock().lock();
         let sim_before = clock.elapsed_secs();
         clock.advance(config.stage_overhead_secs);
-        let waves: Vec<WaveSlot> = order
-            .chunks(slots)
-            .map(|wave| WaveSlot {
-                tasks: wave.len(),
-                secs: wave
-                    .iter()
-                    .map(|&i| task_secs[i])
-                    .fold(0.0f64, |acc, s| acc.max(s)),
-            })
-            .collect();
+        let waves: Vec<WaveSlot> = waves.iter().map(|w| WaveSlot::new(w, &task_secs)).collect();
         let total_secs: f64 = waves.iter().map(|w| w.secs).sum();
         clock.advance(total_secs);
         let elapsed = clock.elapsed_secs();
@@ -295,17 +282,6 @@ pub fn run_stage<'a, T: Send + 'a>(
                 elapsed,
                 cap: config.timeout_secs,
             });
-        }
-        if std::env::var_os("FUSEME_SIM_DEBUG").is_some() {
-            let max_bytes = costs.iter().map(|c| c.recv_bytes).max().unwrap_or(0);
-            let max_flops = costs.iter().map(|c| c.flops).max().unwrap_or(0);
-            eprintln!(
-                "[sim] stage {:>8.2}s tasks {:>5} max_bytes {:>10} max_flops {:>12}",
-                total_secs,
-                costs.len(),
-                max_bytes,
-                max_flops
-            );
         }
         let sim_secs = total_secs + config.stage_overhead_secs;
         span.set_sim(sim_before, sim_secs);

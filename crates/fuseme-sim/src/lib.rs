@@ -44,7 +44,7 @@ pub use fault::FaultToleranceConfig;
 pub use fault::{FaultKind, FaultLedger, FaultPlan, FaultScope, FaultSpec, FaultStats};
 pub use ledger::{CommLedger, CommStats, Phase};
 pub use replica_cache::{CacheOutcome, CacheStats, ReplicaCache, ReplicaKey};
-pub use time::{SimClock, StageSchedule, WaveSlot};
+pub use time::{pack_waves, SimClock, WaveSlot};
 
 /// Where an out-of-memory failure was detected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -4,8 +4,9 @@
 //! overlapping: the cost of a stage is the *maximum* of its normalized
 //! network and compute terms, not their sum. The clock applies that per
 //! task, then schedules tasks in waves of `slots` (the cluster's `N·T_c`
-//! task slots): a wave takes as long as its slowest task, and a stage takes
-//! the sum of its waves.
+//! task slots) with [`pack_waves`]: a wave takes as long as its slowest
+//! task, and a stage takes the sum of its waves. The executor's
+//! `run_stage` is the one caller.
 
 use serde::{Deserialize, Serialize};
 
@@ -18,8 +19,9 @@ pub struct TaskCost {
     pub flops: u64,
 }
 
-/// One wave of a stage schedule: how many tasks ran concurrently and how
-/// long the wave took (its slowest task).
+/// One wave of a stage: how many tasks ran concurrently and how long the
+/// wave took (its slowest task). The executor records one per wave on the
+/// stage span.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WaveSlot {
     /// Tasks placed in this wave.
@@ -28,15 +30,31 @@ pub struct WaveSlot {
     pub secs: f64,
 }
 
-/// The wave decomposition of one stage, as produced by
-/// [`SimClock::advance_stage_schedule`]. Tracing uses it to draw wave spans
-/// on the simulated-time track.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct StageSchedule {
-    /// Waves in execution order (longest first).
-    pub waves: Vec<WaveSlot>,
-    /// Total stage duration — the sum of the wave durations.
-    pub total_secs: f64,
+impl WaveSlot {
+    /// The slot of the tasks `wave` (indices into `secs`, the per-task
+    /// durations).
+    pub fn new(wave: &[usize], secs: &[f64]) -> WaveSlot {
+        WaveSlot {
+            tasks: wave.len(),
+            secs: wave.iter().map(|&i| secs[i]).fold(0.0f64, f64::max),
+        }
+    }
+}
+
+/// Packs tasks of durations `secs` into waves of `slots` concurrent tasks,
+/// longest first: returns each wave's task indices, in execution order. A
+/// stage takes the sum of its waves' [`WaveSlot::secs`].
+///
+/// Longest-first placement (the longest-processing-time heuristic real
+/// schedulers approximate) also makes stage time monotone non-increasing
+/// in the slot count; naive in-order chunking is not, because a slow task
+/// landing on a wave boundary can serialize behind another slow one. Ties
+/// keep task order.
+pub fn pack_waves(secs: &[f64], slots: usize) -> Vec<Vec<usize>> {
+    assert!(slots > 0, "cluster must have at least one task slot");
+    let mut order: Vec<usize> = (0..secs.len()).collect();
+    order.sort_by(|&a, &b| secs[b].total_cmp(&secs[a]));
+    order.chunks(slots).map(<[usize]>::to_vec).collect()
 }
 
 /// Accumulates simulated elapsed seconds across stages.
@@ -56,64 +74,16 @@ impl SimClock {
         self.elapsed
     }
 
-    /// Advances the clock by an explicit number of seconds (used for fixed
-    /// overheads like job launch).
+    /// Advances the clock by an explicit number of seconds: a stage's fixed
+    /// overhead and its waves.
     pub fn advance(&mut self, secs: f64) {
         debug_assert!(secs >= 0.0);
         self.elapsed += secs;
     }
 
-    /// Advances the clock for one stage of `tasks`, scheduled into waves of
-    /// `slots` concurrent tasks. `net_bps` and `flops_ps` are the *per-task*
-    /// effective bandwidths (node bandwidth divided by tasks per node).
-    ///
-    /// Tasks are placed longest-first (the longest-processing-time heuristic
-    /// real schedulers approximate), which also makes stage time monotone
-    /// non-increasing in the slot count — naive in-order chunking is not,
-    /// because a slow task landing on a wave boundary can serialize behind
-    /// another slow one.
-    ///
-    /// Returns the stage's simulated duration.
-    pub fn advance_stage(
-        &mut self,
-        tasks: &[TaskCost],
-        slots: usize,
-        net_bps: f64,
-        flops_ps: f64,
-    ) -> f64 {
-        self.advance_stage_schedule(tasks, slots, net_bps, flops_ps)
-            .total_secs
-    }
-
-    /// Like [`advance_stage`](SimClock::advance_stage), but also returns
-    /// the per-wave decomposition of the stage.
-    pub fn advance_stage_schedule(
-        &mut self,
-        tasks: &[TaskCost],
-        slots: usize,
-        net_bps: f64,
-        flops_ps: f64,
-    ) -> StageSchedule {
-        assert!(slots > 0, "cluster must have at least one task slot");
-        let mut times: Vec<f64> = tasks
-            .iter()
-            .map(|t| Self::task_secs(t, net_bps, flops_ps))
-            .collect();
-        times.sort_by(|a, b| b.total_cmp(a));
-        // Descending order makes each wave's maximum its first element.
-        let waves: Vec<WaveSlot> = times
-            .chunks(slots)
-            .map(|wave| WaveSlot {
-                tasks: wave.len(),
-                secs: wave[0],
-            })
-            .collect();
-        let total_secs: f64 = waves.iter().map(|w| w.secs).sum();
-        self.elapsed += total_secs;
-        StageSchedule { waves, total_secs }
-    }
-
     /// Simulated duration of a single task under Eq. 2's overlap model.
+    /// `net_bps` and `flops_ps` are the *per-task* effective bandwidths
+    /// (node bandwidth divided by tasks per node).
     pub fn task_secs(task: &TaskCost, net_bps: f64, flops_ps: f64) -> f64 {
         let net = task.recv_bytes as f64 / net_bps;
         let com = task.flops as f64 / flops_ps;
@@ -132,39 +102,43 @@ mod tests {
         }
     }
 
+    /// Stage time of `tasks` in `slots`, as the executor computes it.
+    fn stage_secs(tasks: &[TaskCost], slots: usize, net_bps: f64, flops_ps: f64) -> f64 {
+        let secs: Vec<f64> = tasks
+            .iter()
+            .map(|c| SimClock::task_secs(c, net_bps, flops_ps))
+            .collect();
+        pack_waves(&secs, slots)
+            .iter()
+            .map(|w| WaveSlot::new(w, &secs).secs)
+            .sum()
+    }
+
     #[test]
     fn single_wave_takes_slowest_task() {
-        let mut c = SimClock::new();
         // net: 100/10=10s vs 10/10=1s compute → 10s; second task 2s compute.
-        let d = c.advance_stage(&[t(100, 10), t(0, 20)], 4, 10.0, 10.0);
-        assert_eq!(d, 10.0);
-        assert_eq!(c.elapsed_secs(), 10.0);
+        assert_eq!(stage_secs(&[t(100, 10), t(0, 20)], 4, 10.0, 10.0), 10.0);
     }
 
     #[test]
     fn overlap_takes_max_not_sum() {
-        let mut c = SimClock::new();
-        let d = c.advance_stage(&[t(100, 100)], 1, 10.0, 10.0);
-        assert_eq!(d, 10.0); // not 20
+        assert_eq!(stage_secs(&[t(100, 100)], 1, 10.0, 10.0), 10.0); // not 20
     }
 
     #[test]
     fn waves_accumulate() {
-        let mut c = SimClock::new();
         // Three tasks (5s, 1s, 3s), two slots, longest first: wave {5,3}
         // then wave {1} → 6s.
-        let d = c.advance_stage(&[t(50, 0), t(10, 0), t(30, 0)], 2, 10.0, 1.0);
-        assert_eq!(d, 6.0);
+        assert_eq!(
+            stage_secs(&[t(50, 0), t(10, 0), t(30, 0)], 2, 10.0, 1.0),
+            6.0
+        );
     }
 
     #[test]
     fn more_slots_never_slower() {
         let tasks: Vec<TaskCost> = (1..=16).map(|i| t(i * 10, 0)).collect();
-        let mut narrow = SimClock::new();
-        let mut wide = SimClock::new();
-        narrow.advance_stage(&tasks, 2, 10.0, 1.0);
-        wide.advance_stage(&tasks, 8, 10.0, 1.0);
-        assert!(wide.elapsed_secs() <= narrow.elapsed_secs());
+        assert!(stage_secs(&tasks, 8, 10.0, 1.0) <= stage_secs(&tasks, 2, 10.0, 1.0));
     }
 
     #[test]
@@ -177,22 +151,31 @@ mod tests {
 
     #[test]
     fn empty_stage_is_free() {
-        let mut c = SimClock::new();
-        assert_eq!(c.advance_stage(&[], 4, 1.0, 1.0), 0.0);
-        assert!(c.advance_stage_schedule(&[], 4, 1.0, 1.0).waves.is_empty());
+        assert_eq!(stage_secs(&[], 4, 1.0, 1.0), 0.0);
+        assert!(pack_waves(&[], 4).is_empty());
     }
 
     #[test]
     fn schedule_decomposes_into_waves() {
-        let mut c = SimClock::new();
-        // Tasks of 5s, 3s, 1s in two slots: wave {5,3} then wave {1}.
-        let sched = c.advance_stage_schedule(&[t(50, 0), t(10, 0), t(30, 0)], 2, 10.0, 1.0);
-        assert_eq!(sched.waves.len(), 2);
-        assert_eq!(sched.waves[0].tasks, 2);
-        assert_eq!(sched.waves[0].secs, 5.0);
-        assert_eq!(sched.waves[1].tasks, 1);
-        assert_eq!(sched.waves[1].secs, 1.0);
-        assert_eq!(sched.total_secs, 6.0);
-        assert_eq!(c.elapsed_secs(), 6.0);
+        // Tasks of 5s, 1s, 3s in two slots: wave {5,3} then wave {1}; equal
+        // durations keep task order.
+        let secs = [5.0, 1.0, 3.0];
+        let waves = pack_waves(&secs, 2);
+        assert_eq!(waves, vec![vec![0, 2], vec![1]]);
+        assert_eq!(
+            WaveSlot::new(&waves[0], &secs),
+            WaveSlot {
+                tasks: 2,
+                secs: 5.0
+            }
+        );
+        assert_eq!(
+            WaveSlot::new(&waves[1], &secs),
+            WaveSlot {
+                tasks: 1,
+                secs: 1.0
+            }
+        );
+        assert_eq!(pack_waves(&[2.0, 2.0, 2.0], 2), vec![vec![0, 1], vec![2]]);
     }
 }

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use fuseme_sim::executor::run_stage;
 use fuseme_sim::time::TaskCost;
-use fuseme_sim::{Cluster, ClusterConfig, Phase, SimClock, TaskWork};
+use fuseme_sim::{pack_waves, Cluster, ClusterConfig, Phase, SimClock, TaskWork, WaveSlot};
 
 fn config(slots: usize) -> ClusterConfig {
     let mut cc = ClusterConfig::test_small();
@@ -31,10 +31,18 @@ proptest! {
             .map(|&(b, f)| TaskCost { recv_bytes: b, flops: f })
             .collect();
         let (bw, fl) = (100.0, 100.0);
-        let time = |slots: usize| {
-            let mut clock = SimClock::new();
-            clock.advance_stage(&costs, slots, bw, fl)
+        let secs: Vec<f64> = costs.iter().map(|c| SimClock::task_secs(c, bw, fl)).collect();
+        let time = |slots: usize| -> f64 {
+            pack_waves(&secs, slots)
+                .iter()
+                .map(|w| WaveSlot::new(w, &secs).secs)
+                .sum()
         };
+        let waves = pack_waves(&secs, slots_a);
+        prop_assert!(waves.iter().all(|w| !w.is_empty() && w.len() <= slots_a));
+        let mut placed: Vec<usize> = waves.concat();
+        placed.sort_unstable();
+        prop_assert_eq!(placed, (0..secs.len()).collect::<Vec<_>>());
         let narrow = time(slots_a);
         let wide = time(slots_a + extra);
         prop_assert!(wide <= narrow + 1e-9, "more slots slower: {wide} > {narrow}");
