@@ -2,15 +2,19 @@
 //! evaluation (§6) at a configurable scale.
 //!
 //! ```text
-//! experiments [all|table1|table3|fig12|fig13|fig14|fig15|ablation|chaos|memstress|cachesweep|sparsesweep]
+//! experiments [all|table1|table3|fig12|fig13|fig14|fig15|ablation|chaos|memstress|cachesweep|sparsesweep
+//!              |fig12a|fig12b|fig12c|fig12d|fig13d]...
 //!             [--scale S]    element-dimension divisor (divides 1000; default 250)
-//!             [--iters N]    GNMF iterations for fig14 (default 10)
+//!             [--iters N]    GNMF iterations for fig14, at least 1 (default 10)
 //!             [--out DIR]    JSON output directory (default results/)
 //!             [--smoke]      shrink cachesweep/sparsesweep to CI-sized fixtures
 //!             [--trace]      record a structured trace of every measured
 //!                            run under DIR/traces/ (chrome trace + summary
 //!                            + predicted-vs-actual report)
 //! ```
+//!
+//! The whole command line is checked before the first experiment starts:
+//! an unknown flag or experiment name, or `--iters 0`, exits 2 at once.
 
 use std::path::PathBuf;
 
@@ -33,6 +37,9 @@ const ALL: [&str; 11] = [
     "cachesweep",
     "sparsesweep",
 ];
+
+/// Single panels, run only when named.
+const PARTS: [&str; 5] = ["fig12a", "fig12b", "fig12c", "fig12d", "fig13d"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -60,7 +67,8 @@ fn main() {
                 iters = args
                     .get(i)
                     .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--iters needs a number"));
+                    .filter(|&n| n > 0)
+                    .unwrap_or_else(|| die("--iters needs a positive number"));
             }
             "--out" => {
                 i += 1;
@@ -68,12 +76,17 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: experiments [all|table1|table3|fig12|fig13|fig14|fig15|ablation|chaos|memstress|cachesweep|sparsesweep]... \
-                     [--scale S] [--iters N] [--out DIR] [--smoke] [--trace]"
+                    "usage: experiments [all|{}|{}]... \
+                     [--scale S] [--iters N] [--out DIR] [--smoke] [--trace]",
+                    ALL.join("|"),
+                    PARTS.join("|")
                 );
                 return;
             }
-            other if !other.starts_with('-') => which.push(other.to_string()),
+            name if name == "all" || ALL.contains(&name) || PARTS.contains(&name) => {
+                which.push(name.to_string())
+            }
+            other if !other.starts_with('-') => die(&format!("unknown experiment '{other}'")),
             other => die(&format!("unknown flag {other}")),
         }
         i += 1;
@@ -123,7 +136,7 @@ fn main() {
             "memstress" => memstress::run(scale, &out),
             "cachesweep" => cachesweep::run(scale, &out, smoke),
             "sparsesweep" => sparsesweep::run(scale, &out, smoke),
-            other => die(&format!("unknown experiment '{other}'")),
+            other => unreachable!("experiment '{other}' passed validation"),
         };
         eprintln!(
             "[{name} done in {:.1}s wall]",

@@ -16,6 +16,22 @@
 //!   element-wise chain behind a zero-dominant gate runs only at the sparse
 //!   gate block's stored positions — the cells the paper's fused operator
 //!   computes (Fig. 1(a)).
+//!
+//!   *Gated multiplication*: when a multiplication's only reader is such
+//!   a chain, or the gate itself (`X * (A %*% B)`), the product is held
+//!   back too and computed at the gate's stored cells only: for each one,
+//!   a dot product from `+0.0` over the `k`s the support rule yields,
+//!   ascending, with [`DenseBlock::dot_acc`], which accumulates exactly as
+//!   `gemm_acc` does. The path needs a *certificate*, computed once per
+//!   operand block per task: every operand block is dense with every entry
+//!   `> 0`, and for each term the product of the two blocks' least entries
+//!   is `> 0`. Then every product cell is positive and the product would
+//!   reach the chain as a dense block, so the gated block is the one the
+//!   dense product would give. Without it, or without a sparse gate of the
+//!   same shape, or when stage 2 installed aggregated products, the
+//!   multiplication runs in full (dense accumulator, `compact()`) and the
+//!   zip takes its general path: `compact()` may make the product sparse,
+//!   which meets the gate differently.
 //! * a **support rule**: the zero-propagation logic that decides whether a
 //!   block can be non-zero at all, compiled to a small tree over "block
 //!   present in the store" facts. A task enumerates its supported output
@@ -320,7 +336,9 @@ impl Cell {
 }
 
 /// Element-wise steps feeding one side of a zero-dominant [`Op::Zip`],
-/// held back until the other side's format is known.
+/// held back until the other side's format is known. When the base is a
+/// multiplication nobody else reads, that is held back too (it is then
+/// `deferred`), and the chain may have no cells: `X * (A %*% B)`.
 #[derive(Debug)]
 struct Chain {
     base: usize,
@@ -552,7 +570,8 @@ impl Lower<'_> {
 }
 
 /// Marks, for every zero-dominant `Zip`, the single-reader element-wise
-/// steps beneath each side as a deferred [`Chain`].
+/// steps beneath each side as a deferred [`Chain`], together with a
+/// single-reader multiplication at its base.
 fn defer_chains(instrs: &mut [Instr]) {
     for z in 0..instrs.len() {
         let Op::Zip { op, l, r, .. } = instrs[z].op else {
@@ -570,7 +589,9 @@ fn defer_chains(instrs: &mut [Instr]) {
                 cells.push(*cell);
                 cur = *src;
             }
-            if steps.is_empty() {
+            if matches!(instrs[cur].op, Op::MatMul(_)) && instrs[cur].uses == 1 {
+                steps.push(cur);
+            } else if steps.is_empty() {
                 continue;
             }
             cells.reverse();
@@ -691,6 +712,12 @@ struct MatMulState<'s> {
     ks: Vec<usize>,
     left: Option<Memo<'s>>,
     right: Option<Memo<'s>>,
+    /// The certificate's fact about each operand block read, left and
+    /// right, by coordinate: the block's least entry when it is dense with
+    /// every entry `> 0`, else `None`.
+    floors: [BTreeMap<Coord, Option<f64>>; 2],
+    /// A certified product's operand pairs, by ascending `k`.
+    terms: Vec<[Arc<Block>; 2]>,
 }
 
 /// A computed operand's blocks, by coordinate, for the whole task.
@@ -715,6 +742,8 @@ impl<'s> RegionState<'s> {
                     ks: Vec::new(),
                     left: memo(&mm.left),
                     right: memo(&mm.right),
+                    floors: [BTreeMap::new(), BTreeMap::new()],
+                    terms: Vec::new(),
                 });
             }
         }
@@ -777,9 +806,7 @@ fn eval_region<'s>(
             Op::Cell(cell, src) => {
                 Val::Own(cell_input(&mut st.slots, instrs, *src).run(std::slice::from_ref(cell))?)
             }
-            Op::Zip { op, l, r, chains } => {
-                Val::Own(zip(instrs, &mut st.slots, *op, [*l, *r], chains)?)
-            }
+            Op::Zip { op, l, r, chains } => Val::Own(zip(instrs, st, t, c, *op, [*l, *r], chains)?),
             Op::Transpose(src) => Val::Own(st.slots[*src].block()?.transpose()),
             Op::MatMul(mm) => matmul(mm, &ins.meta, &mut st.matmuls[mm.state], t, at)?,
             Op::Fail(msg) => return Err(SimError::Task((*msg).into())),
@@ -790,51 +817,108 @@ fn eval_region<'s>(
 }
 
 /// A zero-dominant product of a sparse block and a deferred chain over a
-/// dense block, computed at the sparse block's stored positions only —
+/// dense base, computed at the sparse block's stored positions only —
 /// exactly what `Block::zip` stores for `sparse * dense` (the pattern of
 /// the sparse side, values `sparse · dense`), without the dense side ever
-/// existing.
-fn gate(sparse: &SparseBlock, base: &DenseBlock, chain: &Chain) -> Block {
-    Block::Sparse(sparse.map_stored(|r, c, v| v * chain.apply(base.get(r, c))))
+/// existing. `base(r, c)` is the base's value at a stored cell.
+fn gate(sparse: &SparseBlock, chain: &Chain, base: impl Fn(usize, usize) -> f64) -> Block {
+    Block::Sparse(sparse.map_stored(|r, c, v| v * chain.apply(base(r, c))))
 }
 
-fn zip(
+/// Cell `(r, c)` of a certified product: a dot from `+0.0` over the terms
+/// in ascending `k` with [`DenseBlock::dot_acc`], element for element what
+/// `gemm_acc` accumulates into the dense product.
+fn product_cell(terms: &[[Arc<Block>; 2]], r: usize, c: usize) -> f64 {
+    terms.iter().fold(0.0, |acc, [a, b]| match (&**a, &**b) {
+        (Block::Dense(a), Block::Dense(b)) => a.dot_acc(r, b, c, acc),
+        _ => unreachable!("certified operands are dense"),
+    })
+}
+
+fn zip<'s>(
     instrs: &[Instr],
-    slots: &mut [Val<'_>],
+    st: &mut RegionState<'s>,
+    t: &Bound<'s>,
+    c: Coord,
     op: BinOp,
     sides: [usize; 2],
     chains: &[Option<Chain>; 2],
 ) -> Result<Block, SimError> {
+    let mut chain = [chains[0].as_ref(), chains[1].as_ref()];
+    // A deferred multiplication is held, with its coordinate, while its
+    // certificate shows it would reach the chain dense; otherwise it runs
+    // now.
+    let mut held = [None; 2];
+    for s in 0..2 {
+        let Some(ch) = chain[s] else { continue };
+        let base = &instrs[ch.base];
+        let (Op::MatMul(mm), true) = (&base.op, base.deferred) else {
+            continue;
+        };
+        let at = swap_if(base.swap, c);
+        if let Some(v) = overridden(mm, &base.meta, t, at) {
+            st.slots[ch.base] = v;
+            continue;
+        }
+        let ms = &mut st.matmuls[mm.state];
+        ms.gather(mm, t, at)?;
+        if ms.certify(mm, t, at)? {
+            held[s] = Some((mm, at));
+        } else {
+            st.slots[ch.base] = Val::Own(ms.product(mm, &base.meta, t, at)?);
+        }
+    }
     // Chains over a non-dense base run now: their format depends on the
-    // values. Chains over a dense base stay dense whatever they compute.
+    // values. Chains over a dense base stay dense whatever they compute. A
+    // chain with no cells over a product that ran is no chain at all.
     let mut ready: [Option<Block>; 2] = [None, None];
     for s in 0..2 {
-        if let Some(ch) = &chains[s] {
-            if slots[ch.base].block()?.is_sparse() {
-                ready[s] = Some(cell_input(slots, instrs, ch.base).run(&ch.cells)?);
-            }
+        let Some(ch) = chain[s].filter(|_| held[s].is_none()) else {
+            continue;
+        };
+        if ch.cells.is_empty() {
+            chain[s] = None;
+        } else if st.slots[ch.base].block()?.is_sparse() {
+            ready[s] = Some(cell_input(&mut st.slots, instrs, ch.base).run(&ch.cells)?);
         }
     }
     for (g, d) in [(0, 1), (1, 0)] {
-        let Some(ch) = chains[d].as_ref().filter(|_| ready[d].is_none()) else {
+        let Some(ch) = chain[d].filter(|_| ready[d].is_none()) else {
             continue;
         };
-        let gate_val = match (&ready[g], chains[g].is_some()) {
+        let gate_val = match (&ready[g], chain[g].is_some()) {
             (Some(b), _) => b,
-            (None, false) => slots[sides[g]].block()?,
+            (None, false) => st.slots[sides[g]].block()?,
             (None, true) => continue,
         };
-        if let (Block::Sparse(s), Block::Dense(base)) = (gate_val, slots[ch.base].block()?) {
-            if (s.rows(), s.cols()) == (base.rows(), base.cols()) {
-                return Ok(gate(s, base, ch));
+        let Block::Sparse(s) = gate_val else {
+            continue;
+        };
+        if let Some((mm, at)) = held[d] {
+            if (s.rows(), s.cols()) == instrs[ch.base].meta.block_dims(at.0, at.1) {
+                let terms = &st.matmuls[mm.state].terms;
+                return Ok(gate(s, ch, |r, c| product_cell(terms, r, c)));
+            }
+        } else if let Block::Dense(b) = st.slots[ch.base].block()? {
+            if (s.rows(), s.cols()) == (b.rows(), b.cols()) {
+                return Ok(gate(s, ch, |r, c| b.get(r, c)));
             }
         }
     }
     for s in 0..2 {
-        if let (Some(ch), None) = (&chains[s], &ready[s]) {
-            ready[s] = Some(cell_input(slots, instrs, ch.base).run(&ch.cells)?);
+        let Some(ch) = chain[s] else { continue };
+        if let Some((mm, at)) = held[s] {
+            let product = st.matmuls[mm.state].product(mm, &instrs[ch.base].meta, t, at)?;
+            st.slots[ch.base] = Val::Own(product);
+            if ch.cells.is_empty() {
+                continue;
+            }
+        }
+        if ready[s].is_none() {
+            ready[s] = Some(cell_input(&mut st.slots, instrs, ch.base).run(&ch.cells)?);
         }
     }
+    let slots = &st.slots;
     let side = |s: usize| -> Result<&Block, SimError> {
         match &ready[s] {
             Some(b) => Ok(b),
@@ -844,71 +928,143 @@ fn zip(
     Ok(side(0)?.zip(side(1)?, op)?)
 }
 
+/// The main multiplication's aggregated block, when stage 2 installed
+/// them.
+fn overridden<'s>(mm: &MatMulOp, meta: &MatrixMeta, t: &Bound<'s>, c: Coord) -> Option<Val<'s>> {
+    let values = t.mm_override.filter(|_| mm.sup.main)?;
+    Some(match values.get(&c) {
+        Some(b) => Val::Ref(b),
+        None => Val::Own(zero_block(meta, c)),
+    })
+}
+
 fn matmul<'s>(
     mm: &MatMulOp,
     meta: &MatrixMeta,
     st: &mut MatMulState<'s>,
     t: &Bound<'s>,
-    (i, j): Coord,
+    c: Coord,
 ) -> Result<Val<'s>, SimError> {
-    if mm.sup.main {
-        if let Some(values) = t.mm_override {
-            return Ok(match values.get(&(i, j)) {
-                Some(b) => Val::Ref(b),
-                None => Val::Own(zero_block(meta, (i, j))),
-            });
-        }
+    if let Some(v) = overridden(mm, meta, t, c) {
+        return Ok(v);
     }
-    st.ks.clear();
-    mm.sup.terms(t, (i, j), |k| {
-        st.ks.push(k);
-        true
-    });
-    for &k in &st.ks {
-        fill(&mm.left, &mut st.left, t, (i, k))?;
-        fill(&mm.right, &mut st.right, t, (k, j))?;
-    }
-    fn operand<'a>(
-        o: &Operand,
-        memo: &'a Option<Memo<'_>>,
-        t: &Bound<'a>,
-        c: Coord,
-    ) -> Result<&'a Block, SimError> {
-        let b = match (o, memo) {
-            (Operand::Load(load), _) => t.block(*load, c).map(|b| &**b),
-            (Operand::Program(_), Some(m)) => m.values.get(&c).map(|b| &**b),
-            (Operand::Program(_), None) => None,
-        };
-        b.ok_or_else(empty_slot)
-    }
-    let term = |k: usize| -> Result<(&Block, &Block), SimError> {
-        Ok((
-            operand(&mm.left, &st.left, t, (i, k))?,
-            operand(&mm.right, &st.right, t, (k, j))?,
-        ))
+    st.gather(mm, t, c)?;
+    Ok(Val::Own(st.product(mm, meta, t, c)?))
+}
+
+/// A multiplication operand's block at `c`: from the store, or from the
+/// operand's memo.
+fn operand<'a>(
+    o: &Operand,
+    memo: &'a Option<Memo<'_>>,
+    t: &Bound<'a>,
+    c: Coord,
+) -> Result<&'a Arc<Block>, SimError> {
+    let b = match (o, memo) {
+        (Operand::Load(load), _) => t.block(*load, c),
+        (Operand::Program(_), Some(m)) => m.values.get(&c),
+        (Operand::Program(_), None) => None,
     };
-    Ok(Val::Own(match st.ks.as_slice() {
-        [] => zero_block(meta, (i, j)),
-        // A single-term product goes through the format-aware Gustavson
-        // kernel, which can build a sparse output directly instead of
-        // densifying and re-compacting.
-        &[k] => {
-            let (l, r) = term(k)?;
-            l.gemm_auto(r)?
+    b.ok_or_else(empty_slot)
+}
+
+/// The certificate's fact about one operand block: its least entry when it
+/// is dense with every entry `> 0` (so neither zero, negative nor NaN).
+fn floor(b: &Block) -> Option<f64> {
+    match b {
+        Block::Dense(d) if !d.data().is_empty() => d
+            .data()
+            .iter()
+            .try_fold(f64::INFINITY, |m, &v| (v > 0.0).then(|| m.min(v))),
+        _ => None,
+    }
+}
+
+impl<'s> MatMulState<'s> {
+    /// Lists in `ks` the `k`s the product at `(i, j)` sums over, and
+    /// computes the memoized operand blocks they read.
+    fn gather(&mut self, mm: &MatMulOp, t: &Bound<'s>, (i, j): Coord) -> Result<(), SimError> {
+        let ks = &mut self.ks;
+        ks.clear();
+        mm.sup.terms(t, (i, j), |k| {
+            ks.push(k);
+            true
+        });
+        for &k in &self.ks {
+            fill(&mm.left, &mut self.left, t, (i, k))?;
+            fill(&mm.right, &mut self.right, t, (k, j))?;
         }
-        // Multi-term sums keep the single dense accumulator so the
-        // summation order (and thus bit pattern) matches the reference
-        // path exactly.
-        ks => {
-            let (rows, cols) = meta.block_dims(i, j);
-            let mut acc = DenseBlock::zeros(rows, cols);
-            for &k in ks {
+        Ok(())
+    }
+
+    /// The gathered product as `Block`'s own operators format it.
+    fn product(
+        &self,
+        mm: &MatMulOp,
+        meta: &MatrixMeta,
+        t: &Bound<'_>,
+        (i, j): Coord,
+    ) -> Result<Block, SimError> {
+        let term = |k: usize| -> Result<(&Block, &Block), SimError> {
+            Ok((
+                &**operand(&mm.left, &self.left, t, (i, k))?,
+                &**operand(&mm.right, &self.right, t, (k, j))?,
+            ))
+        };
+        Ok(match self.ks.as_slice() {
+            [] => zero_block(meta, (i, j)),
+            // A single-term product goes through the format-aware Gustavson
+            // kernel, which can build a sparse output directly instead of
+            // densifying and re-compacting.
+            &[k] => {
                 let (l, r) = term(k)?;
-                l.gemm_acc(r, &mut acc)?;
+                l.gemm_auto(r)?
             }
-            Block::Dense(acc).compact()
+            // Multi-term sums keep the single dense accumulator so the
+            // summation order (and thus bit pattern) matches the reference
+            // path exactly.
+            ks => {
+                let (rows, cols) = meta.block_dims(i, j);
+                let mut acc = DenseBlock::zeros(rows, cols);
+                for &k in ks {
+                    let (l, r) = term(k)?;
+                    l.gemm_acc(r, &mut acc)?;
+                }
+                Block::Dense(acc).compact()
+            }
+        })
+    }
+
+    /// Whether the gathered product is certified to come out of
+    /// [`MatMulState::product`] as a dense block: every operand block is
+    /// dense with every entry `> 0`, and for every term the product of the
+    /// two blocks' least entries is `> 0`. Rounding is monotone, so no term
+    /// of any cell underflows to zero; every cell is a sum of positive
+    /// terms, hence positive, and `compact` keeps the block dense. When it
+    /// holds, `terms` lists the operand pairs. A product with no terms is
+    /// an empty sparse block, so it is never certified.
+    fn certify(&mut self, mm: &MatMulOp, t: &Bound<'s>, (i, j): Coord) -> Result<bool, SimError> {
+        self.terms.clear();
+        if self.ks.is_empty() {
+            return Ok(false);
         }
-    }))
+        for &k in &self.ks {
+            let l = operand(&mm.left, &self.left, t, (i, k))?;
+            let r = operand(&mm.right, &self.right, t, (k, j))?;
+            let fl = *self.floors[0].entry((i, k)).or_insert_with(|| floor(l));
+            let fr = *self.floors[1].entry((k, j)).or_insert_with(|| floor(r));
+            match (fl, fr) {
+                (Some(a), Some(b)) if a * b > 0.0 => {
+                    self.terms.push([Arc::clone(l), Arc::clone(r)]);
+                }
+                _ => {
+                    self.terms.clear();
+                    return Ok(false);
+                }
+            }
+        }
+        Ok(true)
+    }
 }
 
 /// Computes a memoized operand's block at `c` unless the task has it.
@@ -1433,10 +1589,11 @@ mod tests {
     fn gated_chain_is_deferred_and_transposes_are_memoized() {
         let (dag, ops, root, mm, _, _) = setup();
         let program = BlockProgram::compile(&dag, &ops, Some(mm), root);
-        // X, the multiplication, +eps and log; the chain waits for X.
+        // X, the multiplication, +eps and log; the multiplication and the
+        // chain above it wait for X.
         let instrs = &program.region.instrs;
         let deferred = instrs.iter().filter(|i| i.deferred).count();
-        assert_eq!((instrs.len(), deferred), (5, 2));
+        assert_eq!((instrs.len(), deferred), (5, 3));
         // t(V) is a multiplication operand with a program of its own; U
         // comes straight from the store.
         let Some(Op::MatMul(m)) = instrs

@@ -13,7 +13,7 @@ use fuseme_exec::fused_op::ValueMap;
 use fuseme_exec::{ExecConfig, MatmulStrategy};
 use fuseme_fusion::cfg::Cfg;
 use fuseme_fusion::plan::{ExecUnit, PartialPlan};
-use fuseme_matrix::{gen, AggOp, BinOp, MatrixMeta, UnaryOp};
+use fuseme_matrix::{gen, AggOp, BinOp, Block, BlockedMatrix, DenseBlock, MatrixMeta, UnaryOp};
 use fuseme_plan::{Bindings, DagBuilder, NodeId, OpKind, QueryDag};
 use fuseme_sim::Cluster;
 
@@ -48,11 +48,15 @@ pub fn random_dag(script: &[u8]) -> QueryDag {
 
 /// [`random_dag`]'s operators plus ones that turn zeros into non-zeros,
 /// negative zeros and NaNs (`exp`, `-x`, `log`, `sqrt`, `x + 0.5`,
-/// `0.5 - x`, `min`, `max`). With `gate`, the sparse `X` multiplies the
-/// result, as in `X * log(U %*% t(V) + eps)`. The DAG is rooted at an
-/// aggregation when `root` picks one: `1..=7` are `sum`, `rowSums`,
-/// `colSums`, `min`, `max`, `rowMaxs` and `colMins`.
-pub fn random_kernel_dag(script: &[u8], gate: bool, root: u8) -> QueryDag {
+/// `0.5 - x`, `min`, `max`). `gate` picks how the result `top` is gated,
+/// as in `X * log(U %*% t(V) + eps)`: `1` is `X * top`, `2` is
+/// `top * log(Y %*% Y + 0.5)`, where a product of dense `Y` blocks meets a
+/// gate that is sparse when `top` is, and `3` is `(Y %*% t(Y)) * (X * top)`,
+/// where it meets one that is sparse wherever `X` is; anything else leaves
+/// `top` ungated. The DAG is rooted at an aggregation when `root` picks
+/// one: `1..=7` are `sum`, `rowSums`, `colSums`, `min`, `max`, `rowMaxs`
+/// and `colMins`.
+pub fn random_kernel_dag(script: &[u8], gate: u8, root: u8) -> QueryDag {
     let bs = 4;
     let n = 16;
     let mut b = DagBuilder::new();
@@ -84,8 +88,22 @@ pub fn random_kernel_dag(script: &[u8], gate: bool, root: u8) -> QueryDag {
         pool.push(next);
     }
     let mut top = *pool.last().unwrap();
-    if gate {
-        top = b.binary(x, top, BinOp::Mul);
+    match gate {
+        1 => top = b.binary(x, top, BinOp::Mul),
+        2 => {
+            let yy = b.matmul(y, y);
+            let half = b.scalar(0.5);
+            let shifted = b.binary(yy, half, BinOp::Add);
+            let lg = b.unary(shifted, UnaryOp::Log);
+            top = b.binary(top, lg, BinOp::Mul);
+        }
+        3 => {
+            let yt = b.transpose(y);
+            let yyt = b.matmul(y, yt);
+            let gate = b.binary(x, top, BinOp::Mul);
+            top = b.binary(yyt, gate, BinOp::Mul);
+        }
+        _ => {}
     }
     let root = match root {
         1 => b.full_agg(top, AggOp::Sum),
@@ -103,23 +121,70 @@ pub fn random_kernel_dag(script: &[u8], gate: bool, root: u8) -> QueryDag {
 /// Seeded values for [`random_dag`]'s inputs: `X` sparse at density 0.3,
 /// `Y` dense.
 pub fn bindings(seed: u64) -> Bindings {
-    bindings_at(seed, 0.3)
+    bind(sparse_x(seed, 0.3), dense_y(seed, -1.0))
 }
 
 /// [`bindings`] with a block-sparse `X`: at density 0.02 about 72 % of its
 /// 4 × 4 blocks are absent (0.98¹⁶), so sparsity gates skip whole blocks.
 pub fn sparse_bindings(seed: u64) -> Bindings {
-    bindings_at(seed, 0.02)
+    bind(sparse_x(seed, 0.02), dense_y(seed, -1.0))
 }
 
-/// Both bindings of a seed: the default and the block-sparse one.
-pub fn both_bindings(seed: u64) -> [Bindings; 2] {
-    [bindings(seed), sparse_bindings(seed)]
+/// [`bindings`] with every `Y` entry in (0.1, 1): products of dense `Y`
+/// blocks hold the kernel's certificate, so a multiplication gated by `X`
+/// runs only at `X`'s stored cells.
+pub fn positive_bindings(seed: u64) -> Bindings {
+    bind(sparse_x(seed, 0.3), dense_y(seed, 0.1))
 }
 
-fn bindings_at(seed: u64, x_density: f64) -> Bindings {
-    let x = gen::sparse_uniform(16, 16, 4, x_density, -1.0, 1.0, seed).unwrap();
-    let y = gen::dense_uniform(16, 16, 4, -1.0, 1.0, seed + 1).unwrap();
+/// [`bindings`] with a `Y` of exact zeros, `-0.0` and `±1` (35 %, 35 %,
+/// 15 %, 15 %), still stored dense, in which three block rows of four keep
+/// only their first row non-zero: products cancel to exact zeros, and in
+/// those block rows compact to sparse blocks, where a gate then stores
+/// `-0.0` or drops the cell. A gated multiplication must fall back to the
+/// dense accumulator.
+pub fn hazard_bindings(seed: u64) -> Bindings {
+    let uniform = dense_y(seed, 0.0);
+    let y = BlockedMatrix::from_blocks(
+        *uniform.meta(),
+        uniform.iter_blocks().map(|(bi, bj, b)| {
+            let d = b.to_dense();
+            let thin = !(bi as u64 + seed).is_multiple_of(4);
+            let values = d.data().iter().enumerate().map(|(at, &u)| match u {
+                u if u < 0.35 => 0.0,
+                _ if u < 0.7 || (thin && at >= d.cols()) => -0.0,
+                u if u < 0.85 => 1.0,
+                _ => -1.0,
+            });
+            let block = DenseBlock::from_vec(d.rows(), d.cols(), values.collect()).unwrap();
+            ((bi, bj), Block::Dense(block))
+        }),
+    )
+    .unwrap();
+    bind(sparse_x(seed, 0.3), y)
+}
+
+/// Every binding of a seed: the default, block-sparse, positive and
+/// hazard ones.
+pub fn all_bindings(seed: u64) -> [Bindings; 4] {
+    [
+        bindings(seed),
+        sparse_bindings(seed),
+        positive_bindings(seed),
+        hazard_bindings(seed),
+    ]
+}
+
+fn sparse_x(seed: u64, density: f64) -> BlockedMatrix {
+    gen::sparse_uniform(16, 16, 4, density, -1.0, 1.0, seed).unwrap()
+}
+
+/// A dense 16 × 16 `Y` uniform in `(lo, 1)`.
+fn dense_y(seed: u64, lo: f64) -> BlockedMatrix {
+    gen::dense_uniform(16, 16, 4, lo, 1.0, seed + 1).unwrap()
+}
+
+fn bind(x: BlockedMatrix, y: BlockedMatrix) -> Bindings {
     [
         ("X".to_string(), Arc::new(x)),
         ("Y".to_string(), Arc::new(y)),

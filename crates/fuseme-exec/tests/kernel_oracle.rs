@@ -6,8 +6,11 @@
 //! interpreted per block, probing support coordinate by coordinate. On
 //! random query DAGs — element-wise, multiplication and aggregation roots
 //! (`sum`, `rowSums`, `colSums`, min, max) — under cuboid (`R = 1` and
-//! `R > 1`), striped, BFO and RFO layouts, and on both the default and the
-//! block-sparse bindings, every task must agree with the oracle on:
+//! `R > 1`), striped, BFO and RFO layouts, and on every binding of
+//! `common::all_bindings` — the default, the block-sparse one, a positive
+//! `Y` whose products take the gated multiplication, and a hazard `Y` of
+//! zeros, `±0.0` and `±1` whose products fall back to the dense
+//! accumulator — every task must agree with the oracle on:
 //!
 //! * the supported output coordinates of its tile, in tile order;
 //! * every output block, stage-1 partial and aggregation partial, bit for
@@ -19,13 +22,14 @@ use proptest::prelude::*;
 mod common;
 
 use common::oracle::{self, KernelCtx};
-use common::{both_bindings, plans, random_kernel_dag, values_for};
+use common::{all_bindings, plans, random_kernel_dag, values_for};
 use fuseme_exec::fused_op::{group_partials, route, task_layout, Layout, UnitKernel};
 use fuseme_exec::kernel::{BlockProgram, MmBlocks};
 use fuseme_exec::{LocalStore, Strategy};
 use fuseme_fusion::optimizer::Pqr;
 use fuseme_fusion::plan::PartialPlan;
-use fuseme_plan::{OpKind, QueryDag};
+use fuseme_matrix::{BinOp, MatrixMeta, UnaryOp};
+use fuseme_plan::{DagBuilder, Expr, OpKind, QueryDag};
 use fuseme_sim::{Cluster, ClusterConfig, SimError};
 
 /// Outputs agree when both succeed bit-identically or both fail.
@@ -130,7 +134,7 @@ proptest! {
     #[test]
     fn block_programs_match_interpreter(
         ops in proptest::collection::vec(0u8..16, 1..12),
-        gate in proptest::bool::ANY,
+        gate in 0u8..4,
         root in 0u8..8,
         seed in 0u64..10_000,
         p in 1usize..6,
@@ -160,11 +164,70 @@ proptest! {
             )) {
                 continue;
             }
-            for binds in both_bindings(seed) {
+            for binds in all_bindings(seed) {
                 let values = values_for(&dag, &plan, &binds, seed);
                 for strategy in &strategies {
                     if let Err(e) = compare_unit(&cluster, &dag, &plan, &values, strategy) {
                         prop_assert!(false, "{}\n{:?} on plan {:?}\n{}", e, strategy, plan, dag);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The gated multiplication's shapes, pinned rather than left to the random
+/// generator: a densifying chain over a product (`X * log(Y %*% t(Y) +
+/// 0.5)`), a bare product with the gate on either side, and a chain that
+/// keeps zeros (`X * -(Y %*% Y)`), on every binding of a few seeds. The
+/// positive binding takes the gated path; the hazard binding's products
+/// compact to sparse blocks and must fall back, since a gate over a sparse
+/// product stores `-0.0` or drops the cell.
+#[test]
+fn gated_products_match_interpreter() {
+    type Shape = fn(&mut DagBuilder, Expr, Expr) -> Expr;
+    let shapes: [Shape; 4] = [
+        |b, x, y| {
+            let yt = b.transpose(y);
+            let p = b.matmul(y, yt);
+            let half = b.scalar(0.5);
+            let shifted = b.binary(p, half, BinOp::Add);
+            let lg = b.unary(shifted, UnaryOp::Log);
+            b.binary(x, lg, BinOp::Mul)
+        },
+        |b, x, y| {
+            let p = b.matmul(y, y);
+            b.binary(p, x, BinOp::Mul)
+        },
+        |b, x, y| {
+            let yt = b.transpose(y);
+            let p = b.matmul(yt, y);
+            b.binary(x, p, BinOp::Mul)
+        },
+        |b, x, y| {
+            let p = b.matmul(y, y);
+            let neg = b.unary(p, UnaryOp::Neg);
+            b.binary(x, neg, BinOp::Mul)
+        },
+    ];
+    let cluster = Cluster::new(ClusterConfig::test_small());
+    for shape in shapes {
+        let mut b = DagBuilder::new();
+        let x = b.input("X", MatrixMeta::sparse(16, 16, 4, 0.3));
+        let y = b.input("Y", MatrixMeta::dense(16, 16, 4));
+        let out = shape(&mut b, x, y);
+        let dag = b.finish(vec![out]);
+        for seed in 0..4 {
+            for plan in plans(&dag, &cluster) {
+                for binds in all_bindings(seed) {
+                    let values = values_for(&dag, &plan, &binds, seed);
+                    for (p, q) in [(1, 1), (2, 3), (4, 4)] {
+                        let strategy = Strategy::Cuboid {
+                            pqr: Pqr { p, q, r: 1 },
+                        };
+                        if let Err(e) = compare_unit(&cluster, &dag, &plan, &values, &strategy) {
+                            panic!("{e}\n({p},{q},1), seed {seed}, plan {plan:?}\n{dag}");
+                        }
                     }
                 }
             }

@@ -5,6 +5,7 @@
 //! interpreter is simple enough to be obviously correct, and every physical
 //! strategy (cuboid with random `(P,Q,R)`, broadcast, replication) plus the
 //! plan-level drivers are checked against it on arbitrary operator mixes.
+//! Every check runs on each binding of `common::all_bindings`.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -13,7 +14,7 @@ use proptest::prelude::*;
 
 mod common;
 
-use common::{both_bindings, random_dag};
+use common::{all_bindings, random_dag};
 use fuseme_exec::driver::{execute_plan, ExecConfig, MatmulStrategy};
 use fuseme_exec::fused_op::{execute_fused, ValueMap};
 use fuseme_exec::Strategy;
@@ -40,7 +41,7 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let dag = random_dag(&ops);
-        for binds in both_bindings(seed) {
+        for binds in all_bindings(seed) {
         let reference = evaluate(&dag, &binds).unwrap();
         let want = reference[0].as_matrix().unwrap();
 
@@ -98,7 +99,7 @@ proptest! {
         if plan.validate(&dag).is_err() {
             return Ok(()); // interior materialization point: not executable fused
         }
-        for binds in both_bindings(seed) {
+        for binds in all_bindings(seed) {
         let reference = evaluate(&dag, &binds).unwrap();
         let want = reference[0].as_matrix().unwrap();
         let values: ValueMap = dag

@@ -6,8 +6,8 @@
 //! over the task's k-slice for the main multiplication and the full common
 //! dimension for nested ones, and collect every external block touched. On
 //! random query DAGs and random layouts (cuboid `(P,Q,R)`, striped task
-//! counts, BFO broadcast sides, RFO), under both the default and the
-//! block-sparse bindings, every task's routed store must hold exactly the
+//! counts, BFO broadcast sides, RFO), under every binding of
+//! `common::all_bindings`, every task's routed store must hold exactly the
 //! oracle's `(node, coord)` keys, each pointing at the input's own block.
 
 use std::collections::{BTreeSet, HashSet};
@@ -18,7 +18,7 @@ use proptest::prelude::*;
 
 mod common;
 
-use common::{both_bindings, plans, random_dag, values_for};
+use common::{all_bindings, plans, random_dag, values_for};
 use fuseme_exec::fused_op::{route, task_layout};
 use fuseme_exec::Strategy;
 use fuseme_fusion::optimizer::Pqr;
@@ -100,7 +100,7 @@ proptest! {
         ];
         for (plan, binds) in plans(&dag, &cluster)
             .into_iter()
-            .flat_map(|p| both_bindings(seed).map(|b| (p.clone(), b)))
+            .flat_map(|p| all_bindings(seed).map(|b| (p.clone(), b)))
         {
             let values = values_for(&dag, &plan, &binds, seed);
             let main_mm = plan.main_matmul(&dag);

@@ -183,6 +183,11 @@ impl DenseBlock {
     /// element over `k` in ascending order and skip zero left-operands, so
     /// they agree bit-for-bit — the dispatch threshold never changes
     /// results.
+    ///
+    /// That order is a contract: [`dot_acc`](DenseBlock::dot_acc) computes
+    /// one element the same way, and the executor's gated multiplication
+    /// relies on the two agreeing bit for bit when it computes a product
+    /// only at a sparse gate's stored cells.
     pub fn gemm_acc(&self, rhs: &DenseBlock, out: &mut DenseBlock) -> Result<()> {
         self.gemm_check(rhs, out)?;
         if self.rows * self.cols * rhs.cols >= TILED_MIN_MACS {
@@ -191,6 +196,26 @@ impl DenseBlock {
             self.naive_kernel(rhs, out);
         }
         Ok(())
+    }
+
+    /// One element of [`gemm_acc`](DenseBlock::gemm_acc): `acc` plus the
+    /// dot product of row `row` of `self` with column `col` of `rhs`, over
+    /// the inner index in ascending order with `acc += a * b` and zero
+    /// left entries skipped, exactly as both GEMM kernels accumulate it.
+    /// Chaining it over the terms of a sum of products, starting from
+    /// `+0.0`, gives the bits `gemm_acc` leaves in a zeroed accumulator.
+    ///
+    /// Panics when `row` or `col` is out of range or the inner dimensions
+    /// differ.
+    #[inline]
+    pub fn dot_acc(&self, row: usize, rhs: &DenseBlock, col: usize, mut acc: f64) -> f64 {
+        assert!(self.cols == rhs.rows && col < rhs.cols, "dot_acc shape");
+        for (k, &a) in self.row(row).iter().enumerate() {
+            if a != 0.0 {
+                acc += a * rhs.data[k * rhs.cols + col];
+            }
+        }
+        acc
     }
 
     /// The small-block GEMM kernel (i-k-j loop order), exposed so

@@ -6,6 +6,7 @@
 
 use proptest::prelude::*;
 
+use fuseme_matrix::dense::TILED_MIN_MACS;
 use fuseme_matrix::matrix::from_triples;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -364,5 +365,85 @@ proptest! {
         }
         let empty = BlockedMatrix::zeros(MatrixMeta::sparse(12, 9, bs, 0.0)).unwrap();
         prop_assert_eq!((empty.present_blocks(), empty.actual_size_bytes()), (0, 0));
+    }
+}
+
+/// Strategy: one `m × k` by `k × n` term of a sum of products. Left entries
+/// include exact zeros of both signs; about a quarter of the inner indices
+/// are dead: the left column is all `±0.0` and the right row holds `inf`,
+/// `-inf` and NaN, which only a skipped zero left entry keeps out of the
+/// sum. Other values are not round, so a change of summation order would
+/// show in the bits.
+fn hazard_term(m: usize, k: usize, n: usize) -> impl Strategy<Value = (DenseBlock, DenseBlock)> {
+    let value = |code: u8| match code {
+        0..=5 => 0.0,
+        6..=11 => -0.0,
+        c => (f64::from(c) - 37.5) * 0.37,
+    };
+    (
+        proptest::collection::vec(0u8..64, m * k),
+        proptest::collection::vec(0u8..64, k * n),
+        proptest::collection::vec(0u8..4, k),
+    )
+        .prop_map(move |(l, r, dead)| {
+            let left = (0..m * k)
+                .map(|x| match (dead[x % k], l[x] % 2) {
+                    (0, 0) => 0.0,
+                    (0, _) => -0.0,
+                    _ => value(l[x]),
+                })
+                .collect();
+            let right = (0..k * n)
+                .map(|x| match (dead[x / n], r[x] % 4) {
+                    (0, 0) => f64::INFINITY,
+                    (0, 1) => f64::NEG_INFINITY,
+                    (0, 2) => f64::NAN,
+                    _ => value(r[x]),
+                })
+                .collect();
+            (
+                DenseBlock::from_vec(m, k, left).unwrap(),
+                DenseBlock::from_vec(k, n, right).unwrap(),
+            )
+        })
+}
+
+proptest! {
+    /// `dot_acc` chained over the terms of a sum of products from `+0.0`
+    /// reproduces every element `gemm_acc` accumulates, bit for bit (so
+    /// `±0.0`, infinities and NaN count), for block shapes on both sides of
+    /// `TILED_MIN_MACS` — the naive kernel below it, the tiled one above —
+    /// and for one to three terms. The executor's gated multiplication
+    /// computes a product at a sparse gate's stored cells this way.
+    #[test]
+    fn dot_acc_matches_gemm_acc_bit_for_bit(
+        (m, n, terms) in (proptest::bool::ANY, 1usize..=7, 4usize..=7, 1usize..=7, 1usize..=3)
+            .prop_map(|(big, m, k, n, count)| match big {
+                true => (m + 25, k + 27, n + 25, count),
+                false => (m, k, n, count),
+            })
+            .prop_flat_map(|(m, k, n, count)| {
+                let term = (k - 3..=k).prop_flat_map(move |k| hazard_term(m, k, n));
+                (Just(m), Just(n), proptest::collection::vec(term, count))
+            })
+    ) {
+        let mut acc = DenseBlock::zeros(m, n);
+        for (l, r) in &terms {
+            l.gemm_acc(r, &mut acc).unwrap();
+        }
+        prop_assert!(
+            terms.iter().all(|(l, _)| (m * l.cols() * n >= TILED_MIN_MACS) == (m > 7)),
+            "each size class picks its own kernel"
+        );
+        for i in 0..m {
+            for j in 0..n {
+                let dot = terms.iter().fold(0.0, |s, (l, r)| l.dot_acc(i, r, j, s));
+                prop_assert_eq!(
+                    dot.to_bits(),
+                    acc.get(i, j).to_bits(),
+                    "({}, {}): dot {} vs gemm {}", i, j, dot, acc.get(i, j)
+                );
+            }
+        }
     }
 }
