@@ -52,7 +52,6 @@ pub struct Engine {
     kind: EngineKind,
     cluster: Cluster,
     exec: ExecConfig,
-    partition_bytes: u64,
 }
 
 /// Result of one query execution.
@@ -80,7 +79,6 @@ impl Engine {
             kind,
             cluster,
             exec,
-            partition_bytes,
         }
     }
 
@@ -115,7 +113,6 @@ impl Engine {
     /// Overrides the Spark-style partition size used by BFO and the
     /// SystemDS selection rule.
     pub fn with_partition_bytes(mut self, bytes: u64) -> Self {
-        self.partition_bytes = bytes;
         let matmul = match self.kind {
             EngineKind::SystemDsLike => MatmulStrategy::SystemDsRule {
                 partition_bytes: bytes,
@@ -135,12 +132,11 @@ impl Engine {
         self.cluster.set_fault_plan(plan);
     }
 
-    /// Sets the recovery policy on both the cluster (task retry and
-    /// speculation happen inside stages) and the driver (stage re-runs on
-    /// executor loss happen between stages).
+    /// Sets the cluster's recovery policy: task retry and speculation
+    /// inside stages, and the driver's stage re-runs on executor loss and
+    /// memory-pressure recovery between them.
     pub fn set_fault_tolerance(&mut self, cfg: FaultToleranceConfig) {
         self.cluster.set_fault_tolerance(cfg);
-        self.exec.fault_tolerance = cfg;
     }
 
     /// Recovery-activity counters accumulated since the last reset.
@@ -156,12 +152,6 @@ impl Engine {
     /// optimum.
     pub fn set_replica_cache(&mut self, budget_bytes: Option<u64>) {
         self.cluster.set_replica_cache(budget_bytes);
-    }
-
-    /// Builder form of [`set_replica_cache`](Engine::set_replica_cache).
-    pub fn with_replica_cache(mut self, budget_bytes: u64) -> Self {
-        self.set_replica_cache(Some(budget_bytes));
-        self
     }
 
     /// Cumulative replica-cache counters, when the cache is armed.

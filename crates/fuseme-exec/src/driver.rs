@@ -23,10 +23,7 @@ use fuseme_fusion::space::{input_axes, SpaceTree};
 use fuseme_matrix::BlockedMatrix;
 use fuseme_obs::{events, keys, SpanGuard, SpanKind};
 use fuseme_plan::{Bindings, NodeId, OpKind, QueryDag};
-use fuseme_sim::{
-    CacheStats, Cluster, CommStats, FaultStats, FaultToleranceConfig, LadderRung, OomReport,
-    SimError,
-};
+use fuseme_sim::{CacheStats, Cluster, CommStats, FaultStats, LadderRung, OomReport, SimError};
 
 use crate::fused_op::{execute_fused, main_input, Strategy, ValueMap};
 
@@ -52,21 +49,19 @@ pub enum MatmulStrategy {
 }
 
 /// Execution configuration: strategy policy plus the analytic cost model
-/// (mirroring the cluster's constants).
+/// (mirroring the cluster's constants). The recovery policy is the
+/// cluster's own ([`Cluster::fault_tolerance`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
     /// Matrix-multiplication policy.
     pub matmul: MatmulStrategy,
     /// Cost model for the optimizer and time estimates.
     pub model: CostModel,
-    /// Recovery policy, mirroring the cluster's (the driver consults
-    /// `max_stage_reruns` when a unit's executor is lost).
-    pub fault_tolerance: FaultToleranceConfig,
 }
 
 impl ExecConfig {
-    /// Builds a config whose cost model and recovery policy mirror the
-    /// cluster's configuration.
+    /// Builds a config whose cost model mirrors the cluster's
+    /// configuration.
     pub fn for_cluster(cluster: &Cluster, matmul: MatmulStrategy) -> Self {
         let c = cluster.config();
         ExecConfig {
@@ -78,7 +73,6 @@ impl ExecConfig {
                 net_bandwidth: c.net_bandwidth,
                 compute_bandwidth: c.compute_bandwidth,
             },
-            fault_tolerance: cluster.fault_tolerance(),
         }
     }
 }
@@ -251,9 +245,8 @@ fn run_unit(
     plan: &PartialPlan,
     values: &ValueMap,
     strategy: &Strategy,
-    config: &ExecConfig,
 ) -> Result<Arc<BlockedMatrix>, SimError> {
-    let max_reruns = config.fault_tolerance.max_stage_reruns;
+    let max_reruns = cluster.fault_tolerance().max_stage_reruns;
     let mut reruns = 0u32;
     let mut mark = WasteMark::take(cluster);
     loop {
@@ -317,10 +310,10 @@ impl WasteMark {
 
 /// Runs one unit with the memory-pressure recovery ladder armed: when the
 /// unit fails admission or hits a runtime OOM and
-/// [`FaultToleranceConfig::memory_recovery`] is on, the driver walks the
-/// ladder — tightened re-planning, plan splitting, unfused execution —
-/// before giving up with a structured [`OomReport`]. With recovery off the
-/// original error propagates untouched.
+/// [`fuseme_sim::FaultToleranceConfig::memory_recovery`] is on, the driver
+/// walks the ladder — tightened re-planning, plan splitting, unfused
+/// execution — before giving up with a structured [`OomReport`]. With
+/// recovery off the original error propagates untouched.
 #[allow(clippy::too_many_arguments)]
 fn run_unit_recovering(
     cluster: &Cluster,
@@ -334,9 +327,9 @@ fn run_unit_recovering(
     span: &SpanGuard,
 ) -> Result<Arc<BlockedMatrix>, SimError> {
     let mut mark = WasteMark::take(cluster);
-    match run_unit(cluster, dag, plan, values, strategy, config) {
+    match run_unit(cluster, dag, plan, values, strategy) {
         Ok(out) => Ok(out),
-        Err(e @ SimError::OutOfMemory { .. }) if config.fault_tolerance.memory_recovery => {
+        Err(e @ SimError::OutOfMemory { .. }) if cluster.fault_tolerance().memory_recovery => {
             recover_from_oom(
                 cluster, dag, plan, values, opt, config, stats, span, e, &mut mark,
             )
@@ -378,7 +371,7 @@ fn recover_from_oom(
     first: SimError,
     mark: &mut WasteMark,
 ) -> Result<Arc<BlockedMatrix>, SimError> {
-    let ft = &config.fault_tolerance;
+    let ft = cluster.fault_tolerance();
     let obs = fuseme_obs::handle();
     let mut rungs: Vec<LadderRung> = Vec::new();
     let mut last = first;
@@ -411,7 +404,7 @@ fn recover_from_oom(
             });
             record_pqr(stats, plan.root, replanned.pqr);
             let retry = Strategy::Cuboid { pqr: replanned.pqr };
-            match run_unit(cluster, dag, plan, values, &retry, config) {
+            match run_unit(cluster, dag, plan, values, &retry) {
                 Ok(out) => return Ok(out),
                 Err(e @ SimError::OutOfMemory { .. }) => {
                     last = e;
@@ -502,7 +495,7 @@ fn run_subplans(
     let mut out = None;
     for sub in plans {
         let (strategy, _) = choose_strategy(cluster, dag, sub, values, config, stats)?;
-        let o = run_unit(cluster, dag, sub, values, &strategy, config)?;
+        let o = run_unit(cluster, dag, sub, values, &strategy)?;
         values.insert(sub.root, Arc::clone(&o));
         out = Some(o);
     }

@@ -17,9 +17,11 @@
 //!    tile that the plan's sparsity gate lets through (no intermediate
 //!    matrices).
 //! 3. **Matrix aggregation** — with cuboid `R > 1` the main
-//!    multiplication's partial results are combined per `(p,q)` group and
-//!    the `O`-space operators run in a second stage; aggregation-rooted
-//!    plans additionally combine per-task aggregation partials.
+//!    multiplication's partial results are summed per `(p,q)` group into
+//!    the group reducer's store, and the `O`-space operators run in a
+//!    second stage: the plan without its main multiplication, over a store
+//!    holding the aggregated product. Aggregation-rooted plans additionally
+//!    combine per-task aggregation partials.
 //!
 //! Single operators execute through the same machinery: the driver wraps
 //! each [`NodeId`] outside a fused unit into a singleton [`PartialPlan`]
@@ -41,12 +43,12 @@ use fuseme_fusion::cost::estimate;
 use fuseme_fusion::optimizer::Pqr;
 use fuseme_fusion::plan::{mm_dims, PartialPlan};
 use fuseme_fusion::space::SpaceTree;
-use fuseme_matrix::{AggOp, BinOp, Block, BlockedMatrix, DenseBlock};
+use fuseme_matrix::{AggOp, BinOp, Block, BlockList, BlockedMatrix, Coord, DenseBlock};
 use fuseme_plan::{NodeId, OpKind, QueryDag};
 use fuseme_sim::executor::run_stage;
 use fuseme_sim::{Cluster, Phase, SimError, TaskWork};
 
-use crate::kernel::{footprints, BlockProgram, Footprint, LocalStore, MmBlocks, TaskProgram};
+use crate::kernel::{footprints, BlockProgram, Footprint, LocalStore, TaskProgram};
 
 /// Materialized values available to an operator: input leaves plus outputs
 /// of earlier execution units.
@@ -82,16 +84,11 @@ enum AggShape {
     Col,
 }
 
-/// What a task hands back: output blocks (final, or aggregation partials
-/// when the plan is rooted at an aggregation) or partial main-multiplication
-/// blocks (stage 1 of two-stage cuboid execution), each in coordinate order.
-#[derive(Debug)]
-pub enum TaskOut {
-    /// Output blocks or aggregation partials.
-    Blocks(Vec<((usize, usize), Arc<Block>)>),
-    /// Partial main-multiplication blocks over the task's k-slice.
-    MmPartial(Vec<((usize, usize), Arc<Block>)>),
-}
+/// What a task hands back, in coordinate order: output blocks, aggregation
+/// partials when the plan is rooted at an aggregation, or in stage 1 of a
+/// two-stage layout partial main-multiplication blocks over the task's
+/// k-slice.
+pub type TaskOut = Vec<(Coord, Arc<Block>)>;
 
 /// Task layout produced by a strategy: which task computes which output
 /// blocks over which k-slice, and which inputs every task receives whole.
@@ -136,12 +133,14 @@ pub struct TaskSlice {
 /// of the unit runs.
 #[derive(Debug)]
 pub struct UnitKernel {
-    /// The compute node's program: supported output blocks and, single
-    /// stage or in stage 2, their values.
-    compute: BlockProgram,
-    /// Stage 1 of a two-stage layout: the main multiplication's program.
-    mm: Option<BlockProgram>,
-    two_stage: bool,
+    /// The compute node's program, whose blocks tasks hand back: over the
+    /// plan, or in a two-stage layout (stage 2) over the plan without its
+    /// main multiplication, which the reducer's store then holds.
+    output: BlockProgram,
+    /// Stage 1 of a two-stage layout: the compute node's program over the
+    /// whole plan, whose support gates which partials are computed, and
+    /// the main multiplication's program.
+    partials: Option<(BlockProgram, BlockProgram)>,
     parity: bool,
     agg: Option<(AggOp, AggShape)>,
     compute_meta: fuseme_matrix::MatrixMeta,
@@ -152,12 +151,14 @@ impl UnitKernel {
     /// Lowers `plan` for the tasks of `layout`.
     pub fn compile(dag: &QueryDag, plan: &PartialPlan, layout: &Layout) -> UnitKernel {
         let (agg, _) = compute_target(dag, plan);
-        let compile = |node| BlockProgram::compile(dag, &plan.ops, layout.main_mm, node);
-        let two_stage = layout.r > 1;
+        let compile = |ops, node| BlockProgram::compile(dag, ops, layout.main_mm, node);
+        let split = layout.main_mm.filter(|_| layout.r > 1);
+        let mut rest = plan.ops.clone();
+        rest.retain(|&n| Some(n) != split);
+        let whole = |node| compile(&plan.ops, node);
         UnitKernel {
-            compute: compile(layout.compute_node),
-            mm: layout.main_mm.filter(|_| two_stage).map(compile),
-            two_stage,
+            output: compile(&rest, layout.compute_node),
+            partials: split.map(|mm| (whole(layout.compute_node), whole(mm))),
             parity: layout.parity,
             agg,
             compute_meta: dag.node(layout.compute_node).meta,
@@ -169,15 +170,10 @@ impl UnitKernel {
     /// partial main-multiplication blocks at the output blocks the plan's
     /// sparsity gate lets through.
     pub fn stage1(&self, task: &TaskSlice, store: &LocalStore) -> Result<TaskOut, SimError> {
-        let mut compute = self.compute.bind(store, task.k_range.clone());
-        if !self.two_stage {
-            return self.full(&mut compute, &task.out);
-        }
-        let Some(mm) = &self.mm else {
-            return Err(SimError::Task(
-                "two-stage execution requires a matmul".into(),
-            ));
+        let Some((whole, mm)) = &self.partials else {
+            return self.full(self.output.bind(store, task.k_range.clone()), &task.out);
         };
+        let compute = whole.bind(store, task.k_range.clone());
         let mut mm = mm.bind(store, task.k_range.clone());
         // Only output blocks the plan's sparsity gate lets through need
         // multiplication partials — skipping the rest is what keeps the
@@ -196,28 +192,19 @@ impl UnitKernel {
                 out.push((c, mm.eval(c)?));
             }
         }
-        Ok(TaskOut::MmPartial(out))
+        Ok(out)
     }
 
-    /// A stage-2 reducer: the task's output blocks from its group's
-    /// aggregated main-multiplication blocks, if the group produced any.
-    pub fn stage2(
-        &self,
-        task: &TaskSlice,
-        store: &LocalStore,
-        mm: Option<&MmBlocks>,
-    ) -> Result<TaskOut, SimError> {
-        let base = self.compute.bind(store, 0..0);
-        let mut program = match mm {
-            Some(values) => base.with_mm_override(values),
-            None => base,
-        };
-        self.full(&mut program, &task.out)
+    /// A stage-2 reducer: the task's output blocks, read from a store that
+    /// holds its group's aggregated product, if the group produced any, as
+    /// the main multiplication's node.
+    pub fn stage2(&self, task: &TaskSlice, store: &LocalStore) -> Result<TaskOut, SimError> {
+        self.full(self.output.bind(store, 0..0), &task.out)
     }
 
     /// Runs full kernels for a tile's supported blocks; folds aggregation
     /// roots into partial aggregation blocks.
-    fn full(&self, program: &mut TaskProgram<'_>, tile: &Footprint) -> Result<TaskOut, SimError> {
+    fn full(&self, mut program: TaskProgram<'_>, tile: &Footprint) -> Result<TaskOut, SimError> {
         let supported = program.supported(tile);
         let Some((op, shape)) = self.agg else {
             let mut out = Vec::with_capacity(supported.len());
@@ -227,7 +214,7 @@ impl UnitKernel {
                     out.push((c, b));
                 }
             }
-            return Ok(TaskOut::Blocks(out));
+            return Ok(out);
         };
         // Every tile block folds in, unsupported ones as zero blocks (one
         // per distinct block shape).
@@ -252,12 +239,10 @@ impl UnitKernel {
             };
             fold_partial(&mut partials, value, (bi, bj), op, shape, &self.root_meta);
         }
-        Ok(TaskOut::Blocks(
-            partials
-                .into_iter()
-                .map(|(coord, b)| (coord, Arc::new(Block::Dense(b))))
-                .collect(),
-        ))
+        Ok(partials
+            .into_iter()
+            .map(|(coord, b)| (coord, Arc::new(Block::Dense(b))))
+            .collect())
     }
 }
 
@@ -355,7 +340,7 @@ pub fn execute_fused(
     }
 
     // ----- consolidation: route blocks, build stores ------------------------
-    let stores = route(dag, plan, values, &layout);
+    let mut stores = route(dag, plan, values, &layout);
 
     // ----- replica cache: skip re-shipping cached loop-invariant inputs -----
     // Routing above is in-process either way (results are byte-identical
@@ -475,36 +460,35 @@ pub fn execute_fused(
         run_stage(cluster, Phase::Consolidation, work).map_err(|e| enrich_oom(e, plan.root, eq))?;
 
     // ----- stage 2 (cuboid aggregation across the k-axis) ----------------------
-    let outputs: Vec<TaskOut> = if two_stage {
-        let (grouped, agg_bytes) = group_partials(&layout, stage1.outputs)?;
-        let grouped = &grouped;
-        let mut reducers: Vec<TaskWork<'_, TaskOut>> = Vec::new();
-        for task in layout.tasks.iter().filter(|t| t.is_reducer) {
-            let store = &stores[task.id];
-            let recv = agg_bytes.get(&task.group).copied().unwrap_or(0);
-            let group = task.group;
+    let outputs: Vec<TaskOut> = match main_mm.filter(|_| two_stage) {
+        Some(mm) => {
+            let (mut grouped, agg_bytes) = group_partials(&layout, stage1.outputs)?;
             // For a multiplication-rooted plan the output *is* the
             // aggregated partial — counting both would double-charge.
-            let out_extra = if compute_node == main_mm.unwrap_or(usize::MAX) {
-                0
-            } else {
-                out_share
-            };
-            // Incoming partials merge block-by-block (streaming), so they
-            // add one block of scratch, not a full replica.
-            reducers.push(TaskWork {
-                task_id: group,
-                recv_bytes: recv,
-                mem_bytes: store.total_bytes() + partial_share + out_extra,
-                flops: flops_per_task,
-                job: Box::new(move || kernel.stage2(task, store, grouped.get(&group))),
-            });
+            let out_extra = if compute_node == mm { 0 } else { out_share };
+            let mut reducers = Vec::new();
+            for task in layout.tasks.iter().filter(|t| t.is_reducer) {
+                let mut store = std::mem::take(&mut stores[task.id]);
+                // Incoming partials merge block-by-block (streaming), so
+                // they add one block of scratch, not a full replica; the
+                // declared memory is the store's before the product joins.
+                let mem_bytes = store.total_bytes() + partial_share + out_extra;
+                if let Some(product) = grouped.remove(&task.group) {
+                    store.insert(mm, product);
+                }
+                reducers.push(TaskWork {
+                    task_id: task.group,
+                    recv_bytes: agg_bytes.get(&task.group).copied().unwrap_or(0),
+                    mem_bytes,
+                    flops: flops_per_task,
+                    job: Box::new(move || kernel.stage2(task, &store)),
+                });
+            }
+            run_stage(cluster, Phase::Aggregation, reducers)
+                .map_err(|e| enrich_oom(e, plan.root, eq))?
+                .outputs
         }
-        run_stage(cluster, Phase::Aggregation, reducers)
-            .map_err(|e| enrich_oom(e, plan.root, eq))?
-            .outputs
-    } else {
-        stage1.outputs
+        None => stage1.outputs,
     };
 
     // ----- assemble the result -------------------------------------------------
@@ -850,46 +834,29 @@ fn combine_into(acc: &mut DenseBlock, part: &DenseBlock, op: AggOp) {
 /// Values per `(p,q)` group of a two-stage layout.
 pub type ByGroup<T> = HashMap<usize, T>;
 
-/// Sums stage-1 partials per `(p,q)` group, in task order. Also returns
-/// the bytes each group's reducer receives: every partial of a non-reducer
-/// member.
+/// Sums stage-1 partials per `(p,q)` group, in task order, into the
+/// group's aggregated product. Also returns the bytes each group's reducer
+/// receives: every partial of a non-reducer member.
 pub fn group_partials(
     layout: &Layout,
     outputs: Vec<TaskOut>,
-) -> Result<(ByGroup<MmBlocks>, ByGroup<u64>), SimError> {
-    let mut grouped: ByGroup<MmBlocks> = HashMap::new();
+) -> Result<(ByGroup<BlockList>, ByGroup<u64>), SimError> {
+    let mut grouped: ByGroup<BlockList> = HashMap::new();
     let mut agg_bytes: ByGroup<u64> = HashMap::new();
-    for (task, out) in layout.tasks.iter().zip(outputs) {
-        let TaskOut::MmPartial(parts) = out else {
-            return Err(SimError::Task("stage-1 output kind mismatch".into()));
-        };
-        let slot = grouped.entry(task.group).or_default();
+    for (task, parts) in layout.tasks.iter().zip(outputs) {
+        let sum = grouped.entry(task.group).or_default();
         for (coord, block) in parts {
             if !task.is_reducer {
                 *agg_bytes.entry(task.group).or_default() += block.size_bytes();
             }
-            merge_partial(slot, coord, block)?;
+            let block = match sum.get(coord) {
+                Some(acc) => Arc::new(acc.zip(&block, BinOp::Add)?),
+                None => block,
+            };
+            sum.insert(coord, block);
         }
     }
     Ok((grouped, agg_bytes))
-}
-
-/// Sums a partial multiplication block into the group accumulator.
-fn merge_partial(
-    slot: &mut HashMap<(usize, usize), Arc<Block>>,
-    coord: (usize, usize),
-    block: Arc<Block>,
-) -> Result<(), SimError> {
-    match slot.remove(&coord) {
-        None => {
-            slot.insert(coord, block);
-        }
-        Some(existing) => {
-            let sum = existing.zip(&block, BinOp::Add)?;
-            slot.insert(coord, Arc::new(sum));
-        }
-    }
-    Ok(())
 }
 
 /// Collects task outputs into the plan root's matrix, whose block list is
@@ -907,12 +874,7 @@ fn assemble(
     let mut result = Vec::new();
     let mut agg_slots: HashMap<(usize, usize), Arc<Block>> = HashMap::new();
     let mut shuffled = 0u64;
-    for out in outputs {
-        let TaskOut::Blocks(blocks) = out else {
-            return Err(SimError::Task(
-                "unexpected partial output at assembly".into(),
-            ));
-        };
+    for blocks in outputs {
         for ((bi, bj), block) in blocks {
             match agg_kind {
                 None => {
@@ -1216,6 +1178,65 @@ mod tests {
                 (got - expected).abs() < 1e-9 * expected.abs().max(1.0),
                 "{strategy:?}: {got} vs {expected}"
             );
+        }
+    }
+
+    #[test]
+    fn two_stage_skips_coordinates_without_a_product() {
+        // X * (A %*% B) at (2,2,2), element-wise and under rowSums. A lacks
+        // block row 1 and B block column 2, so those product blocks have no
+        // k term in any slice though X has a block there; product column 3
+        // has terms in the second k-slice only.
+        let thinned = |seed, keep: fn(Coord) -> bool| {
+            let m = gen::dense_uniform(16, 16, 4, -1.0, 1.0, seed).unwrap();
+            let kept = m.blocks().iter().filter(|&(c, _)| keep(c));
+            let kept: Vec<_> = kept.map(|(c, b)| (c, Arc::clone(b))).collect();
+            Arc::new(BlockedMatrix::from_blocks(*m.meta(), kept).unwrap())
+        };
+        let mats = [
+            thinned(80, |_| true),
+            thinned(81, |(i, _)| i != 1),
+            thinned(82, |(k, j)| j != 2 && (j != 3 || k >= 2)),
+        ];
+        let names = ["X", "A", "B"];
+        let cluster = Cluster::new(ClusterConfig::test_small());
+        let strategy = Strategy::Cuboid {
+            pqr: Pqr { p: 2, q: 2, r: 2 },
+        };
+        for row_sums in [false, true] {
+            let mut b = DagBuilder::new();
+            let leaves = names.map(|n| b.input(n, *mats[0].meta()));
+            let mm = b.matmul(leaves[1], leaves[2]);
+            let prod = b.binary(leaves[0], mm, BinOp::Mul);
+            let root = if row_sums {
+                b.row_agg(prod, AggOp::Sum)
+            } else {
+                prod
+            };
+            let dag = b.finish(vec![root]);
+            let plan = PartialPlan::new(BTreeSet::from([mm.id(), prod.id(), root.id()]), root.id());
+            let bindings: Bindings = names
+                .iter()
+                .zip(&mats)
+                .map(|(n, m)| (n.to_string(), Arc::clone(m)))
+                .collect();
+            let values: ValueMap = leaves
+                .iter()
+                .zip(&mats)
+                .map(|(e, m)| (e.id(), Arc::clone(m)))
+                .collect();
+            let expected = evaluate(&dag, &bindings).unwrap()[0]
+                .as_matrix()
+                .unwrap()
+                .as_ref()
+                .clone();
+            assert_eq!(task_layout(&cluster, &dag, &plan, &values, &strategy).r, 2);
+            let out = execute_fused(&cluster, &dag, &plan, &values, &strategy).unwrap();
+            assert!(out.approx_eq(&expected, 1e-9), "rowSums: {row_sums}");
+            for t in (0..4).filter(|_| !row_sums) {
+                assert!(out.block(1, t).is_none() && out.block(t, 2).is_none());
+                assert_eq!(out.block(t, 3).is_some(), t != 1);
+            }
         }
     }
 

@@ -28,10 +28,9 @@
 //!   is `> 0`. Then every product cell is positive and the product would
 //!   reach the chain as a dense block, so the gated block is the one the
 //!   dense product would give. Without it, or without a sparse gate of the
-//!   same shape, or when stage 2 installed aggregated products, the
-//!   multiplication runs in full (dense accumulator, `compact()`) and the
-//!   zip takes its general path: `compact()` may make the product sparse,
-//!   which meets the gate differently.
+//!   same shape, the multiplication runs in full (dense accumulator,
+//!   `compact()`) and the zip takes its general path: `compact()` may make
+//!   the product sparse, which meets the gate differently.
 //! * a **support rule**: the zero-propagation logic that decides whether a
 //!   block can be non-zero at all, compiled to a small tree over "block
 //!   present in the store" facts. A task enumerates its supported output
@@ -62,9 +61,12 @@
 //!
 //! The main matrix multiplication sums over the task's `k`-slice only; with
 //! `R > 1` that produces a *partial* result which the aggregation stage
-//! combines before the `O`-space operators run (see `fused_op`). Nested
-//! multiplications always see their full common dimension locally — their
-//! subspaces are confined, so the needed blocks were all routed.
+//! combines before the `O`-space operators run (see `fused_op`). Stage 2 is
+//! the plan without its main multiplication, over a store holding the
+//! aggregated product: the product is an ordinary external node there,
+//! loaded and supported like any other input. Nested multiplications always
+//! see their full common dimension locally — their subspaces are confined,
+//! so the needed blocks were all routed.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
@@ -73,9 +75,6 @@ use std::sync::Arc;
 use fuseme_matrix::{BinOp, Block, BlockList, Coord, DenseBlock, MatrixMeta, SparseBlock, UnaryOp};
 use fuseme_plan::{NodeId, OpKind, QueryDag};
 use fuseme_sim::SimError;
-
-/// Aggregated main-multiplication blocks of one `(p,q)` group (stage 2).
-pub type MmBlocks = HashMap<Coord, Arc<Block>>;
 
 fn swap_if(swap: bool, (i, j): Coord) -> Coord {
     if swap {
@@ -191,8 +190,7 @@ enum Sup {
 struct MmSup {
     /// The multiplication's coordinates are the program's swapped.
     swap: bool,
-    /// The plan's main multiplication: sums over the task's k-slice, and
-    /// reads the aggregated value when one is installed.
+    /// The plan's main multiplication: sums over the task's k-slice.
     main: bool,
     /// Common dimension in blocks, for nested multiplications.
     k_full: usize,
@@ -245,9 +243,6 @@ impl MmSup {
     }
 
     fn any_term(&self, t: &Bound<'_>, at: Coord) -> bool {
-        if self.main && t.mm_override.is_some() {
-            return true;
-        }
         let mut any = false;
         self.terms(t, at, |_| {
             any = true;
@@ -646,7 +641,6 @@ impl BlockProgram {
             bound: Bound {
                 loads: self.loads.iter().map(|&n| store.node(n)).collect(),
                 k_range,
-                mm_override: None,
             },
             state: RegionState::new(&self.region),
         }
@@ -657,7 +651,6 @@ impl BlockProgram {
 struct Bound<'s> {
     loads: Vec<Option<&'s BlockList>>,
     k_range: Range<usize>,
-    mm_override: Option<&'s MmBlocks>,
 }
 
 impl<'s> Bound<'s> {
@@ -808,7 +801,11 @@ fn eval_region<'s>(
             }
             Op::Zip { op, l, r, chains } => Val::Own(zip(instrs, st, t, c, *op, [*l, *r], chains)?),
             Op::Transpose(src) => Val::Own(st.slots[*src].block()?.transpose()),
-            Op::MatMul(mm) => matmul(mm, &ins.meta, &mut st.matmuls[mm.state], t, at)?,
+            Op::MatMul(mm) => {
+                let ms = &mut st.matmuls[mm.state];
+                ms.gather(mm, t, at)?;
+                Val::Own(ms.product(mm, &ins.meta, t, at)?)
+            }
             Op::Fail(msg) => return Err(SimError::Task((*msg).into())),
         };
         st.slots[x] = value;
@@ -856,10 +853,6 @@ fn zip<'s>(
             continue;
         };
         let at = swap_if(base.swap, c);
-        if let Some(v) = overridden(mm, &base.meta, t, at) {
-            st.slots[ch.base] = v;
-            continue;
-        }
         let ms = &mut st.matmuls[mm.state];
         ms.gather(mm, t, at)?;
         if ms.certify(mm, t, at)? {
@@ -926,30 +919,6 @@ fn zip<'s>(
         }
     };
     Ok(side(0)?.zip(side(1)?, op)?)
-}
-
-/// The main multiplication's aggregated block, when stage 2 installed
-/// them.
-fn overridden<'s>(mm: &MatMulOp, meta: &MatrixMeta, t: &Bound<'s>, c: Coord) -> Option<Val<'s>> {
-    let values = t.mm_override.filter(|_| mm.sup.main)?;
-    Some(match values.get(&c) {
-        Some(b) => Val::Ref(b),
-        None => Val::Own(zero_block(meta, c)),
-    })
-}
-
-fn matmul<'s>(
-    mm: &MatMulOp,
-    meta: &MatrixMeta,
-    st: &mut MatMulState<'s>,
-    t: &Bound<'s>,
-    c: Coord,
-) -> Result<Val<'s>, SimError> {
-    if let Some(v) = overridden(mm, meta, t, c) {
-        return Ok(v);
-    }
-    st.gather(mm, t, c)?;
-    Ok(Val::Own(st.product(mm, meta, t, c)?))
 }
 
 /// A multiplication operand's block at `c`: from the store, or from the
@@ -1091,14 +1060,6 @@ pub struct TaskProgram<'s> {
 }
 
 impl<'s> TaskProgram<'s> {
-    /// Installs aggregated main-multiplication results (stage 2): the main
-    /// multiplication reads these instead of recomputing, and counts as
-    /// supported everywhere.
-    pub fn with_mm_override(mut self, values: &'s MmBlocks) -> Self {
-        self.bound.mm_override = Some(values);
-        self
-    }
-
     /// `true` if the program's node can be non-zero at `c`.
     pub fn has_support(&self, c: Coord) -> bool {
         self.program.region.sup.holds(&self.bound, c)
@@ -1490,25 +1451,45 @@ mod tests {
     }
 
     #[test]
-    fn mm_override_used_in_stage_two() {
-        let (dag, ops, root, mm, store, expected) = setup();
-        // Precompute full mm blocks, then hand them to a stage-2 program
-        // with an empty k-range: results must still be correct.
-        let mm_program = BlockProgram::compile(&dag, &ops, Some(mm), mm);
-        let mut pre = mm_program.bind(&store, 0..2);
-        let mut agg = MmBlocks::new();
-        for bi in 0..4 {
-            for bj in 0..4 {
-                agg.insert((bi, bj), pre.eval((bi, bj)).unwrap());
-            }
-        }
-        let program = BlockProgram::compile(&dag, &ops, Some(mm), root);
-        let mut stage2 = program.bind(&store, 0..0).with_mm_override(&agg);
-        for bi in 0..4 {
-            for bj in 0..4 {
-                let got = stage2.eval((bi, bj)).unwrap();
-                assert_close(&got, &expected.block_or_zero(bi, bj));
-            }
+    fn stage_two_reads_the_product_from_the_store() {
+        // Stage 2 of X * (U × Vᵀ) is the plan without its multiplication,
+        // over a store holding the aggregated product as that node. A
+        // product block the group never produced gates its output block
+        // away: it is skipped, not evaluated.
+        let x = gen::sparse_uniform(20, 20, 5, 0.3, 1.0, 2.0, 1).unwrap();
+        let u = gen::dense_uniform(20, 10, 5, 0.1, 1.0, 2).unwrap();
+        let v = gen::dense_uniform(20, 10, 5, 0.1, 1.0, 3).unwrap();
+        let product = u.matmul(&v.transpose().unwrap()).unwrap();
+        let mut b = DagBuilder::new();
+        let xe = b.input("X", *x.meta());
+        let ue = b.input("U", *u.meta());
+        let ve = b.input("V", *v.meta());
+        let vt = b.transpose(ve);
+        let mm = b.matmul(ue, vt);
+        let out = b.binary(xe, mm, BinOp::Mul);
+        let dag = b.finish(vec![out]);
+        let gap = x.blocks().coords()[0];
+        let mut store = LocalStore::new();
+        store.insert(xe.id(), x.blocks().clone());
+        let held = product.blocks().iter().filter(|&(c, _)| c != gap);
+        store.insert(mm.id(), held.map(|(c, b)| (c, Arc::clone(b))).collect());
+        let rest = BTreeSet::from([vt.id(), out.id()]);
+        let program = BlockProgram::compile(&dag, &rest, Some(mm.id()), out.id());
+        let mut stage2 = program.bind(&store, 0..0);
+        let want: Vec<Coord> = x
+            .blocks()
+            .coords()
+            .iter()
+            .copied()
+            .filter(|&c| c != gap)
+            .collect();
+        assert_eq!(stage2.supported(&Footprint::product(0..4, 0..4)), want);
+        let expected = x.zip(&product, BinOp::Mul).unwrap();
+        for (bi, bj) in want {
+            assert_close(
+                &stage2.eval((bi, bj)).unwrap(),
+                &expected.block_or_zero(bi, bj),
+            );
         }
     }
 

@@ -29,8 +29,6 @@ pub struct KernelCtx<'a> {
     /// The task's k-slice for the main multiplication (block indices).
     k_range: Range<usize>,
     store: &'a LocalStore,
-    /// Stage-2 override: fully aggregated main-multiplication blocks.
-    mm_override: Option<&'a HashMap<(usize, usize), Arc<Block>>>,
     memo: HashMap<(NodeId, usize, usize), Arc<Block>>,
 }
 
@@ -50,15 +48,8 @@ impl<'a> KernelCtx<'a> {
             main_mm,
             k_range,
             store,
-            mm_override: None,
             memo: HashMap::new(),
         }
-    }
-
-    /// Installs aggregated main-multiplication results (stage 2).
-    pub fn with_mm_override(mut self, values: &'a HashMap<(usize, usize), Arc<Block>>) -> Self {
-        self.mm_override = Some(values);
-        self
     }
 
     fn block_dims(&self, node: NodeId, bi: usize, bj: usize) -> (usize, usize) {
@@ -94,17 +85,6 @@ impl<'a> KernelCtx<'a> {
     ) -> Result<Arc<Block>, SimError> {
         if !self.ops.contains(&node) {
             return Ok(self.fetch_external(node, bi, bj));
-        }
-        if Some(node) == self.main_mm {
-            if let Some(vals) = self.mm_override {
-                return Ok(match vals.get(&(bi, bj)) {
-                    Some(b) => Arc::clone(b),
-                    None => {
-                        let (r, c) = self.block_dims(node, bi, bj);
-                        Arc::new(Block::zero(r, c))
-                    }
-                });
-            }
         }
         let n = self.dag.node(node);
         let value: Block = match &n.kind {
@@ -226,9 +206,6 @@ impl<'a> KernelCtx<'a> {
             }
             OpKind::Transpose => self.has_support(n.inputs[0], bj, bi),
             OpKind::MatMul => {
-                if self.mm_override.is_some() && Some(node) == self.main_mm {
-                    return true;
-                }
                 let (l_id, r_id) = (n.inputs[0], n.inputs[1]);
                 self.mm_k_range(node)
                     .any(|k| self.has_support(l_id, bi, k) && self.has_support(r_id, k, bj))
@@ -279,24 +256,32 @@ pub fn stage1(
             out.push(((bi, bj), ctx.eval(mm, bi, bj)?));
         }
     }
-    Ok(TaskOut::MmPartial(out))
+    Ok(out)
 }
 
-/// A stage-2 reducer, interpreted.
+/// The operators stage 2 runs: the plan without its main multiplication,
+/// whose aggregated blocks the reducer's store holds.
+pub fn stage2_ops(plan: &PartialPlan, mm: NodeId) -> BTreeSet<NodeId> {
+    let mut ops = plan.ops.clone();
+    ops.remove(&mm);
+    ops
+}
+
+/// A stage-2 reducer, interpreted over a store that holds the group's
+/// aggregated product as the main multiplication's node.
 pub fn stage2(
     dag: &QueryDag,
     plan: &PartialPlan,
     layout: &Layout,
     task: &TaskSlice,
     store: &LocalStore,
-    mm: Option<&HashMap<(usize, usize), Arc<Block>>>,
 ) -> Result<TaskOut, SimError> {
     let (agg, compute_node) = target(dag, plan);
-    let base = KernelCtx::new(dag, &plan.ops, layout.main_mm, 0..0, store);
-    let mut ctx = match mm {
-        Some(vals) => base.with_mm_override(vals),
-        None => base,
-    };
+    let mm = layout
+        .main_mm
+        .expect("two-stage layouts have a multiplication");
+    let ops = stage2_ops(plan, mm);
+    let mut ctx = KernelCtx::new(dag, &ops, layout.main_mm, 0..0, store);
     full_kernels(&mut ctx, dag, plan, compute_node, &task.out, agg)
 }
 
@@ -318,7 +303,7 @@ fn full_kernels(
                 }
             }
         }
-        return Ok(TaskOut::Blocks(out));
+        return Ok(out);
     };
     let meta = dag.node(compute_node).meta;
     let root_meta = dag.node(plan.root).meta;
@@ -367,7 +352,7 @@ fn full_kernels(
         .map(|(coord, b)| (coord, Arc::new(Block::Dense(b))))
         .collect();
     out.sort_by_key(|(c, _)| *c);
-    Ok(TaskOut::Blocks(out))
+    Ok(out)
 }
 
 /// `true` when two blocks have the same format, shape, pattern and value
@@ -392,17 +377,16 @@ pub fn same_bits(a: &Block, b: &Block) -> bool {
 
 /// Why two task outputs differ, if they do.
 pub fn diff(got: &TaskOut, want: &TaskOut) -> Option<String> {
-    let (g, w, kind) = match (got, want) {
-        (TaskOut::Blocks(g), TaskOut::Blocks(w)) => (g, w, "blocks"),
-        (TaskOut::MmPartial(g), TaskOut::MmPartial(w)) => (g, w, "partials"),
-        _ => return Some("output kinds differ".into()),
-    };
-    let coords = |v: &[((usize, usize), Arc<Block>)]| v.iter().map(|(c, _)| *c).collect::<Vec<_>>();
-    if coords(g) != coords(w) {
-        return Some(format!("{kind} at {:?}, want {:?}", coords(g), coords(w)));
+    let coords = |v: &TaskOut| v.iter().map(|(c, _)| *c).collect::<Vec<_>>();
+    if coords(got) != coords(want) {
+        return Some(format!(
+            "blocks at {:?}, want {:?}",
+            coords(got),
+            coords(want)
+        ));
     }
-    g.iter()
-        .zip(w)
+    got.iter()
+        .zip(want)
         .find(|((_, a), (_, b))| !same_bits(a, b))
-        .map(|((c, a), (_, b))| format!("{kind} block {c:?}: {a:?} vs {b:?}"))
+        .map(|((c, a), (_, b))| format!("block {c:?}: {a:?} vs {b:?}"))
 }

@@ -16,20 +16,27 @@
 //! * every output block, stage-1 partial and aggregation partial, bit for
 //!   bit: same format, same pattern, same `to_bits` of every value
 //!   (so ±0.0 and NaN count).
+//!
+//! Stage 2 runs the plan without its main multiplication over the
+//! reducer's store with the group's aggregated product added as that
+//! multiplication's node; the oracle interprets the same reduced plan over
+//! the same store.
 
 use proptest::prelude::*;
 
 mod common;
 
+use std::collections::BTreeSet;
+
 use common::oracle::{self, KernelCtx};
 use common::{all_bindings, plans, random_kernel_dag, values_for};
 use fuseme_exec::fused_op::{group_partials, route, task_layout, Layout, UnitKernel};
-use fuseme_exec::kernel::{BlockProgram, MmBlocks};
+use fuseme_exec::kernel::BlockProgram;
 use fuseme_exec::{LocalStore, Strategy};
 use fuseme_fusion::optimizer::Pqr;
 use fuseme_fusion::plan::PartialPlan;
 use fuseme_matrix::{BinOp, MatrixMeta, UnaryOp};
-use fuseme_plan::{DagBuilder, Expr, OpKind, QueryDag};
+use fuseme_plan::{DagBuilder, Expr, NodeId, OpKind, QueryDag};
 use fuseme_sim::{Cluster, ClusterConfig, SimError};
 
 /// Outputs agree when both succeed bit-identically or both fail.
@@ -46,31 +53,21 @@ fn check<T>(
     }
 }
 
-/// The supported coordinates of a task's tile, program vs oracle.
+/// The supported coordinates of a task's tile, `program` (compiled from
+/// `ops`) vs the oracle interpreting `ops`.
 fn check_support(
     dag: &QueryDag,
-    plan: &PartialPlan,
+    (ops, program): (&BTreeSet<NodeId>, &BlockProgram),
     layout: &Layout,
-    program: &BlockProgram,
     (tile_k, store): (std::ops::Range<usize>, &LocalStore),
     tile: &fuseme_exec::kernel::Footprint,
-    mm: Option<&MmBlocks>,
 ) -> Result<(), String> {
-    let base = program.bind(store, tile_k.clone());
-    let bound = match mm {
-        Some(v) => base.with_mm_override(v),
-        None => base,
-    };
-    let ctx = KernelCtx::new(dag, &plan.ops, layout.main_mm, tile_k, store);
-    let ctx = match mm {
-        Some(v) => ctx.with_mm_override(v),
-        None => ctx,
-    };
+    let ctx = KernelCtx::new(dag, ops, layout.main_mm, tile_k.clone(), store);
     let want: Vec<_> = tile
         .coords()
         .filter(|&(bi, bj)| ctx.has_support(layout.compute_node, bi, bj))
         .collect();
-    let got = bound.supported(tile);
+    let got = program.bind(store, tile_k).supported(tile);
     if got == want {
         Ok(())
     } else {
@@ -96,12 +93,10 @@ fn compare_unit(
         let at = |e: String| format!("stage-1 task {t}: {e}");
         check_support(
             dag,
-            plan,
+            (&plan.ops, &program),
             &layout,
-            &program,
             (task.k_range.clone(), store),
             &task.out,
-            None,
         )
         .map_err(at)?;
         let got = kernel.stage1(task, store);
@@ -116,13 +111,20 @@ fn compare_unit(
         return Ok(());
     }
     let (grouped, _) = group_partials(&layout, partials).map_err(|e| e.to_string())?;
+    let mm = layout
+        .main_mm
+        .ok_or("two-stage layout without a multiplication")?;
+    let ops = oracle::stage2_ops(plan, mm);
+    let program = BlockProgram::compile(dag, &ops, layout.main_mm, layout.compute_node);
     for task in layout.tasks.iter().filter(|t| t.is_reducer) {
         let at = |e: String| format!("stage-2 group {}: {e}", task.group);
-        let store = &stores[task.id];
-        let mm = grouped.get(&task.group);
-        check_support(dag, plan, &layout, &program, (0..0, store), &task.out, mm).map_err(at)?;
-        let got = kernel.stage2(task, store, mm);
-        let want = oracle::stage2(dag, plan, &layout, task, store, mm);
+        let mut store = stores[task.id].clone();
+        if let Some(product) = grouped.get(&task.group) {
+            store.insert(mm, product.clone());
+        }
+        check_support(dag, (&ops, &program), &layout, (0..0, &store), &task.out).map_err(at)?;
+        let got = kernel.stage2(task, &store);
+        let want = oracle::stage2(dag, plan, &layout, task, &store);
         check(&got, &want, oracle::diff).map_err(at)?;
     }
     Ok(())

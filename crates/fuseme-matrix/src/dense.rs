@@ -464,7 +464,7 @@ mod tests {
                 let h = (i as u64)
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(salt);
-                if h % 7 == 0 {
+                if h.is_multiple_of(7) {
                     0.0
                 } else {
                     ((h >> 32) as f64 / u32::MAX as f64) - 0.5
@@ -478,7 +478,7 @@ mod tests {
     fn tiled_kernel_is_bit_identical_to_naive() {
         // 40×40×40 = 64000 MACs ≥ TILED_MIN_MACS, so `gemm_acc` dispatches
         // to the tiled kernel; the naive kernel must agree bit-for-bit.
-        assert!(40 * 40 * 40 >= TILED_MIN_MACS);
+        const { assert!(40 * 40 * 40 >= TILED_MIN_MACS) };
         let a = patterned(40, 40, 1);
         let b = patterned(40, 40, 2);
         let mut tiled = patterned(40, 40, 3);

@@ -165,14 +165,6 @@ impl FaultPlan {
         })
     }
 
-    /// Kills each stage's executor independently with probability `rate`.
-    pub fn with_executor_loss_rate(self, rate: f64) -> Self {
-        self.with(FaultSpec {
-            kind: FaultKind::ExecutorLoss,
-            scope: FaultScope::Rate(rate),
-        })
-    }
-
     /// Inflates every task's actual peak memory to `factor`× its declared
     /// estimate, independently with probability `rate`.
     pub fn with_mem_skew_rate(self, rate: f64, factor: f64) -> Self {

@@ -261,7 +261,7 @@ proptest! {
         let budget = 10_000;
         let cache = ReplicaCache::new(budget);
         let bytes = budget - filler + 1; // guarantees filler forces eviction
-        assert!(cache.admit(7, 0, grid(0), bytes).is_hit() == false);
+        assert!(!cache.admit(7, 0, grid(0), bytes).is_hit());
         prop_assert!(cache.admit(7, 0, grid(0), bytes).is_hit());
         // Fill past the budget with a different matrix: victim evicted.
         cache.admit(8, 0, grid(1), filler);

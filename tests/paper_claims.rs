@@ -286,7 +286,7 @@ fn bytes_of(binds: &Bindings, name: &str) -> u64 {
 /// * gate = density(O)/density(MM) = 0.5 ⇒ gated |MM| = 14400 B,
 /// * NetEst = R·|X| + Q·|U| + P·|V| + 8·R + (R−1)·gate·|MM|   (Eq. 4)
 /// * MemEst = |U|/(P·R) + |V|/(Q·R) + (|X|+8+|O|)/(P·Q)
-///            [+ gate·|MM|/(P·Q) when R>1], floor division per node (Eq. 3)
+///   [+ gate·|MM|/(P·Q) when R>1], floor division per node (Eq. 3)
 /// * ComEst = P·numOp(Vᵀ) + R·Σ gated O-ops + gate·numOp(MM)    (Eq. 5)
 ///   with numOp(Vᵀ) = nnz(V) = 1200; O-ops add/log gated 3600→1800 each,
 ///   the ⊙ gate 1800 at ratio 1; numOp(MM) = 2·1200·60 = 144000 ⇒ 72000.
