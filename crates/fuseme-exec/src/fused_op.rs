@@ -14,8 +14,8 @@
 //!    granularity (sides replicated up to `I`/`J` times).
 //! 2. **Local operation** — each task runs the unit's [`UnitKernel`], the
 //!    plan lowered once into block programs, over the output blocks of its
-//!    tile that the plan's sparsity gate lets through (no intermediate
-//!    matrices).
+//!    tile that the plan's sparsity gate lets through, a run of adjacent
+//!    blocks in one block row at a time (no intermediate matrices).
 //! 3. **Matrix aggregation** — with cuboid `R > 1` the main
 //!    multiplication's partial results are summed per `(p,q)` group into
 //!    the group reducer's store, and the `O`-space operators run in a
@@ -48,7 +48,7 @@ use fuseme_plan::{NodeId, OpKind, QueryDag};
 use fuseme_sim::executor::run_stage;
 use fuseme_sim::{Cluster, Phase, SimError, TaskWork};
 
-use crate::kernel::{footprints, BlockProgram, Footprint, LocalStore, TaskProgram};
+use crate::kernel::{footprints, BlockProgram, Footprint, LocalStore, Piece, TaskProgram};
 
 /// Materialized values available to an operator: input leaves plus outputs
 /// of earlier execution units.
@@ -186,11 +186,13 @@ impl UnitKernel {
             .collect();
         wanted.sort_unstable();
         wanted.dedup();
-        let mut out = Vec::new();
-        for c in wanted {
-            if mm.has_support(c) {
-                out.push((c, mm.eval(c)?));
-            }
+        wanted.retain(|&c| mm.has_support(c));
+        let mut out = Vec::with_capacity(wanted.len());
+        for run in runs(&wanted) {
+            mm.eval_run(run, |c, piece| {
+                out.push((c, piece.into_block()));
+                Ok(())
+            })?;
         }
         Ok(out)
     }
@@ -202,43 +204,56 @@ impl UnitKernel {
         self.full(self.output.bind(store, 0..0), &task.out)
     }
 
-    /// Runs full kernels for a tile's supported blocks; folds aggregation
-    /// roots into partial aggregation blocks.
+    /// Runs full kernels for a tile's supported blocks, run by run; folds
+    /// aggregation roots into partial aggregation blocks.
     fn full(&self, mut program: TaskProgram<'_>, tile: &Footprint) -> Result<TaskOut, SimError> {
         let supported = program.supported(tile);
         let Some((op, shape)) = self.agg else {
             let mut out = Vec::with_capacity(supported.len());
-            for c in supported {
-                let b = program.eval(c)?;
-                if b.nnz() > 0 {
-                    out.push((c, b));
-                }
+            for run in runs(&supported) {
+                program.eval_run(run, |c, piece| {
+                    let b = piece.into_block();
+                    if b.nnz() > 0 {
+                        out.push((c, b));
+                    }
+                    Ok(())
+                })?;
             }
             return Ok(out);
         };
-        // Every tile block folds in, unsupported ones as zero blocks (one
-        // per distinct block shape).
-        let mut zeros: Vec<Block> = Vec::new();
-        let mut next = supported.iter().peekable();
+        // Every tile block folds in, in tile order: runs of supported blocks
+        // as they are evaluated, unsupported blocks as zero blocks (one per
+        // distinct block shape).
+        let mut zeros: Vec<Arc<Block>> = Vec::new();
         let mut partials: BTreeMap<(usize, usize), DenseBlock> = BTreeMap::new();
+        let mut fold = |c: Coord, piece: Piece<'_>| {
+            fold_partial(&mut partials, piece, c, op, shape, &self.root_meta);
+            Ok(())
+        };
+        // `supported[start..at]` is the run being gathered.
+        let (mut start, mut at) = (0, 0);
         for (bi, bj) in tile.coords() {
-            let evaluated;
-            let value: &Block = if next.next_if_eq(&&(bi, bj)).is_some() {
-                evaluated = program.eval((bi, bj))?;
-                &evaluated
-            } else {
-                let (r, c) = self.compute_meta.block_dims(bi, bj);
-                let at = match zeros.iter().position(|z| (z.rows(), z.cols()) == (r, c)) {
-                    Some(at) => at,
-                    None => {
-                        zeros.push(Block::zero(r, c));
-                        zeros.len() - 1
-                    }
-                };
-                &zeros[at]
+            if supported.get(at) == Some(&(bi, bj)) {
+                if at > start && !adjacent(supported[at - 1], (bi, bj)) {
+                    program.eval_run(&supported[start..at], &mut fold)?;
+                    start = at;
+                }
+                at += 1;
+                continue;
+            }
+            program.eval_run(&supported[start..at], &mut fold)?;
+            start = at;
+            let (r, c) = self.compute_meta.block_dims(bi, bj);
+            let zero = match zeros.iter().find(|z| (z.rows(), z.cols()) == (r, c)) {
+                Some(z) => Arc::clone(z),
+                None => {
+                    zeros.push(Arc::new(Block::zero(r, c)));
+                    Arc::clone(&zeros[zeros.len() - 1])
+                }
             };
-            fold_partial(&mut partials, value, (bi, bj), op, shape, &self.root_meta);
+            fold((bi, bj), Piece::Block(zero))?;
         }
+        program.eval_run(&supported[start..at], &mut fold)?;
         Ok(partials
             .into_iter()
             .map(|(coord, b)| (coord, Arc::new(Block::Dense(b))))
@@ -246,39 +261,71 @@ impl UnitKernel {
     }
 }
 
+/// `b` is the block right of `a`.
+fn adjacent(a: Coord, b: Coord) -> bool {
+    a.0 == b.0 && a.1 + 1 == b.1
+}
+
+/// Coordinates in order, cut into runs: maximal stretches of adjacent
+/// blocks in one block row.
+fn runs(coords: &[Coord]) -> impl Iterator<Item = &[Coord]> {
+    coords.chunk_by(|&a, &b| adjacent(a, b))
+}
+
 /// Folds one compute block into the task's aggregation partials.
 fn fold_partial(
     partials: &mut BTreeMap<(usize, usize), DenseBlock>,
-    value: &Block,
+    piece: Piece<'_>,
     (bi, bj): (usize, usize),
     op: AggOp,
     shape: AggShape,
     root_meta: &fuseme_matrix::MatrixMeta,
 ) {
-    match shape {
-        AggShape::Full => {
-            let v = value.agg(op);
-            let slot = partials
-                .entry((0, 0))
-                .or_insert_with(|| DenseBlock::filled(1, 1, op.identity()));
-            let cur = slot.get(0, 0);
-            slot.set(0, 0, op.combine(cur, v));
+    let slot = match shape {
+        AggShape::Full => partials
+            .entry((0, 0))
+            .or_insert_with(|| DenseBlock::filled(1, 1, op.identity())),
+        AggShape::Row => partials.entry((bi, 0)).or_insert_with(|| {
+            let (r, _) = root_meta.block_dims(bi, 0);
+            DenseBlock::filled(r, 1, op.identity())
+        }),
+        AggShape::Col => partials.entry((0, bj)).or_insert_with(|| {
+            let (_, c) = root_meta.block_dims(0, bj);
+            DenseBlock::filled(1, c, op.identity())
+        }),
+    };
+    let mut combine = |r: usize, c: usize, v: f64| {
+        let cur = slot.get(r, c);
+        slot.set(r, c, op.combine(cur, v));
+    };
+    match (piece, shape) {
+        (Piece::Block(b), AggShape::Full) => combine(0, 0, b.agg(op)),
+        (Piece::Block(b), AggShape::Row) => {
+            for (r, &v) in b.row_agg(op).data().iter().enumerate() {
+                combine(r, 0, v);
+            }
         }
-        AggShape::Row => {
-            let part = value.row_agg(op);
-            let slot = partials.entry((bi, 0)).or_insert_with(|| {
-                let (r, _) = root_meta.block_dims(bi, 0);
-                DenseBlock::filled(r, 1, op.identity())
-            });
-            combine_into(slot, &part, op);
+        (Piece::Block(b), AggShape::Col) => {
+            for (c, &v) in b.col_agg(op).data().iter().enumerate() {
+                combine(0, c, v);
+            }
         }
-        AggShape::Col => {
-            let part = value.col_agg(op);
-            let slot = partials.entry((0, bj)).or_insert_with(|| {
-                let (_, c) = root_meta.block_dims(0, bj);
-                DenseBlock::filled(1, c, op.identity())
-            });
-            combine_into(slot, &part, op);
+        // A block held in a row panel folds as `DenseBlock::agg`, `row_agg`
+        // and `col_agg` fold the (never empty) block cut out of it:
+        // row-major from the identity.
+        (Piece::Panel { panel, cols }, AggShape::Full) => {
+            let block = (0..panel.rows()).flat_map(|r| &panel.row(r)[cols.clone()]);
+            combine(0, 0, op.fold(block.copied()));
+        }
+        (Piece::Panel { panel, cols }, AggShape::Row) => {
+            for r in 0..panel.rows() {
+                combine(r, 0, op.fold(panel.row(r)[cols.clone()].iter().copied()));
+            }
+        }
+        (Piece::Panel { panel, cols }, AggShape::Col) => {
+            for (c, at) in cols.enumerate() {
+                combine(0, c, op.fold((0..panel.rows()).map(|r| panel.get(r, at))));
+            }
         }
     }
 }
@@ -820,14 +867,6 @@ fn equivalent_pqr(dag: &QueryDag, plan: &PartialPlan, strategy: &Strategy, layou
             }
             None => one,
         },
-    }
-}
-
-fn combine_into(acc: &mut DenseBlock, part: &DenseBlock, op: AggOp) {
-    debug_assert_eq!(acc.rows(), part.rows());
-    debug_assert_eq!(acc.cols(), part.cols());
-    for (a, &p) in acc.data_mut().iter_mut().zip(part.data()) {
-        *a = op.combine(*a, p);
     }
 }
 

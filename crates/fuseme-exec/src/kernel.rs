@@ -31,12 +31,51 @@
 //!   same shape, the multiplication runs in full (dense accumulator,
 //!   `compact()`) and the zip takes its general path: `compact()` may make
 //!   the product sparse, which meets the gate differently.
+//!
+//!   An absent block, and a product without terms, reads as the empty
+//!   block of its shape that the compiled program holds, one per shape.
 //! * a **support rule**: the zero-propagation logic that decides whether a
 //!   block can be non-zero at all, compiled to a small tree over "block
 //!   present in the store" facts. A task enumerates its supported output
 //!   blocks from the blocks present in its store when a sparse input gates
 //!   the output, and a multiplication walks only the `k`s present on
-//!   both sides, in increasing `k`.
+//!   both sides, in increasing `k`. Over a cuboid tile the rule is
+//!   otherwise evaluated a block row at a time: a store node's blocks come
+//!   off one walk of its row, and a multiplication whose left operand
+//!   bounds its `k`s ORs its right operand's rows over those `k`s.
+//!
+//! Tasks evaluate their supported output blocks a **run** at a time
+//! ([`TaskProgram::eval_run`]): a maximal stretch of adjacent blocks in one
+//! block row. A run of two or more blocks goes through the value program
+//! once, every slot holding a dense *row panel*, the run's blocks of its
+//! node side by side, when every slot of every block would be
+//! `Block::Dense` on the per-block path. That is read off facts at hand:
+//!
+//! * the program has no transpose, swapped instruction or deferred chain;
+//! * every load's blocks in the run are dense, except for a load whose only
+//!   reader is a non-zero-dominant `Zip` opposite a computed value: its
+//!   sparse and absent blocks read as zero-filled, which is what
+//!   `Block::zip` makes of them against a dense block;
+//! * every operand block of a multiplication is dense, and every block of
+//!   the run sums over the same `k`s: no other `k` has a supported left
+//!   operand block, and the right operand's blocks at those `k`s are all
+//!   supported;
+//! * after the product, no block of the run holds so few non-zeros that
+//!   `compact()` would store it sparse.
+//!
+//! Any other run, and every run of one block, goes block by block. On the
+//! panel a multiplication is one [`DenseBlock::gemm_panel`]: the left
+//! operand's blocks at the run's `k`s side by side, times the right
+//! operand's blocks stacked (kept for the tile's next run with the same
+//! columns and `k`s). Each element accumulates from `+0.0` over the
+//! concatenated inner index in ascending order, skipping zero left
+//! entries: per block, what `gemm_acc` chained over ascending `k` gives.
+//! Element-wise operators run in place on the panel. An aggregation root
+//! folds each block from the panel as `Block::agg`, `row_agg` or `col_agg`
+//! fold a dense block, row-major from the identity, and then combines the
+//! blocks in tile order with unsupported blocks folded as zero blocks
+//! (`fused_op`). A block that is stored is cut out of the panel as a
+//! `Block::Dense`.
 //!
 //! A task's [`LocalStore`] keeps one [`BlockList`] per plan node, the same
 //! sorted list a `BlockedMatrix` keeps its blocks in, so a multiplication's
@@ -72,7 +111,10 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
 
-use fuseme_matrix::{BinOp, Block, BlockList, Coord, DenseBlock, MatrixMeta, SparseBlock, UnaryOp};
+use fuseme_matrix::{
+    compacts_to_sparse, BinOp, Block, BlockList, Coord, DenseBlock, MatrixMeta, SparseBlock,
+    UnaryOp,
+};
 use fuseme_plan::{NodeId, OpKind, QueryDag};
 use fuseme_sim::SimError;
 
@@ -223,6 +265,51 @@ impl Sup {
         }
     }
 
+    /// [`Sup::holds`] at `(i, j)` for every `j` of `cols`, into `out`
+    /// (`out[x]` for `j = cols.start + x`), a block row at a time: a
+    /// store node's blocks are read off one walk of its row, and a
+    /// multiplication whose left operand bounds its `k`s ORs its right
+    /// operand's rows over those `k`s.
+    fn row(&self, t: &Bound<'_>, i: usize, cols: &Range<usize>, out: &mut [bool]) {
+        match self {
+            Sup::All => out.fill(true),
+            Sup::Present { load, swap: false } => {
+                out.fill(false);
+                let present = t.loads[*load]
+                    .into_iter()
+                    .flat_map(|nb| nb.range((i, cols.start), (i, cols.end)));
+                for ((_, j), _) in present {
+                    out[j - cols.start] = true;
+                }
+            }
+            Sup::And(a, b) | Sup::Or(a, b) => {
+                let and = matches!(self, Sup::And(..));
+                let mut other = vec![false; out.len()];
+                a.row(t, i, cols, out);
+                b.row(t, i, cols, &mut other);
+                for (o, x) in out.iter_mut().zip(other) {
+                    *o = if and { *o && x } else { *o || x };
+                }
+            }
+            Sup::MatMul(m) if !m.swap && m.left.driver().is_some() => {
+                out.fill(false);
+                let mut other = vec![false; out.len()];
+                m.terms(t, i, None, |k| {
+                    m.right.row(t, k, cols, &mut other);
+                    for (o, x) in out.iter_mut().zip(&other) {
+                        *o |= x;
+                    }
+                    !out.iter().all(|&o| o)
+                });
+            }
+            _ => {
+                for (x, o) in out.iter_mut().enumerate() {
+                    *o = self.holds(t, (i, cols.start + x));
+                }
+            }
+        }
+    }
+
     /// An input whose present blocks bound this support from above.
     fn driver(&self) -> Option<(usize, bool)> {
         match self {
@@ -242,9 +329,9 @@ impl MmSup {
         }
     }
 
-    fn any_term(&self, t: &Bound<'_>, at: Coord) -> bool {
+    fn any_term(&self, t: &Bound<'_>, (i, j): Coord) -> bool {
         let mut any = false;
-        self.terms(t, at, |_| {
+        self.terms(t, i, Some(j), |_| {
             any = true;
             false
         });
@@ -252,12 +339,14 @@ impl MmSup {
     }
 
     /// Calls `f` with every `k` of the slice, ascending, at which both
-    /// operands are supported, until `f` returns `false`. Candidates come
-    /// from an operand's present blocks (a row or a column of a store
-    /// node) where one bounds the support, else from the whole slice.
-    fn terms(&self, t: &Bound<'_>, (i, j): Coord, mut f: impl FnMut(usize) -> bool) {
+    /// operands are supported, until `f` returns `false`; without `j`, at
+    /// which the left operand is. Candidates come from an operand's present
+    /// blocks (a row or a column of a store node) where one bounds the
+    /// support, else from the whole slice.
+    fn terms(&self, t: &Bound<'_>, i: usize, j: Option<usize>, mut f: impl FnMut(usize) -> bool) {
         let ks = self.ks(t);
-        let both = |k: usize| self.left.holds(t, (i, k)) && self.right.holds(t, (k, j));
+        let both =
+            |k: usize| self.left.holds(t, (i, k)) && j.is_none_or(|j| self.right.holds(t, (k, j)));
         let mut visit = |cands: &mut dyn Iterator<Item = usize>| {
             for k in cands {
                 if both(k) && !f(k) {
@@ -267,10 +356,10 @@ impl MmSup {
         };
         // The left operand at (i, k) is its store node's row i, or column
         // i when transposed; the right operand at (k, j) the other way.
-        let walk = match (self.left.driver(), self.right.driver()) {
-            (Some((load, swap)), _) => Some((load, !swap, i)),
-            (None, Some((load, swap))) => Some((load, swap, j)),
-            (None, None) => None,
+        let walk = match (self.left.driver(), self.right.driver(), j) {
+            (Some((load, swap)), _, _) => Some((load, !swap, i)),
+            (None, Some((load, swap)), Some(j)) => Some((load, swap, j)),
+            _ => None,
         };
         match walk {
             Some((load, by_row, fixed)) => {
@@ -394,6 +483,11 @@ struct Instr {
     uses: u32,
     /// Part of a [`Chain`]: run by the consuming `Zip`, not in order.
     deferred: bool,
+    /// A load whose only reader is a non-zero-dominant `Zip` with a
+    /// computed other side: on a row panel its sparse and absent blocks
+    /// read as zero-filled dense ones, which is what `Block::zip` makes of
+    /// them against a dense block.
+    zero_fill: bool,
 }
 
 /// A topologically ordered program computing one node at one coordinate.
@@ -402,6 +496,23 @@ struct Region {
     instrs: Vec<Instr>,
     sup: Sup,
     matmuls: usize,
+    /// Runs of blocks may be evaluated as row panels: no transpose,
+    /// swapped instruction, deferred chain or failing instruction.
+    panels: bool,
+    /// One empty block per block shape of every load and multiplication:
+    /// what an absent block or a product without terms reads as.
+    zeros: Vec<Arc<Block>>,
+}
+
+impl Region {
+    /// The empty block of `meta`'s block shape at `(bi, bj)`.
+    fn zero(&self, meta: &MatrixMeta, (bi, bj): Coord) -> Result<&Arc<Block>, SimError> {
+        let shape = meta.block_dims(bi, bj);
+        self.zeros
+            .iter()
+            .find(|z| (z.rows(), z.cols()) == shape)
+            .ok_or_else(|| SimError::Task(format!("no zero block of shape {shape:?}")))
+    }
 }
 
 /// Lowering state: the plan, and the external nodes read so far.
@@ -474,10 +585,35 @@ impl Lower<'_> {
             instrs: Vec::new(),
             sup: self.sup(root, false),
             matmuls: 0,
+            panels: false,
+            zeros: Vec::new(),
         };
         let mut seen = HashMap::new();
         self.value(&mut r, &mut seen, root, false);
         defer_chains(&mut r.instrs);
+        mark_zero_fill(&mut r.instrs);
+        r.panels = r.instrs.iter().all(|ins| {
+            !ins.swap
+                && matches!(
+                    ins.op,
+                    Op::Load(_)
+                        | Op::Cell(..)
+                        | Op::MatMul(_)
+                        | Op::Zip {
+                            chains: [None, None],
+                            ..
+                        }
+                )
+        });
+        for ins in &r.instrs {
+            if matches!(ins.op, Op::Load(_) | Op::MatMul(_)) {
+                for (rows, cols) in block_shapes(&ins.meta) {
+                    if !r.zeros.iter().any(|z| (z.rows(), z.cols()) == (rows, cols)) {
+                        r.zeros.push(Arc::new(Block::zero(rows, cols)));
+                    }
+                }
+            }
+        }
         r
     }
 
@@ -549,6 +685,7 @@ impl Lower<'_> {
             op,
             uses: 1,
             deferred: false,
+            zero_fill: false,
         });
         let slot = r.instrs.len() - 1;
         seen.insert((node, swap), slot);
@@ -598,6 +735,39 @@ fn defer_chains(instrs: &mut [Instr]) {
             }
         }
     }
+}
+
+/// Marks the loads a non-zero-dominant `Zip` alone reads, opposite a
+/// computed value (see [`Instr::zero_fill`]).
+fn mark_zero_fill(instrs: &mut [Instr]) {
+    for z in 0..instrs.len() {
+        let Op::Zip { op, l, r, .. } = instrs[z].op else {
+            continue;
+        };
+        if op.zero_dominant() {
+            continue;
+        }
+        for (side, other) in [(l, r), (r, l)] {
+            let load = |x: usize| matches!(instrs[x].op, Op::Load(_));
+            if load(side) && instrs[side].uses == 1 && !load(other) {
+                instrs[side].zero_fill = true;
+            }
+        }
+    }
+}
+
+/// The distinct block shapes of a matrix: interior, last block row, last
+/// block column, and corner.
+fn block_shapes(meta: &MatrixMeta) -> Vec<(usize, usize)> {
+    let grid = meta.grid();
+    if grid.block_rows == 0 || grid.block_cols == 0 {
+        return Vec::new();
+    }
+    let (r, c) = (grid.block_rows - 1, grid.block_cols - 1);
+    [(0, 0), (r, 0), (0, c), (r, c)]
+        .into_iter()
+        .map(|(bi, bj)| meta.block_dims(bi, bj))
+        .collect()
 }
 
 /// A fused plan lowered once per exec unit: the value program and support
@@ -690,11 +860,6 @@ fn empty_slot() -> SimError {
     SimError::Task("block program read an empty slot".into())
 }
 
-fn zero_block(meta: &MatrixMeta, (bi, bj): Coord) -> Block {
-    let (r, c) = meta.block_dims(bi, bj);
-    Block::zero(r, c)
-}
-
 /// Per-task scratch of one region: its slots and its multiplications'.
 struct RegionState<'s> {
     slots: Vec<Val<'s>>,
@@ -711,6 +876,17 @@ struct MatMulState<'s> {
     floors: [BTreeMap<Coord, Option<f64>>; 2],
     /// A certified product's operand pairs, by ascending `k`.
     terms: Vec<[Arc<Block>; 2]>,
+    /// The right operand's row panel last stacked for a run: every run of
+    /// a tile with the same columns and `k`s reads the same one.
+    stacked: Option<Stacked>,
+}
+
+/// The right operand's blocks at `ks` (top to bottom) and `cols` (left to
+/// right) as one dense panel.
+struct Stacked {
+    ks: Vec<usize>,
+    cols: Vec<usize>,
+    panel: DenseBlock,
 }
 
 /// A computed operand's blocks, by coordinate, for the whole task.
@@ -737,6 +913,7 @@ impl<'s> RegionState<'s> {
                     right: memo(&mm.right),
                     floors: [BTreeMap::new(), BTreeMap::new()],
                     terms: Vec::new(),
+                    stacked: None,
                 });
             }
         }
@@ -780,7 +957,7 @@ impl Input<'_, '_> {
 }
 
 fn eval_region<'s>(
-    region: &Region,
+    region: &'s Region,
     st: &mut RegionState<'s>,
     t: &Bound<'s>,
     c: Coord,
@@ -792,19 +969,19 @@ fn eval_region<'s>(
         }
         let at = swap_if(ins.swap, c);
         let value = match &ins.op {
-            Op::Load(load) => match t.block(*load, at) {
-                Some(b) => Val::Ref(b),
-                None => Val::Own(zero_block(&ins.meta, at)),
-            },
+            Op::Load(load) => Val::Ref(match t.block(*load, at) {
+                Some(b) => b,
+                None => region.zero(&ins.meta, at)?,
+            }),
             Op::Cell(cell, src) => {
                 Val::Own(cell_input(&mut st.slots, instrs, *src).run(std::slice::from_ref(cell))?)
             }
-            Op::Zip { op, l, r, chains } => Val::Own(zip(instrs, st, t, c, *op, [*l, *r], chains)?),
+            Op::Zip { op, l, r, chains } => Val::Own(zip(region, st, t, c, *op, [*l, *r], chains)?),
             Op::Transpose(src) => Val::Own(st.slots[*src].block()?.transpose()),
             Op::MatMul(mm) => {
                 let ms = &mut st.matmuls[mm.state];
                 ms.gather(mm, t, at)?;
-                Val::Own(ms.product(mm, &ins.meta, t, at)?)
+                ms.product(mm, &ins.meta, t, at, region)?
             }
             Op::Fail(msg) => return Err(SimError::Task((*msg).into())),
         };
@@ -833,14 +1010,15 @@ fn product_cell(terms: &[[Arc<Block>; 2]], r: usize, c: usize) -> f64 {
 }
 
 fn zip<'s>(
-    instrs: &[Instr],
+    region: &'s Region,
     st: &mut RegionState<'s>,
     t: &Bound<'s>,
     c: Coord,
     op: BinOp,
     sides: [usize; 2],
-    chains: &[Option<Chain>; 2],
+    chains: &'s [Option<Chain>; 2],
 ) -> Result<Block, SimError> {
+    let instrs = &region.instrs;
     let mut chain = [chains[0].as_ref(), chains[1].as_ref()];
     // A deferred multiplication is held, with its coordinate, while its
     // certificate shows it would reach the chain dense; otherwise it runs
@@ -858,7 +1036,7 @@ fn zip<'s>(
         if ms.certify(mm, t, at)? {
             held[s] = Some((mm, at));
         } else {
-            st.slots[ch.base] = Val::Own(ms.product(mm, &base.meta, t, at)?);
+            st.slots[ch.base] = ms.product(mm, &base.meta, t, at, region)?;
         }
     }
     // Chains over a non-dense base run now: their format depends on the
@@ -901,8 +1079,8 @@ fn zip<'s>(
     for s in 0..2 {
         let Some(ch) = chain[s] else { continue };
         if let Some((mm, at)) = held[s] {
-            let product = st.matmuls[mm.state].product(mm, &instrs[ch.base].meta, t, at)?;
-            st.slots[ch.base] = Val::Own(product);
+            let meta = &instrs[ch.base].meta;
+            st.slots[ch.base] = st.matmuls[mm.state].product(mm, meta, t, at, region)?;
             if ch.cells.is_empty() {
                 continue;
             }
@@ -952,10 +1130,10 @@ fn floor(b: &Block) -> Option<f64> {
 impl<'s> MatMulState<'s> {
     /// Lists in `ks` the `k`s the product at `(i, j)` sums over, and
     /// computes the memoized operand blocks they read.
-    fn gather(&mut self, mm: &MatMulOp, t: &Bound<'s>, (i, j): Coord) -> Result<(), SimError> {
+    fn gather(&mut self, mm: &'s MatMulOp, t: &Bound<'s>, (i, j): Coord) -> Result<(), SimError> {
         let ks = &mut self.ks;
         ks.clear();
-        mm.sup.terms(t, (i, j), |k| {
+        mm.sup.terms(t, i, Some(j), |k| {
             ks.push(k);
             true
         });
@@ -966,22 +1144,24 @@ impl<'s> MatMulState<'s> {
         Ok(())
     }
 
-    /// The gathered product as `Block`'s own operators format it.
+    /// The gathered product as `Block`'s own operators format it; without
+    /// terms, `region`'s empty block.
     fn product(
         &self,
         mm: &MatMulOp,
         meta: &MatrixMeta,
         t: &Bound<'_>,
         (i, j): Coord,
-    ) -> Result<Block, SimError> {
+        region: &'s Region,
+    ) -> Result<Val<'s>, SimError> {
         let term = |k: usize| -> Result<(&Block, &Block), SimError> {
             Ok((
                 &**operand(&mm.left, &self.left, t, (i, k))?,
                 &**operand(&mm.right, &self.right, t, (k, j))?,
             ))
         };
-        Ok(match self.ks.as_slice() {
-            [] => zero_block(meta, (i, j)),
+        Ok(Val::Own(match self.ks.as_slice() {
+            [] => return Ok(Val::Ref(region.zero(meta, (i, j))?)),
             // A single-term product goes through the format-aware Gustavson
             // kernel, which can build a sparse output directly instead of
             // densifying and re-compacting.
@@ -1001,7 +1181,7 @@ impl<'s> MatMulState<'s> {
                 }
                 Block::Dense(acc).compact()
             }
-        })
+        }))
     }
 
     /// Whether the gathered product is certified to come out of
@@ -1034,11 +1214,315 @@ impl<'s> MatMulState<'s> {
         }
         Ok(true)
     }
+
+    /// The product at the run's blocks as one row panel, from one
+    /// [`DenseBlock::gemm_panel`] over the `k`s every block of the run sums
+    /// over, or `None` when the blocks may sum over different `k`s, an
+    /// operand block is not dense, or a product block would compact to
+    /// sparse.
+    fn panel(
+        &mut self,
+        mm: &'s MatMulOp,
+        t: &Bound<'s>,
+        run: &Run<'_>,
+    ) -> Result<Option<DenseBlock>, SimError> {
+        let i = run.row;
+        self.gather(mm, t, run.coords[0])?;
+        let MatMulState {
+            ks,
+            left,
+            right,
+            stacked,
+            ..
+        } = self;
+        // Every block of the run sums over the first block's `k`s when no
+        // other `k` has a supported left operand block and every right
+        // operand block of the run at those `k`s is supported.
+        let mut left_ks = 0;
+        mm.sup.terms(t, i, None, |_| {
+            left_ks += 1;
+            true
+        });
+        if ks.is_empty() || left_ks != ks.len() {
+            return Ok(None);
+        }
+        let mut lefts = Vec::with_capacity(ks.len());
+        for &k in ks.iter() {
+            match &**operand(&mm.left, left, t, (i, k))? {
+                Block::Dense(d) => lefts.push(d),
+                Block::Sparse(_) => return Ok(None),
+            }
+        }
+        let cols = run.coords.iter().map(|c| c.1);
+        let right = match stacked {
+            Some(s) if s.ks == *ks && s.cols.iter().copied().eq(cols.clone()) => s,
+            _ => {
+                let heights = lefts.iter().map(|l| l.cols());
+                let Some(panel) = stack_right(mm, t, run, ks, heights, right)? else {
+                    return Ok(None);
+                };
+                stacked.insert(Stacked {
+                    ks: ks.clone(),
+                    cols: cols.collect(),
+                    panel,
+                })
+            }
+        };
+        let product = DenseBlock::gemm_panel(&lefts, &right.panel)?;
+        for span in &run.spans {
+            let nnz = (0..product.rows())
+                .map(|r| {
+                    product.row(r)[span.clone()]
+                        .iter()
+                        .filter(|&&v| v != 0.0)
+                        .count()
+                })
+                .sum();
+            if compacts_to_sparse(nnz, product.rows() * span.len()) {
+                return Ok(None);
+            }
+        }
+        Ok(Some(product))
+    }
+}
+
+/// The right operand's blocks at `ks` over the run's columns, stacked, each
+/// `k`'s `heights` rows high; `None` unless they are all supported and
+/// dense.
+fn stack_right<'s>(
+    mm: &'s MatMulOp,
+    t: &Bound<'s>,
+    run: &Run<'_>,
+    ks: &[usize],
+    heights: impl Iterator<Item = usize> + Clone,
+    right: &mut Option<Memo<'s>>,
+) -> Result<Option<DenseBlock>, SimError> {
+    if let Operand::Program(_) = mm.right {
+        for &k in ks {
+            for &(_, j) in run.coords {
+                if !mm.sup.right.holds(t, (k, j)) {
+                    return Ok(None);
+                }
+                fill(&mm.right, right, t, (k, j))?;
+            }
+        }
+    }
+    let mut stacked = DenseBlock::zeros(heights.clone().sum(), run.width());
+    let mut k0 = 0;
+    for (&k, height) in ks.iter().zip(heights) {
+        let mut stack = |b: Option<&Arc<Block>>, span: &Range<usize>| match b.map(|b| &**b) {
+            Some(Block::Dense(b)) if (b.rows(), b.cols()) == (height, span.len()) => {
+                for r in 0..height {
+                    stacked.row_mut(k0 + r)[span.clone()].copy_from_slice(b.row(r));
+                }
+                true
+            }
+            _ => false,
+        };
+        let all = match (&mm.right, &*right) {
+            (Operand::Load(load), _) => {
+                let blocks = row_blocks(t.loads[*load], k, run);
+                blocks.zip(&run.spans).all(|(b, span)| stack(b, span))
+            }
+            (Operand::Program(_), Some(m)) => {
+                let blocks = run.coords.iter().map(|&(_, j)| m.values.get(&(k, j)));
+                blocks.zip(&run.spans).all(|(b, span)| stack(b, span))
+            }
+            (Operand::Program(_), None) => false,
+        };
+        if !all {
+            return Ok(None);
+        }
+        k0 += height;
+    }
+    Ok(Some(stacked))
+}
+
+/// A load's blocks at the run, side by side, or `None` when one is not
+/// dense and the load is not [`Instr::zero_fill`].
+fn load_panel(t: &Bound<'_>, load: usize, ins: &Instr, run: &Run<'_>) -> Option<DenseBlock> {
+    let mut panel = DenseBlock::zeros(run.rows, run.width());
+    let blocks = row_blocks(t.loads[load], run.row, run);
+    for (block, span) in blocks.zip(&run.spans) {
+        let shape = (run.rows, span.len());
+        match block.map(|b| &**b) {
+            Some(Block::Dense(d)) if (d.rows(), d.cols()) == shape => {
+                for r in 0..run.rows {
+                    panel.row_mut(r)[span.clone()].copy_from_slice(d.row(r));
+                }
+            }
+            Some(Block::Sparse(s)) if ins.zero_fill && (s.rows(), s.cols()) == shape => {
+                for (r, c, v) in s.iter() {
+                    panel.set(r, span.start + c, v);
+                }
+            }
+            None if ins.zero_fill => {}
+            _ => return None,
+        }
+    }
+    Some(panel)
+}
+
+/// The blocks of `list` in row `row` at the run's columns, in run order.
+fn row_blocks<'a>(
+    list: Option<&'a BlockList>,
+    row: usize,
+    run: &'a Run<'_>,
+) -> impl Iterator<Item = Option<&'a Arc<Block>>> + 'a {
+    let (first, last) = (run.coords[0].1, run.coords[run.coords.len() - 1].1);
+    let mut present = list
+        .into_iter()
+        .flat_map(move |nb| nb.range((row, first), (row, last + 1)))
+        .peekable();
+    run.coords.iter().map(move |&(_, j)| {
+        while present.next_if(|&((_, at), _)| at < j).is_some() {}
+        present.next_if(|&((_, at), _)| at == j).map(|(_, b)| b)
+    })
+}
+
+/// Takes a panel slot for its last reader, or copies it.
+fn panel_input(
+    slots: &mut [Option<DenseBlock>],
+    instrs: &[Instr],
+    src: usize,
+) -> Result<DenseBlock, SimError> {
+    let panel = if instrs[src].uses == 1 {
+        slots[src].take()
+    } else {
+        slots[src].clone()
+    };
+    panel.ok_or_else(empty_slot)
+}
+
+/// `l op r` over two panels, in place in a side nobody else reads.
+fn zip_panels(
+    slots: &mut [Option<DenseBlock>],
+    instrs: &[Instr],
+    op: BinOp,
+    [l, r]: [usize; 2],
+) -> Result<DenseBlock, SimError> {
+    if instrs[l].uses == 1 {
+        let mut a = panel_input(slots, instrs, l)?;
+        let b = slots[r].as_ref().ok_or_else(empty_slot)?;
+        for (x, &y) in a.data_mut().iter_mut().zip(b.data()) {
+            *x = op.apply(*x, y);
+        }
+        Ok(a)
+    } else {
+        let mut b = panel_input(slots, instrs, r)?;
+        let a = slots[l].as_ref().ok_or_else(empty_slot)?;
+        for (y, &x) in b.data_mut().iter_mut().zip(a.data()) {
+            *y = op.apply(x, *y);
+        }
+        Ok(b)
+    }
+}
+
+/// Evaluates `region` at a run of blocks in one block row as one row
+/// panel: every slot holds its node's blocks at the run side by side, and
+/// every instruction runs once over the whole panel. Returns `None` as soon
+/// as some block of the run would not be `Block::Dense` on the per-block
+/// path; the run then goes block by block.
+fn eval_panel<'s>(
+    region: &'s Region,
+    st: &mut RegionState<'s>,
+    t: &Bound<'s>,
+    run: &Run<'_>,
+) -> Result<Option<DenseBlock>, SimError> {
+    let instrs = &region.instrs;
+    let mut slots: Vec<Option<DenseBlock>> = Vec::with_capacity(instrs.len());
+    for ins in instrs {
+        let panel = match &ins.op {
+            Op::Load(load) => load_panel(t, *load, ins, run),
+            Op::Cell(cell, src) => {
+                let mut p = panel_input(&mut slots, instrs, *src)?;
+                for v in p.data_mut() {
+                    *v = cell.apply(*v);
+                }
+                Some(p)
+            }
+            Op::Zip { op, l, r, .. } => Some(zip_panels(&mut slots, instrs, *op, [*l, *r])?),
+            Op::MatMul(mm) => st.matmuls[mm.state].panel(mm, t, run)?,
+            Op::Transpose(_) | Op::Fail(_) => None,
+        };
+        let Some(panel) = panel else {
+            return Ok(None);
+        };
+        slots.push(Some(panel));
+    }
+    slots.pop().flatten().ok_or_else(empty_slot).map(Some)
+}
+
+/// A run of blocks in one block row, laid out side by side in a row panel.
+struct Run<'a> {
+    row: usize,
+    coords: &'a [Coord],
+    /// Element rows of the panel.
+    rows: usize,
+    /// Each block's columns in the panel.
+    spans: Vec<Range<usize>>,
+}
+
+impl<'a> Run<'a> {
+    /// The layout of `coords`, blocks of `meta`'s grid in one block row,
+    /// columns ascending.
+    fn new(meta: &MatrixMeta, coords: &'a [Coord]) -> Run<'a> {
+        let row = coords[0].0;
+        // Only the last block column can be narrower than the block size.
+        let last = meta.grid().block_cols - 1;
+        let (rows, narrow) = meta.block_dims(row, last);
+        let mut at = 0;
+        let spans = coords
+            .iter()
+            .map(|&(_, j)| {
+                let cols = if j == last { narrow } else { meta.block_size };
+                at += cols;
+                at - cols..at
+            })
+            .collect();
+        debug_assert!(coords.windows(2).all(|w| w[1].0 == row && w[0].1 < w[1].1));
+        Run {
+            row,
+            coords,
+            rows,
+            spans,
+        }
+    }
+
+    /// Element columns of the panel.
+    fn width(&self) -> usize {
+        self.spans.last().map_or(0, |s| s.end)
+    }
+}
+
+/// One block of a run, as [`TaskProgram::eval_run`] hands it over.
+pub enum Piece<'a> {
+    /// The block, evaluated on its own.
+    Block(Arc<Block>),
+    /// Columns `cols` of the run's row panel: the values of a block that is
+    /// `Block::Dense` on the per-block path.
+    Panel {
+        /// The run's blocks side by side.
+        panel: &'a DenseBlock,
+        /// The block's columns in `panel`.
+        cols: Range<usize>,
+    },
+}
+
+impl Piece<'_> {
+    /// The block as [`TaskProgram::eval`] returns it: a panel's columns are
+    /// cut out as a dense block.
+    pub fn into_block(self) -> Arc<Block> {
+        match self {
+            Piece::Block(b) => b,
+            Piece::Panel { panel, cols } => Arc::new(Block::Dense(panel.columns(cols))),
+        }
+    }
 }
 
 /// Computes a memoized operand's block at `c` unless the task has it.
 fn fill<'s>(
-    operand: &Operand,
+    operand: &'s Operand,
     memo: &mut Option<Memo<'s>>,
     t: &Bound<'s>,
     c: Coord,
@@ -1088,6 +1572,20 @@ impl<'s> TaskProgram<'s> {
                 return out;
             }
         }
+        if let [Term::Product(rows, cols)] = tile.terms.as_slice() {
+            let span = cols[0]..cols[cols.len() - 1] + 1;
+            let mut holds = vec![false; span.len()];
+            let mut out = Vec::new();
+            for &i in rows {
+                sup.row(&self.bound, i, &span, &mut holds);
+                out.extend(
+                    cols.iter()
+                        .filter(|&&j| holds[j - span.start])
+                        .map(|&j| (i, j)),
+                );
+            }
+            return out;
+        }
         tile.coords()
             .filter(|&c| sup.holds(&self.bound, c))
             .collect()
@@ -1096,6 +1594,42 @@ impl<'s> TaskProgram<'s> {
     /// The node's block at `c`.
     pub fn eval(&mut self, c: Coord) -> Result<Arc<Block>, SimError> {
         eval_region(&self.program.region, &mut self.state, &self.bound, c)?.into_arc()
+    }
+
+    /// The node's blocks at `run`, coordinates in one block row with
+    /// columns ascending, handed to `f` in order. A run of two or more blocks is evaluated as one row
+    /// panel when every block of it would be dense on the way; otherwise
+    /// block by block with [`TaskProgram::eval`]. Either way every value
+    /// has the same bits.
+    pub fn eval_run(
+        &mut self,
+        run: &[Coord],
+        mut f: impl FnMut(Coord, Piece<'_>) -> Result<(), SimError>,
+    ) -> Result<(), SimError> {
+        let region = &self.program.region;
+        let root = region
+            .instrs
+            .last()
+            .filter(|_| run.len() > 1 && region.panels);
+        if let Some(root) = root {
+            let layout = Run::new(&root.meta, run);
+            if let Some(panel) = eval_panel(region, &mut self.state, &self.bound, &layout)? {
+                for (&c, cols) in run.iter().zip(layout.spans) {
+                    f(
+                        c,
+                        Piece::Panel {
+                            panel: &panel,
+                            cols,
+                        },
+                    )?;
+                }
+                return Ok(());
+            }
+        }
+        for &c in run {
+            f(c, Piece::Block(self.eval(c)?))?;
+        }
+        Ok(())
     }
 }
 
@@ -1586,6 +2120,35 @@ mod tests {
         };
         assert!(matches!(m.left, Operand::Load(_)));
         assert!(matches!(m.right, Operand::Program(_)));
+    }
+
+    #[test]
+    fn absent_blocks_share_one_zero_block_per_shape() {
+        // A 10 × 10 matrix in 4 × 4 blocks has four block shapes. Only
+        // block (0, 0) of X and Y is present, so a load elsewhere and the
+        // product X × Y outside (0, 0) read the program's zero blocks.
+        let meta = MatrixMeta::dense(10, 10, 4);
+        let one = Block::Dense(DenseBlock::filled(4, 4, 1.0));
+        let x = BlockedMatrix::from_blocks(meta, [((0, 0), one)]).unwrap();
+        let mut b = DagBuilder::new();
+        let xe = b.input("X", meta);
+        let ye = b.input("Y", meta);
+        let mm = b.matmul(xe, ye);
+        let dag = b.finish(vec![mm]);
+        let mut store = LocalStore::new();
+        store.insert(xe.id(), x.blocks().clone());
+        store.insert(ye.id(), x.blocks().clone());
+        let load = BlockProgram::compile(&dag, &BTreeSet::new(), None, xe.id());
+        let product = BlockProgram::compile(&dag, &BTreeSet::from([mm.id()]), None, mm.id());
+        for program in [&load, &product] {
+            let mut task = program.bind(&store, 0..3);
+            let (a, b) = (task.eval((1, 1)).unwrap(), task.eval((0, 1)).unwrap());
+            assert!(Arc::ptr_eq(&a, &b), "same shape, same block");
+            assert_eq!((a.nnz(), a.is_sparse()), (0, true));
+            let edge = task.eval((2, 1)).unwrap();
+            assert_eq!((edge.rows(), edge.cols()), (2, 4));
+            assert!(Arc::ptr_eq(&edge, &task.eval((2, 0)).unwrap()));
+        }
     }
 
     #[test]

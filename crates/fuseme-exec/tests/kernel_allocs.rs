@@ -1,20 +1,28 @@
-//! Allocations per output block of the NMF chain `X * log(U %*% t(V) + eps)`.
+//! Allocations per output block of the fused kernels.
 //!
 //! A counting global allocator (installed in this test binary only) pins
-//! what one block of the fused kernel allocates once the task's memoized
-//! `t(V)` blocks exist. Gated, the multiplication runs only at `X`'s stored
-//! cells, so a block allocates its sparse output (row pointers, column
-//! indices, values) and the `Arc` handed back — four allocations. A product
-//! whose certificate fails (an operand entry that is not `> 0`) takes the
-//! dense accumulator first — five. A per-operator intermediate `Block`
-//! (`+ eps`, `log`) or a per-(node, block) map entry would add to either.
+//! what the kernels allocate.
+//!
+//! * The NMF chain `X * log(U %*% t(V) + eps)`, once the task's memoized
+//!   `t(V)` blocks exist. Gated, the multiplication runs only at `X`'s
+//!   stored cells, so a block allocates its sparse output (row pointers,
+//!   column indices, values) and the `Arc` handed back — four
+//!   allocations. A product whose certificate fails (an operand entry that
+//!   is not `> 0`) takes the dense accumulator first — five. A
+//!   per-operator intermediate `Block` (`+ eps`, `log`) or a
+//!   per-(node, block) map entry would add to either.
+//! * GNMF's loss `(X - V %*% U)^2`, evaluated a run of blocks at a time.
+//!   A run on the row-panel path allocates per run, not per block: its
+//!   panels (the run's layout, slots, `X`, the left operand blocks, the
+//!   product), so fewer allocations than blocks. A row whose product
+//!   compacts to sparse goes block by block, as many times as before.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use fuseme_exec::kernel::{BlockProgram, Footprint};
+use fuseme_exec::kernel::{BlockProgram, Footprint, Piece};
 use fuseme_exec::LocalStore;
 use fuseme_matrix::{gen, BinOp, Block, UnaryOp};
 use fuseme_plan::DagBuilder;
@@ -114,4 +122,80 @@ fn uncertified_products_fall_back_to_the_dense_accumulator() {
         assert_eq!(*n, want, "block ({bi}, {bj})");
         assert!(block.is_sparse(), "block ({bi}, {bj})");
     }
+}
+
+/// Evaluates row `row` of the loss's compute node `(X - V %*% U)^2` over
+/// 32 block columns as one run, after row `row + 1` (which sizes the
+/// task's scratch and stacks `U`'s panel), and returns the allocations it
+/// took, whether each block came from the row panel, and the allocations
+/// of evaluating the same blocks one by one afterwards. `X` is sparse with
+/// absent blocks; `V` and `U` are dense, except that `V`'s block row 1
+/// keeps one non-zero row of four, so its products compact to sparse.
+fn loss_run_allocations(row: usize) -> (u64, Vec<bool>, u64) {
+    let bs = 4;
+    let x = gen::sparse_uniform(16, 128, bs, 0.05, 1.0, 2.0, 1).unwrap();
+    let mut v = gen::dense_uniform(16, 12, bs, 0.1, 1.0, 2).unwrap();
+    let u = gen::dense_uniform(12, 128, bs, 0.1, 1.0, 3).unwrap();
+    for bk in 0..3 {
+        let mut thin = v.block(1, bk).unwrap().to_dense();
+        for r in 1..bs {
+            for c in 0..bs {
+                thin.set(r, c, 0.0);
+            }
+        }
+        v.set_block(1, bk, Block::Dense(thin)).unwrap();
+    }
+    let mut b = DagBuilder::new();
+    let xe = b.input("X", *x.meta());
+    let ve = b.input("V", *v.meta());
+    let ue = b.input("U", *u.meta());
+    let mm = b.matmul(ve, ue);
+    let diff = b.binary(xe, mm, BinOp::Sub);
+    let sq = b.unary(diff, UnaryOp::Square);
+    let dag = b.finish(vec![sq]);
+    let ops = BTreeSet::from([mm.id(), diff.id(), sq.id()]);
+    let mut store = LocalStore::new();
+    for (m, id) in [(&x, xe.id()), (&v, ve.id()), (&u, ue.id())] {
+        store.insert(id, m.blocks().clone());
+    }
+    assert!(x.present_blocks() < 4 * 32, "some X blocks are absent");
+
+    let program = BlockProgram::compile(&dag, &ops, Some(mm.id()), sq.id());
+    let mut task = program.bind(&store, 0..3);
+    let run = |i: usize| -> Vec<(usize, usize)> { (0..32).map(|j| (i, j)).collect() };
+    task.eval_run(&run(row + 1), |_, _| Ok(())).unwrap();
+    let (run, mut panel) = (run(row), Vec::with_capacity(32));
+    let before = allocs();
+    task.eval_run(&run, |_, p| {
+        panel.push(matches!(p, Piece::Panel { .. }));
+        Ok(())
+    })
+    .unwrap();
+    let ran = allocs() - before;
+    let before = allocs();
+    for &c in &run {
+        task.eval(c).unwrap();
+    }
+    (ran, panel, allocs() - before)
+}
+
+#[test]
+fn loss_runs_allocate_five_times_per_run_on_the_row_panel() {
+    let (n, panel, _) = loss_run_allocations(2);
+    assert!(panel.iter().all(|&p| p), "{panel:?}");
+    assert_eq!((n, panel.len()), (5, 32));
+}
+
+#[test]
+fn loss_rows_that_compact_to_sparse_go_block_by_block() {
+    // The panel is abandoned once the product is known: its five
+    // allocations are spent, then every block allocates as `eval` does.
+    let (n, panel, per_block) = loss_run_allocations(1);
+    assert!(panel.iter().all(|&p| !p), "{panel:?}");
+    assert_eq!(n, per_block + 5);
+    assert!(
+        per_block >= panel.len() as u64,
+        "{per_block} for {} blocks",
+        panel.len()
+    );
 }

@@ -27,16 +27,17 @@ use proptest::prelude::*;
 mod common;
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use common::oracle::{self, KernelCtx};
-use common::{all_bindings, plans, random_kernel_dag, values_for};
+use common::{all_bindings, bindings, plans, random_kernel_dag, values_for};
 use fuseme_exec::fused_op::{group_partials, route, task_layout, Layout, UnitKernel};
 use fuseme_exec::kernel::BlockProgram;
 use fuseme_exec::{LocalStore, Strategy};
 use fuseme_fusion::optimizer::Pqr;
 use fuseme_fusion::plan::PartialPlan;
-use fuseme_matrix::{BinOp, MatrixMeta, UnaryOp};
-use fuseme_plan::{DagBuilder, Expr, NodeId, OpKind, QueryDag};
+use fuseme_matrix::{AggOp, BinOp, BlockedMatrix, MatrixMeta, UnaryOp};
+use fuseme_plan::{Bindings, DagBuilder, Expr, NodeId, OpKind, QueryDag};
 use fuseme_sim::{Cluster, ClusterConfig, SimError};
 
 /// Outputs agree when both succeed bit-identically or both fail.
@@ -130,8 +131,16 @@ fn compare_unit(
     Ok(())
 }
 
+/// Cases of the random test: `PROPTEST_CASES` when set, else 32.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(32)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
     fn block_programs_match_interpreter(
@@ -229,6 +238,110 @@ fn gated_products_match_interpreter() {
                         };
                         if let Err(e) = compare_unit(&cluster, &dag, &plan, &values, &strategy) {
                             panic!("{e}\n({p},{q},1), seed {seed}, plan {plan:?}\n{dag}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `(X - Y %*% Y)^2`, the shape of GNMF's loss.
+fn squared_error(b: &mut DagBuilder, x: Expr, y: Expr) -> Expr {
+    let p = b.matmul(y, y);
+    let d = b.binary(x, p, BinOp::Sub);
+    b.unary(d, UnaryOp::Square)
+}
+
+/// [`bindings`] with holes in `Y`: its block column `1 + seed % 3` and
+/// block `(seed % 4, 0)` are absent. Products in that column have no
+/// terms, so where `X` is absent too their blocks are unsupported. In a
+/// row whose products at column 0 lose the term `k = seed % 4`, the other
+/// columns keep it: the row's blocks sum over different `k`s.
+fn holed_bindings(seed: u64) -> Bindings {
+    let mut binds = bindings(seed);
+    let y = &binds["Y"];
+    let kept = y
+        .iter_blocks()
+        .filter(|&(bi, bj, _)| bj as u64 != 1 + seed % 3 && (bi as u64, bj) != (seed % 4, 0))
+        .map(|(bi, bj, b)| ((bi, bj), Arc::clone(b)));
+    let holed = BlockedMatrix::from_blocks(*y.meta(), kept).unwrap();
+    binds.insert("Y".to_string(), Arc::new(holed));
+    binds
+}
+
+/// Runs of output blocks evaluated as row panels, pinned: GNMF's loss
+/// `sum((X - Y %*% Y)^2)` and its `rowSums`, `colSums`, min and max forms,
+/// a stored element-wise output over a product with a computed right
+/// operand (`(Y %*% t(Y)) + X`), and bare products, whose `R > 1` layouts
+/// hand back stage-1 partials run by run. Every binding of a few seeds
+/// plus one with holes in `Y`, under tilings whose runs are whole block
+/// rows, cut by tile edges, or single blocks. Runs are also cut by
+/// unsupported blocks (the holes), fall back where a run's blocks sum over
+/// different `k`s (the holes) or a product compacts to sparse (the hazard
+/// binding), and read absent and sparse `X` blocks as zeros (every
+/// binding).
+#[test]
+fn panel_runs_match_interpreter() {
+    type Shape = fn(&mut DagBuilder, Expr, Expr) -> Expr;
+    let shapes: [Shape; 8] = [
+        |b, x, y| {
+            let e = squared_error(b, x, y);
+            b.full_agg(e, AggOp::Sum)
+        },
+        |b, x, y| {
+            let e = squared_error(b, x, y);
+            b.row_agg(e, AggOp::Sum)
+        },
+        |b, x, y| {
+            let e = squared_error(b, x, y);
+            b.col_agg(e, AggOp::Sum)
+        },
+        |b, x, y| {
+            let e = squared_error(b, x, y);
+            b.full_agg(e, AggOp::Min)
+        },
+        |b, x, y| {
+            let e = squared_error(b, x, y);
+            b.full_agg(e, AggOp::Max)
+        },
+        |b, x, y| {
+            let yt = b.transpose(y);
+            let p = b.matmul(y, yt);
+            b.binary(p, x, BinOp::Add)
+        },
+        |b, _, y| b.matmul(y, y),
+        |b, _, y| {
+            let yt = b.transpose(y);
+            b.matmul(y, yt)
+        },
+    ];
+    let tilings = [
+        (1, 1, 1),
+        (1, 2, 1),
+        (2, 3, 1),
+        (4, 4, 1),
+        (1, 1, 2),
+        (2, 1, 4),
+    ];
+    let cluster = Cluster::new(ClusterConfig::test_small());
+    for shape in shapes {
+        let mut b = DagBuilder::new();
+        let x = b.input("X", MatrixMeta::sparse(16, 16, 4, 0.3));
+        let y = b.input("Y", MatrixMeta::dense(16, 16, 4));
+        let out = shape(&mut b, x, y);
+        let dag = b.finish(vec![out]);
+        for seed in 0..3 {
+            let binds = all_bindings(seed).into_iter().chain([holed_bindings(seed)]);
+            for binds in binds {
+                for plan in plans(&dag, &cluster) {
+                    let values = values_for(&dag, &plan, &binds, seed);
+                    for (p, q, r) in tilings {
+                        let strategy = Strategy::Cuboid {
+                            pqr: Pqr { p, q, r },
+                        };
+                        if let Err(e) = compare_unit(&cluster, &dag, &plan, &values, &strategy) {
+                            panic!("{e}\n({p},{q},{r}), seed {seed}, plan {plan:?}\n{dag}");
                         }
                     }
                 }

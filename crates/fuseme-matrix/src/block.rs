@@ -279,15 +279,13 @@ impl Block {
     /// selection.
     pub fn compact(self) -> Block {
         let elems = self.rows() * self.cols();
-        if elems == 0 {
-            return self;
-        }
-        let density = self.nnz() as f64 / elems as f64;
         match &self {
-            Block::Dense(b) if density < crate::SPARSE_FORMAT_THRESHOLD => {
+            Block::Dense(b) if crate::compacts_to_sparse(b.nnz(), elems) => {
                 Block::Sparse(SparseBlock::from_dense(b))
             }
-            Block::Sparse(b) if density > crate::DENSE_FORMAT_THRESHOLD => {
+            Block::Sparse(b)
+                if elems > 0 && b.nnz() as f64 / elems as f64 > crate::DENSE_FORMAT_THRESHOLD =>
+            {
                 Block::Dense(b.to_dense())
             }
             _ => self,

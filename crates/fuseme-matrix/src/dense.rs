@@ -99,6 +99,25 @@ impl DenseBlock {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// One row as a mutable slice.
+    #[inline]
+    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
+        &mut self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// The block of columns `cols`, every row.
+    pub fn columns(&self, cols: std::ops::Range<usize>) -> DenseBlock {
+        let mut data = Vec::with_capacity(self.rows * cols.len());
+        for r in 0..self.rows {
+            data.extend_from_slice(&self.row(r)[cols.clone()]);
+        }
+        DenseBlock {
+            rows: self.rows,
+            cols: cols.len(),
+            data,
+        }
+    }
+
     /// Number of stored non-zero values.
     pub fn nnz(&self) -> usize {
         self.data.iter().filter(|&&v| v != 0.0).count()
@@ -187,7 +206,9 @@ impl DenseBlock {
     /// That order is a contract: [`dot_acc`](DenseBlock::dot_acc) computes
     /// one element the same way, and the executor's gated multiplication
     /// relies on the two agreeing bit for bit when it computes a product
-    /// only at a sparse gate's stored cells.
+    /// only at a sparse gate's stored cells. So does
+    /// [`gemm_panel`](DenseBlock::gemm_panel), which the executor uses to
+    /// compute a run of output blocks as one row panel.
     pub fn gemm_acc(&self, rhs: &DenseBlock, out: &mut DenseBlock) -> Result<()> {
         self.gemm_check(rhs, out)?;
         if self.rows * self.cols * rhs.cols >= TILED_MIN_MACS {
@@ -207,7 +228,11 @@ impl DenseBlock {
     ///
     /// Panics when `row` or `col` is out of range or the inner dimensions
     /// differ.
-    #[inline]
+    ///
+    /// Kept out of line: its loop is the gated multiplication's hot loop,
+    /// and inlined its speed swung by a quarter with the code layout of
+    /// unrelated changes to the executor.
+    #[inline(never)]
     pub fn dot_acc(&self, row: usize, rhs: &DenseBlock, col: usize, mut acc: f64) -> f64 {
         assert!(self.cols == rhs.rows && col < rhs.cols, "dot_acc shape");
         for (k, &a) in self.row(row).iter().enumerate() {
@@ -216,6 +241,51 @@ impl DenseBlock {
             }
         }
         acc
+    }
+
+    /// Row-panel GEMM: the product of the left panel, the blocks `lefts`
+    /// side by side (all with the same rows), with the right panel
+    /// `right`, whose rows continue the left panel's columns in order.
+    ///
+    /// Every output element accumulates from `+0.0` over the concatenated
+    /// inner index in ascending order with `acc += a * b`, skipping zero
+    /// left entries. Cut into column blocks, the output is therefore bit
+    /// for bit what chaining [`gemm_acc`](DenseBlock::gemm_acc) over
+    /// `lefts` in order, each times its own rows of `right`, leaves in a
+    /// zeroed accumulator per block.
+    pub fn gemm_panel(lefts: &[&DenseBlock], right: &DenseBlock) -> Result<DenseBlock> {
+        let rows = lefts.first().map_or(0, |l| l.rows);
+        let inner: usize = lefts.iter().map(|l| l.cols).sum();
+        if inner != right.rows {
+            return Err(Error::GemmMismatch {
+                left_cols: inner,
+                right_rows: right.rows,
+            });
+        }
+        if let Some(l) = lefts.iter().find(|l| l.rows != rows) {
+            return Err(Error::DimMismatch {
+                left: (rows, lefts[0].cols),
+                right: (l.rows, l.cols),
+                op: "gemm panel",
+            });
+        }
+        let n = right.cols;
+        let mut out = DenseBlock::zeros(rows, n);
+        for i in 0..rows {
+            let out_row = &mut out.data[i * n..(i + 1) * n];
+            let mut k0 = 0;
+            for l in lefts {
+                for (k, &a) in l.row(i).iter().enumerate() {
+                    if a != 0.0 {
+                        for (o, &b) in out_row.iter_mut().zip(right.row(k0 + k)) {
+                            *o += a * b;
+                        }
+                    }
+                }
+                k0 += l.cols;
+            }
+        }
+        Ok(out)
     }
 
     /// The small-block GEMM kernel (i-k-j loop order), exposed so

@@ -48,6 +48,12 @@ pub const ELEM_BYTES: u64 = 8;
 /// [`Block::compact`] (SystemDS's sparse-format threshold).
 pub const SPARSE_FORMAT_THRESHOLD: f64 = 0.4;
 
+/// Whether [`Block::compact`] stores a dense block of `elems` elements
+/// holding `nnz` non-zeros sparsely.
+pub fn compacts_to_sparse(nnz: usize, elems: usize) -> bool {
+    elems > 0 && (nnz as f64 / elems as f64) < SPARSE_FORMAT_THRESHOLD
+}
+
 /// Density above which a sparse block is converted to dense by
 /// [`Block::compact`] and above which [`MatrixMeta::size_bytes`] prices a
 /// matrix densely.

@@ -447,3 +447,48 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    /// `DenseBlock::gemm_panel` of one to four terms, cut into column
+    /// blocks, reproduces per block the chain of `gemm_acc` calls over the
+    /// terms in order from a zeroed accumulator, bit for bit (so `±0.0`,
+    /// infinities and NaN count), for block shapes on both sides of
+    /// `TILED_MIN_MACS`. The executor computes a run of output blocks as
+    /// one row panel this way.
+    #[test]
+    fn gemm_panel_matches_gemm_acc_bit_for_bit(
+        (m, w, blocks, terms) in
+            ((proptest::bool::ANY, 1usize..=7, 4usize..=7), (1usize..=7, 1usize..=3, 1usize..=4))
+                .prop_map(|((big, m, k), (w, blocks, count))| match big {
+                    true => (m + 25, k + 27, w + 25, blocks, count),
+                    false => (m, k, w, blocks, count),
+                })
+                .prop_flat_map(|(m, k, w, blocks, count)| {
+                    let term = (k - 3..=k).prop_flat_map(move |k| hazard_term(m, k, w * blocks));
+                    (Just(m), Just(w), Just(blocks), proptest::collection::vec(term, count))
+                })
+    ) {
+        let lefts: Vec<&DenseBlock> = terms.iter().map(|(l, _)| l).collect();
+        let inner = lefts.iter().map(|l| l.cols()).sum();
+        let stacked: Vec<f64> = terms.iter().flat_map(|(_, r)| r.data().iter().copied()).collect();
+        let right = DenseBlock::from_vec(inner, w * blocks, stacked).unwrap();
+        let panel = DenseBlock::gemm_panel(&lefts, &right).unwrap();
+        for b in 0..blocks {
+            let cols = b * w..(b + 1) * w;
+            let mut acc = DenseBlock::zeros(m, w);
+            for (l, r) in &terms {
+                prop_assert_eq!(m * l.cols() * w >= TILED_MIN_MACS, m > 7, "size class");
+                l.gemm_acc(&r.columns(cols.clone()), &mut acc).unwrap();
+            }
+            for i in 0..m {
+                for (j, at) in cols.clone().enumerate() {
+                    prop_assert_eq!(
+                        panel.get(i, at).to_bits(),
+                        acc.get(i, j).to_bits(),
+                        "block {} ({}, {}): panel {} vs gemm {}", b, i, j, panel.get(i, at), acc.get(i, j)
+                    );
+                }
+            }
+        }
+    }
+}
