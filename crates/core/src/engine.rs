@@ -132,9 +132,9 @@ impl Engine {
         self.cluster.set_fault_plan(plan);
     }
 
-    /// Sets the cluster's recovery policy: task retry and speculation
-    /// inside stages, and the driver's stage re-runs on executor loss and
-    /// memory-pressure recovery between them.
+    /// Sets the cluster's recovery policy. Armed, it turns on task retry
+    /// and speculation inside stages, and the driver's stage re-runs on
+    /// executor loss and memory-pressure recovery between them.
     pub fn set_fault_tolerance(&mut self, cfg: FaultToleranceConfig) {
         self.cluster.set_fault_tolerance(cfg);
     }
@@ -178,7 +178,7 @@ impl Engine {
     pub fn plan(&self, dag: &QueryDag) -> FusionPlan {
         match self.kind {
             EngineKind::FuseMe => Cfg::new(self.exec.model).plan(dag),
-            EngineKind::SystemDsLike => GenLike::default().plan(dag),
+            EngineKind::SystemDsLike => GenLike.plan(dag),
             EngineKind::MatFastLike => Folded.plan(dag),
             EngineKind::DistMeLike => FusionPlan::assemble(dag, vec![]),
             // XLA fuses element-wise regions; matmuls stay library calls.
@@ -187,17 +187,18 @@ impl Engine {
     }
 
     /// Renders a human-readable EXPLAIN of the fusion plan this engine
-    /// would execute: one line per unit with the fused operators, the
-    /// chosen `(P*,Q*,R*)` for cuboid units, and the model's estimates
-    /// there (omitted for infeasible units, which have none).
+    /// would execute: one line per unit with its operators and the
+    /// physical strategy of any unit with a main multiplication — under
+    /// the cost-based policy the chosen `(P*,Q*,R*)` and the model's
+    /// estimates there (omitted for infeasible units, which have none),
+    /// otherwise the policy's name.
     pub fn explain(&self, dag: &QueryDag) -> String {
         use fuseme_fusion::optimizer::optimize;
-        use fuseme_fusion::plan::{ExecUnit, PartialPlan};
+        use fuseme_fusion::plan::ExecUnit;
         use fuseme_fusion::space::SpaceTree;
         use std::fmt::Write as _;
 
         let plan = self.plan(dag);
-        let model = self.exec.model;
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -207,17 +208,18 @@ impl Engine {
             plan.fused_op_count()
         );
         for (i, unit) in plan.units.iter().enumerate() {
-            let labels = |p: &PartialPlan| {
-                p.ops
-                    .iter()
-                    .map(|&id| dag.node(id).kind.label())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            };
-            match unit {
-                ExecUnit::Fused(p) if p.main_matmul(dag).is_some() => {
-                    let tree = SpaceTree::build(dag, p);
-                    let opt = optimize(dag, p, &tree, &model);
+            let p = unit.plan();
+            let labels = p
+                .ops
+                .iter()
+                .map(|&id| dag.node(id).kind.label())
+                .collect::<Vec<_>>()
+                .join(", ");
+            let line = match (p.main_matmul(dag), self.exec.matmul) {
+                (None, _) if matches!(unit, ExecUnit::Single(_)) => format!("single {labels}"),
+                (None, _) => format!("cell-fused [{labels}]"),
+                (Some(_), MatmulStrategy::Cfo) => {
+                    let opt = optimize(dag, &p, &SpaceTree::build(dag, &p), &self.exec.model);
                     let est = if opt.feasible {
                         format!(
                             " net≈{:.2}MB mem/task≈{:.2}MB",
@@ -227,15 +229,15 @@ impl Engine {
                     } else {
                         "  (INFEASIBLE)".to_string()
                     };
-                    let _ = writeln!(out, "  {i}: CFO {} [{}]{est}", opt.pqr, labels(p));
+                    format!("CFO {} [{labels}]{est}", opt.pqr)
                 }
-                ExecUnit::Fused(p) => {
-                    let _ = writeln!(out, "  {i}: cell-fused [{}]", labels(p));
+                (Some(_), MatmulStrategy::SystemDsRule { .. }) => {
+                    format!("SystemDS rule [{labels}]")
                 }
-                ExecUnit::Single(op) => {
-                    let _ = writeln!(out, "  {i}: single {}", dag.node(*op).kind.label());
-                }
-            }
+                (Some(_), MatmulStrategy::Bfo { .. }) => format!("BFO [{labels}]"),
+                (Some(_), MatmulStrategy::Rfo) => format!("RFO [{labels}]"),
+            };
+            let _ = writeln!(out, "  {i}: {line}");
         }
         out
     }
@@ -246,16 +248,10 @@ impl Engine {
         let plan = self.plan(dag);
         fuseme_obs::handle().event("fusion-plan", || {
             vec![
-                ("engine".to_string(), self.kind.name().into()),
-                ("units".to_string(), (plan.units.len() as u64).into()),
-                (
-                    "fused_ops".to_string(),
-                    (plan.fused_op_count() as u64).into(),
-                ),
-                (
-                    "plan_secs".to_string(),
-                    plan_start.elapsed().as_secs_f64().into(),
-                ),
+                ("engine", self.kind.name().into()),
+                ("units", (plan.units.len() as u64).into()),
+                ("fused_ops", (plan.fused_op_count() as u64).into()),
+                ("plan_secs", plan_start.elapsed().as_secs_f64().into()),
             ]
         });
         let (outputs, stats) = execute_plan(&self.cluster, dag, &plan, inputs, &self.exec)?;
@@ -293,10 +289,15 @@ mod tests {
     }
 
     fn nmf_query() -> (QueryDag, Bindings) {
-        let bs = 5;
-        let x = gen::sparse_uniform(30, 30, bs, 0.2, 1.0, 2.0, 1).unwrap();
-        let u = gen::dense_uniform(30, 10, bs, 0.1, 1.0, 2).unwrap();
-        let v = gen::dense_uniform(30, 10, bs, 0.1, 1.0, 3).unwrap();
+        nmf_query_at(30, 10, 5, 0.2)
+    }
+
+    /// `X * log(U %*% t(V) + 1e-8)` with `X` `n×n` at `density` and dense
+    /// `n×k` factors in `bs`-edge blocks.
+    fn nmf_query_at(n: usize, k: usize, bs: usize, density: f64) -> (QueryDag, Bindings) {
+        let x = gen::sparse_uniform(n, n, bs, density, 1.0, 2.0, 1).unwrap();
+        let u = gen::dense_uniform(n, k, bs, 0.1, 1.0, 2).unwrap();
+        let v = gen::dense_uniform(n, k, bs, 0.1, 1.0, 3).unwrap();
         let mut b = DagBuilder::new();
         let xe = b.input("X", *x.meta());
         let ue = b.input("U", *u.meta());
@@ -372,6 +373,32 @@ mod tests {
         let sd = Engine::systemds_like(cc());
         let text = sd.explain(&dag);
         assert!(text.contains("SystemDS plan"));
+
+        // The quickstart query at a fifth of its size: X is sparse enough
+        // for SystemDS to fuse the multiplication, which it then runs under
+        // its own rule, while DistME searches (P,Q,R) for the
+        // multiplication's single unit.
+        let (dag, binds) = nmf_query_at(400, 40, 20, 0.005);
+        let mut qc = ClusterConfig::paper_testbed();
+        qc.mem_per_task = 8 << 20;
+        let sd = Engine::systemds_like(qc);
+        let text = sd.explain(&dag);
+        assert!(
+            text.contains(": SystemDS rule [") && text.contains("ba(×)"),
+            "{text}"
+        );
+        assert!(!text.contains("CFO"), "{text}");
+        assert!(sd.run(&dag, &binds).unwrap().stats.pqr_choices.is_empty());
+        let dm = Engine::distme_like(qc);
+        let text = dm.explain(&dag);
+        let ran = dm.run(&dag, &binds).unwrap();
+        let [(_, pqr)] = ran.stats.pqr_choices[..] else {
+            panic!("one cuboid unit expected: {:?}", ran.stats.pqr_choices);
+        };
+        assert!(
+            text.contains(&format!(": CFO {pqr} [ba(×)]")),
+            "{text} vs {pqr}"
+        );
     }
 
     #[test]

@@ -89,8 +89,8 @@ impl Session {
         self.engine.set_fault_plan(plan);
     }
 
-    /// Sets the recovery policy (task retry, speculation, stage re-runs)
-    /// for subsequent runs. The default is everything off.
+    /// Sets the recovery policy for subsequent runs: off (the default) or
+    /// armed with a task-retry budget.
     pub fn set_fault_tolerance(&mut self, cfg: FaultToleranceConfig) {
         self.engine.set_fault_tolerance(cfg);
     }
@@ -174,7 +174,7 @@ impl Session {
             if old_uid != value.uid() {
                 cache.bump_version(old_uid);
                 fuseme_obs::handle().event(fuseme_obs::events::CACHE_INVALIDATE, || {
-                    vec![(fuseme_obs::keys::MATRIX_UID.to_string(), old_uid.into())]
+                    vec![(fuseme_obs::keys::MATRIX_UID, old_uid.into())]
                 });
             }
         }

@@ -4,7 +4,7 @@
 //! tolerance silently. This experiment makes the cost of surviving failures
 //! visible: GNMF iterations run under a seeded [`FaultPlan`] that crashes
 //! task attempts, slows tasks down, and kills executors at a swept rate,
-//! once with recovery enabled (task retry + speculation + stage re-runs)
+//! once with recovery armed (task retry, speculation, stage re-runs)
 //! and once with recovery off (any fault is terminal, like the seed
 //! engine). Rows report completion time, total traffic, and *wasted work* —
 //! bytes/FLOPs an oracle (fault-free) run would not have spent — which
@@ -39,9 +39,8 @@ const LOST_EXECUTOR_STAGE: u64 = 3;
 /// enough that even the highest swept rate cannot realistically exhaust it
 /// (terminal loss needs `rate^(retries+1)` per task).
 fn recovery() -> FaultToleranceConfig {
-    FaultToleranceConfig {
+    FaultToleranceConfig::Armed {
         max_task_retries: 6,
-        ..FaultToleranceConfig::resilient()
     }
 }
 

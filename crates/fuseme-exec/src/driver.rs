@@ -11,6 +11,13 @@
 //!   inputs), RFO otherwise (paper §6.2);
 //! * [`MatmulStrategy::Bfo`] / [`MatmulStrategy::Rfo`] — forced, for the
 //!   §6.2 operator comparison.
+//!
+//! When the cluster's [`fuseme_sim::FaultToleranceConfig`] is armed, the
+//! driver also recovers whole units: a unit whose executor is lost re-runs
+//! from lineage (at most twice), and a unit that runs out of memory walks
+//! the memory-pressure ladder — re-plan against `0.8·θ_t`, halving the
+//! headroom after each further OOM for at most two re-plans, then split,
+//! then unfused. Those figures are constants of this module, not settings.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -154,58 +161,27 @@ pub fn execute_plan(
     }
 
     for (u_idx, unit) in plan.units.iter().enumerate() {
+        let span = obs.scope_span(SpanKind::ExecUnit, || format!("unit-{u_idx}"));
+        let unit_sim = cluster.elapsed_secs();
+        let p = &*unit.plan();
+        let (strategy, opt) = choose_strategy(cluster, dag, p, &values, config, &mut stats)?;
+        annotate_unit(&span, p.root, &strategy, opt.as_ref());
+        let out = run_unit_recovering(
+            cluster,
+            dag,
+            p,
+            &mut values,
+            &strategy,
+            opt.as_ref(),
+            config,
+            &mut stats,
+            &span,
+        )?;
+        span.set_sim(unit_sim, cluster.elapsed_secs() - unit_sim);
+        values.insert(p.root, out);
         match unit {
-            ExecUnit::Fused(p) => {
-                let span = obs.scope_span(SpanKind::ExecUnit, || format!("unit-{u_idx}"));
-                let unit_sim = cluster.elapsed_secs();
-                let (strategy, opt) =
-                    choose_strategy(cluster, dag, p, &values, config, &mut stats)?;
-                annotate_unit(&span, p.root, &strategy, opt.as_ref());
-                let out = run_unit_recovering(
-                    cluster,
-                    dag,
-                    p,
-                    &mut values,
-                    &strategy,
-                    opt.as_ref(),
-                    config,
-                    &mut stats,
-                    &span,
-                )?;
-                span.set_sim(unit_sim, cluster.elapsed_secs() - unit_sim);
-                values.insert(p.root, out);
-                stats.fused_units += 1;
-            }
-            ExecUnit::Single(op) => {
-                let span = obs.scope_span(SpanKind::ExecUnit, || format!("unit-{u_idx}"));
-                let unit_sim = cluster.elapsed_secs();
-                let singleton = PartialPlan::new([*op].into_iter().collect(), *op);
-                let (strategy, opt) = if dag.node(*op).kind.is_matmul() {
-                    choose_strategy(cluster, dag, &singleton, &values, config, &mut stats)?
-                } else {
-                    (
-                        Strategy::Cuboid {
-                            pqr: Pqr { p: 1, q: 1, r: 1 },
-                        },
-                        None,
-                    )
-                };
-                annotate_unit(&span, *op, &strategy, opt.as_ref());
-                let out = run_unit_recovering(
-                    cluster,
-                    dag,
-                    &singleton,
-                    &mut values,
-                    &strategy,
-                    opt.as_ref(),
-                    config,
-                    &mut stats,
-                    &span,
-                )?;
-                span.set_sim(unit_sim, cluster.elapsed_secs() - unit_sim);
-                values.insert(*op, out);
-                stats.single_units += 1;
-            }
+            ExecUnit::Fused(_) => stats.fused_units += 1,
+            ExecUnit::Single(_) => stats.single_units += 1,
         }
     }
 
@@ -231,6 +207,10 @@ pub fn execute_plan(
     Ok((roots, stats))
 }
 
+/// Driver-side re-runs of a unit whose executor died, when recovery is
+/// armed.
+const MAX_STAGE_RERUNS: u32 = 2;
+
 /// Executes one (possibly singleton) fused unit, re-running it from lineage
 /// when its executor is lost and the recovery policy allows it.
 ///
@@ -246,7 +226,11 @@ fn run_unit(
     values: &ValueMap,
     strategy: &Strategy,
 ) -> Result<Arc<BlockedMatrix>, SimError> {
-    let max_reruns = cluster.fault_tolerance().max_stage_reruns;
+    let max_reruns = if cluster.fault_tolerance().is_armed() {
+        MAX_STAGE_RERUNS
+    } else {
+        0
+    };
     let mut reruns = 0u32;
     let mut mark = WasteMark::take(cluster);
     loop {
@@ -261,10 +245,10 @@ fn run_unit(
                 cluster.fault_ledger().record_stage_rerun();
                 fuseme_obs::handle().event(events::STAGE_RERUN, || {
                     vec![
-                        (keys::STAGE_ID.to_string(), stage.into()),
-                        (keys::ATTEMPTS.to_string(), u64::from(reruns + 1).into()),
-                        (keys::WASTED_BYTES.to_string(), rerun_bytes.into()),
-                        (keys::WASTED_FLOPS.to_string(), rerun_flops.into()),
+                        (keys::STAGE_ID, stage.into()),
+                        (keys::ATTEMPTS, u64::from(reruns + 1).into()),
+                        (keys::WASTED_BYTES, rerun_bytes.into()),
+                        (keys::WASTED_FLOPS, rerun_flops.into()),
                     ]
                 });
             }
@@ -309,8 +293,8 @@ impl WasteMark {
 }
 
 /// Runs one unit with the memory-pressure recovery ladder armed: when the
-/// unit fails admission or hits a runtime OOM and
-/// [`fuseme_sim::FaultToleranceConfig::memory_recovery`] is on, the driver
+/// unit fails admission or hits a runtime OOM and the cluster's
+/// [`fuseme_sim::FaultToleranceConfig`] is armed, the driver
 /// walks the ladder — tightened re-planning, plan splitting, unfused
 /// execution — before giving up with a structured [`OomReport`]. With
 /// recovery off the original error propagates untouched.
@@ -329,7 +313,7 @@ fn run_unit_recovering(
     let mut mark = WasteMark::take(cluster);
     match run_unit(cluster, dag, plan, values, strategy) {
         Ok(out) => Ok(out),
-        Err(e @ SimError::OutOfMemory { .. }) if cluster.fault_tolerance().memory_recovery => {
+        Err(e @ SimError::OutOfMemory { .. }) if cluster.fault_tolerance().is_armed() => {
             recover_from_oom(
                 cluster, dag, plan, values, opt, config, stats, span, e, &mut mark,
             )
@@ -338,11 +322,21 @@ fn run_unit_recovering(
     }
 }
 
+/// Effective-budget safety factor for the ladder's first re-plan: the
+/// optimizer searches against `θ_t · MEM_HEADROOM` instead of θ_t.
+const MEM_HEADROOM: f64 = 0.8;
+/// Multiplier applied to the headroom on each further re-plan (each rung
+/// plans against a yet-tighter budget).
+const MEM_HEADROOM_DECAY: f64 = 0.5;
+/// Tightened-budget re-plans per exec unit before the ladder escalates to
+/// plan splitting.
+const MAX_REPLANS: u32 = 2;
+
 /// The memory-pressure recovery ladder (rungs in order):
 ///
 /// 1. **Re-plan** — re-run the cuboid search with the per-task
-///    budget θ_t discounted by `mem_headroom` (shrinking by
-///    `mem_headroom_decay` per OOM), steering the search toward a finer
+///    budget θ_t discounted by `MEM_HEADROOM` (shrinking by
+///    `MEM_HEADROOM_DECAY` per OOM, at most `MAX_REPLANS` times), steering the search toward a finer
 ///    `(P,Q,R)` than the one that blew up. Re-running also escapes
 ///    transient estimate skew: the fresh attempt draws new stage ids.
 /// 2. **Split** — carve a multiplication off the fused plan with
@@ -371,7 +365,6 @@ fn recover_from_oom(
     first: SimError,
     mark: &mut WasteMark,
 ) -> Result<Arc<BlockedMatrix>, SimError> {
-    let ft = cluster.fault_tolerance();
     let obs = fuseme_obs::handle();
     let mut rungs: Vec<LadderRung> = Vec::new();
     let mut last = first;
@@ -381,8 +374,8 @@ fn recover_from_oom(
     if matches!(config.matmul, MatmulStrategy::Cfo) && plan.main_matmul(dag).is_some() {
         let tree = SpaceTree::build(dag, plan);
         let cached = cached_inputs(cluster, dag, &tree, values);
-        let mut headroom = ft.mem_headroom;
-        for _ in 0..ft.max_replans {
+        let mut headroom = MEM_HEADROOM;
+        for _ in 0..MAX_REPLANS {
             let tightened = CostModel {
                 mem_per_task: (config.model.mem_per_task as f64 * headroom) as u64,
                 ..config.model
@@ -396,10 +389,10 @@ fn recover_from_oom(
             rungs.push(LadderRung::Replan { headroom });
             obs.event(events::REPLAN, || {
                 vec![
-                    (keys::ROOT.to_string(), (plan.root as u64).into()),
-                    (keys::HEADROOM.to_string(), headroom.into()),
-                    (keys::WASTED_BYTES.to_string(), wb.into()),
-                    (keys::WASTED_FLOPS.to_string(), wf.into()),
+                    (keys::ROOT, (plan.root as u64).into()),
+                    (keys::HEADROOM, headroom.into()),
+                    (keys::WASTED_BYTES, wb.into()),
+                    (keys::WASTED_FLOPS, wf.into()),
                 ]
             });
             record_pqr(stats, plan.root, replanned.pqr);
@@ -408,7 +401,7 @@ fn recover_from_oom(
                 Ok(out) => return Ok(out),
                 Err(e @ SimError::OutOfMemory { .. }) => {
                     last = e;
-                    headroom *= ft.mem_headroom_decay;
+                    headroom *= MEM_HEADROOM_DECAY;
                 }
                 Err(e) => return Err(e),
             }
@@ -425,9 +418,9 @@ fn recover_from_oom(
         rungs.push(LadderRung::Split);
         obs.event(events::PLAN_SPLIT, || {
             vec![
-                (keys::ROOT.to_string(), (plan.root as u64).into()),
-                (keys::WASTED_BYTES.to_string(), wb.into()),
-                (keys::WASTED_FLOPS.to_string(), wf.into()),
+                (keys::ROOT, (plan.root as u64).into()),
+                (keys::WASTED_BYTES, wb.into()),
+                (keys::WASTED_FLOPS, wf.into()),
             ]
         });
         match run_subplans(cluster, dag, &[fi, fm], values, config, stats) {
@@ -444,9 +437,9 @@ fn recover_from_oom(
         rungs.push(LadderRung::Unfused);
         obs.event(events::UNFUSED_FALLBACK, || {
             vec![
-                (keys::ROOT.to_string(), (plan.root as u64).into()),
-                (keys::WASTED_BYTES.to_string(), wb.into()),
-                (keys::WASTED_FLOPS.to_string(), wf.into()),
+                (keys::ROOT, (plan.root as u64).into()),
+                (keys::WASTED_BYTES, wb.into()),
+                (keys::WASTED_FLOPS, wf.into()),
             ]
         });
         let singletons: Vec<PartialPlan> = plan
@@ -713,7 +706,7 @@ mod tests {
                 partition_bytes: 1 << 13,
             },
         );
-        let plan = GenLike::default().plan(&dag);
+        let plan = GenLike.plan(&dag);
         let (roots, stats) = execute_plan(&cl, &dag, &plan, &bindings, &config).unwrap();
         assert!(roots[0].approx_eq(&expected, 1e-9));
         // GEN leaves the matmuls unfused on GNMF.
@@ -764,7 +757,7 @@ mod tests {
             MatmulStrategy::SystemDsRule {
                 partition_bytes: 256,
             },
-            &GenLike::default().plan(&dag),
+            &GenLike.plan(&dag),
         );
         let matfast = run(MatmulStrategy::Rfo, &Folded.plan(&dag));
         assert!(

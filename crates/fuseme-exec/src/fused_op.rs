@@ -359,11 +359,8 @@ pub fn execute_fused(
             cluster.fault_ledger().record_mem_admission_reject();
             fuseme_obs::handle().event(fuseme_obs::events::MEM_ADMISSION_REJECT, || {
                 vec![
-                    (
-                        fuseme_obs::keys::ROOT.to_string(),
-                        (plan.root as u64).into(),
-                    ),
-                    (fuseme_obs::keys::PEAK_MEM.to_string(), est.mem_bytes.into()),
+                    (fuseme_obs::keys::ROOT, (plan.root as u64).into()),
+                    (fuseme_obs::keys::PEAK_MEM, est.mem_bytes.into()),
                 ]
             });
             return Err(SimError::OutOfMemory {
@@ -427,20 +424,17 @@ pub fn execute_fused(
                 };
                 obs.event(name, || {
                     vec![
-                        (
-                            fuseme_obs::keys::ROOT.to_string(),
-                            (plan.root as u64).into(),
-                        ),
-                        (fuseme_obs::keys::MATRIX_UID.to_string(), uid.into()),
-                        (fuseme_obs::keys::AXIS.to_string(), axis.into()),
-                        (fuseme_obs::keys::P.to_string(), (pqr.p as u64).into()),
-                        (fuseme_obs::keys::Q.to_string(), (pqr.q as u64).into()),
-                        (fuseme_obs::keys::R.to_string(), (pqr.r as u64).into()),
+                        (fuseme_obs::keys::ROOT, (plan.root as u64).into()),
+                        (fuseme_obs::keys::MATRIX_UID, uid.into()),
+                        (fuseme_obs::keys::AXIS, axis.into()),
+                        (fuseme_obs::keys::P, (pqr.p as u64).into()),
+                        (fuseme_obs::keys::Q, (pqr.q as u64).into()),
+                        (fuseme_obs::keys::R, (pqr.r as u64).into()),
                         (
                             if hit {
-                                fuseme_obs::keys::SAVED_BYTES.to_string()
+                                fuseme_obs::keys::SAVED_BYTES
                             } else {
-                                fuseme_obs::keys::BYTES.to_string()
+                                fuseme_obs::keys::BYTES
                             },
                             bytes.into(),
                         ),
@@ -450,7 +444,7 @@ pub fn execute_fused(
             let evicted = cache.stats().evictions - evictions_before;
             if evicted > 0 {
                 fuseme_obs::handle().event(fuseme_obs::events::CACHE_EVICT, || {
-                    vec![(fuseme_obs::keys::EVICTIONS.to_string(), evicted.into())]
+                    vec![(fuseme_obs::keys::EVICTIONS, evicted.into())]
                 });
             }
             skip

@@ -12,7 +12,7 @@
 //!
 //! * **Outer fusion** — a multiplication whose single-consumer chain of
 //!   element-wise operators multiplies against a sparse matrix (density
-//!   below [`GenLike::sparse_threshold`]) is fused with that chain,
+//!   at most `SPARSE_THRESHOLD`, 0.1) is fused with that chain,
 //!   optionally capped by an aggregation root.
 //! * **Cell fusion** — remaining maximal element-wise chains are fused.
 //! * All other multiplications execute standalone (SystemDS hands them to
@@ -25,21 +25,13 @@ use fuseme_plan::{NodeId, OpKind, QueryDag};
 use crate::cfg::{cell_fusion_with, is_termination};
 use crate::plan::{FusionPlan, PartialPlan};
 
-/// The GEN-style planner.
-#[derive(Debug, Clone)]
-pub struct GenLike {
-    /// A matrix with density at or below this gates Outer fusion
-    /// (SystemDS's sparsity-exploitation test).
-    pub sparse_threshold: f64,
-}
+/// A matrix with density at or below this gates Outer fusion (SystemDS's
+/// sparsity-exploitation test).
+const SPARSE_THRESHOLD: f64 = 0.1;
 
-impl Default for GenLike {
-    fn default() -> Self {
-        GenLike {
-            sparse_threshold: 0.1,
-        }
-    }
-}
+/// The GEN-style planner.
+#[derive(Debug, Clone, Copy)]
+pub struct GenLike;
 
 impl GenLike {
     /// Generates a fusion plan for the query.
@@ -100,7 +92,7 @@ impl GenLike {
                     if op.zero_dominant() {
                         let other = dag.node(c).inputs.iter().copied().find(|&i| i != current);
                         if let Some(other) = other {
-                            if dag.node(other).meta.density <= self.sparse_threshold {
+                            if dag.node(other).meta.density <= SPARSE_THRESHOLD {
                                 sparse_gate = true;
                             }
                         }
@@ -163,7 +155,7 @@ mod tests {
     #[test]
     fn outer_fusion_fires_on_sparse_loss() {
         let (dag, mm, loss) = wsl(0.01);
-        let plan = GenLike::default().plan(&dag);
+        let plan = GenLike.plan(&dag);
         plan.validate(&dag).unwrap();
         // The multiplication must be inside a fused unit rooted at the sum.
         let fused_with_mm = plan.units.iter().find_map(|u| match u {
@@ -177,7 +169,7 @@ mod tests {
     #[test]
     fn outer_fusion_skipped_when_dense() {
         let (dag, mm, _) = wsl(0.9);
-        let plan = GenLike::default().plan(&dag);
+        let plan = GenLike.plan(&dag);
         plan.validate(&dag).unwrap();
         // Without a sparse gate, GEN leaves the multiplication standalone.
         for unit in &plan.units {
@@ -201,7 +193,7 @@ mod tests {
         let den = b.matmul(u, vtv);
         let out = b.binary(num, den, BinOp::Div);
         let dag = b.finish(vec![out]);
-        let plan = GenLike::default().plan(&dag);
+        let plan = GenLike.plan(&dag);
         plan.validate(&dag).unwrap();
         // No matmul inside any fused unit; * and ÷ fused together.
         let mut fused_ops = 0;
@@ -228,7 +220,7 @@ mod tests {
         let also = b.unary(mm, UnaryOp::Sqrt); // second consumer of mm
         let out = b.binary(gated, also, BinOp::Add);
         let dag = b.finish(vec![out]);
-        let plan = GenLike::default().plan(&dag);
+        let plan = GenLike.plan(&dag);
         plan.validate(&dag).unwrap();
         for unit in &plan.units {
             if let crate::plan::ExecUnit::Fused(p) = unit {

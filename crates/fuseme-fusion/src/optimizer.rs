@@ -340,14 +340,14 @@ pub fn min_feasible_theta(dag: &QueryDag, plan: &PartialPlan, tree: &SpaceTree) 
 fn record_search(mode: &'static str, space: u64, result: &OptResult) {
     fuseme_obs::handle().event("cuboid-search", || {
         vec![
-            ("mode".to_string(), mode.into()),
-            ("space".to_string(), space.into()),
-            ("evaluated".to_string(), result.stats.evaluated.into()),
-            ("p".to_string(), (result.pqr.p as u64).into()),
-            ("q".to_string(), (result.pqr.q as u64).into()),
-            ("r".to_string(), (result.pqr.r as u64).into()),
-            ("cost".to_string(), result.cost.into()),
-            ("feasible".to_string(), result.feasible.into()),
+            ("mode", mode.into()),
+            ("space", space.into()),
+            ("evaluated", result.stats.evaluated.into()),
+            ("p", (result.pqr.p as u64).into()),
+            ("q", (result.pqr.q as u64).into()),
+            ("r", (result.pqr.r as u64).into()),
+            ("cost", result.cost.into()),
+            ("feasible", result.feasible.into()),
         ]
     });
 }

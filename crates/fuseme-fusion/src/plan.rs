@@ -1,5 +1,6 @@
 //! Partial fusion plans and whole-query fusion plans.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use fuseme_plan::{NodeId, QueryDag};
@@ -190,6 +191,14 @@ impl ExecUnit {
         match self {
             ExecUnit::Fused(p) => p.root,
             ExecUnit::Single(id) => *id,
+        }
+    }
+
+    /// The unit as a partial plan; a single operator is a one-member plan.
+    pub fn plan(&self) -> Cow<'_, PartialPlan> {
+        match self {
+            ExecUnit::Fused(p) => Cow::Borrowed(p),
+            ExecUnit::Single(id) => Cow::Owned(PartialPlan::new(BTreeSet::from([*id]), *id)),
         }
     }
 

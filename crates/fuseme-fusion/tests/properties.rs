@@ -137,7 +137,7 @@ proptest! {
         let dag = random_dag(&ops, density);
         for plan in [
             Cfg::new(model(1 << 22)).plan(&dag),
-            GenLike::default().plan(&dag),
+            GenLike.plan(&dag),
             Folded.plan(&dag),
         ] {
             prop_assert!(plan.validate(&dag).is_ok(), "invalid plan for\n{dag}");

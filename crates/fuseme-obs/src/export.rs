@@ -264,7 +264,7 @@ pub fn summarize(rec: &Recorder) -> TraceSummary {
     let event_attr = |ev: &crate::EventRecord, key: &str| -> u64 {
         ev.attrs
             .iter()
-            .find(|(k, _)| k == key)
+            .find(|(k, _)| *k == key)
             .and_then(|(_, v)| v.as_u64())
             .unwrap_or(0)
     };
@@ -463,7 +463,11 @@ pub fn chrome_trace_json(rec: &Recorder) -> String {
     }
 
     for ev in rec.events() {
-        let mut args: BTreeMap<String, Value> = ev.attrs.iter().cloned().collect();
+        let mut args: BTreeMap<String, Value> = ev
+            .attrs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.clone()))
+            .collect();
         args.insert("parent".into(), Value::U64(ev.parent.raw()));
         out.push(ChromeEvent {
             name: ev.name.clone(),
@@ -704,13 +708,13 @@ mod tests {
             st.set(keys::WASTED_FLOPS, 50u64);
         }
         handle().event(crate::events::EXECUTOR_LOST, || {
-            vec![(keys::STAGE_ID.to_string(), 0u64.into())]
+            vec![(keys::STAGE_ID, 0u64.into())]
         });
         handle().event(crate::events::STAGE_RERUN, || {
             vec![
-                (keys::STAGE_ID.to_string(), 0u64.into()),
-                (keys::WASTED_BYTES.to_string(), 180u64.into()),
-                (keys::WASTED_FLOPS.to_string(), 70u64.into()),
+                (keys::STAGE_ID, 0u64.into()),
+                (keys::WASTED_BYTES, 180u64.into()),
+                (keys::WASTED_FLOPS, 70u64.into()),
             ]
         });
         uninstall();
@@ -739,23 +743,23 @@ mod tests {
         let rec = Recorder::new();
         install(&rec);
         handle().event(crate::events::MEM_ADMISSION_REJECT, || {
-            vec![(keys::STAGE_ID.to_string(), 0u64.into())]
+            vec![(keys::STAGE_ID, 0u64.into())]
         });
         handle().event(crate::events::REPLAN, || {
             vec![
-                (keys::ROOT.to_string(), 5u64.into()),
-                (keys::WASTED_BYTES.to_string(), 40u64.into()),
-                (keys::WASTED_FLOPS.to_string(), 10u64.into()),
+                (keys::ROOT, 5u64.into()),
+                (keys::WASTED_BYTES, 40u64.into()),
+                (keys::WASTED_FLOPS, 10u64.into()),
             ]
         });
         handle().event(crate::events::PLAN_SPLIT, || {
-            vec![(keys::ROOT.to_string(), 5u64.into())]
+            vec![(keys::ROOT, 5u64.into())]
         });
         handle().event(crate::events::UNFUSED_FALLBACK, || {
             vec![
-                (keys::ROOT.to_string(), 5u64.into()),
-                (keys::WASTED_BYTES.to_string(), 60u64.into()),
-                (keys::WASTED_FLOPS.to_string(), 20u64.into()),
+                (keys::ROOT, 5u64.into()),
+                (keys::WASTED_BYTES, 60u64.into()),
+                (keys::WASTED_FLOPS, 20u64.into()),
             ]
         });
         uninstall();
@@ -777,21 +781,21 @@ mod tests {
         install(&rec);
         handle().event(crate::events::CACHE_HIT, || {
             vec![
-                (keys::MATRIX_UID.to_string(), 7u64.into()),
-                (keys::SAVED_BYTES.to_string(), 640u64.into()),
+                (keys::MATRIX_UID, 7u64.into()),
+                (keys::SAVED_BYTES, 640u64.into()),
             ]
         });
         handle().event(crate::events::CACHE_MISS, || {
             vec![
-                (keys::MATRIX_UID.to_string(), 7u64.into()),
-                (keys::BYTES.to_string(), 640u64.into()),
+                (keys::MATRIX_UID, 7u64.into()),
+                (keys::BYTES, 640u64.into()),
             ]
         });
         handle().event(crate::events::CACHE_EVICT, || {
-            vec![(keys::EVICTIONS.to_string(), 3u64.into())]
+            vec![(keys::EVICTIONS, 3u64.into())]
         });
         handle().event(crate::events::CACHE_INVALIDATE, || {
-            vec![(keys::MATRIX_UID.to_string(), 7u64.into())]
+            vec![(keys::MATRIX_UID, 7u64.into())]
         });
         uninstall();
         let s = summarize(&rec);

@@ -389,7 +389,7 @@ pub struct EventRecord {
     /// Wall-clock timestamp, microseconds since the recorder was created.
     pub ts_us: u64,
     /// Typed attributes.
-    pub attrs: Vec<(String, Value)>,
+    pub attrs: Vec<(&'static str, Value)>,
 }
 
 struct RecorderState {
@@ -480,7 +480,7 @@ impl Recorder {
         });
     }
 
-    fn add_event(&self, parent: SpanId, name: String, attrs: Vec<(String, Value)>) {
+    fn add_event(&self, parent: SpanId, name: String, attrs: Vec<(&'static str, Value)>) {
         let ts_us = self.now_us();
         self.lock().events.push(EventRecord {
             parent,
@@ -616,7 +616,7 @@ impl Handle {
 
     /// Records a point event under the current scoped span. The attribute
     /// closure only runs when recording is enabled.
-    pub fn event(&self, name: &str, attrs: impl FnOnce() -> Vec<(String, Value)>) {
+    pub fn event(&self, name: &str, attrs: impl FnOnce() -> Vec<(&'static str, Value)>) {
         if let Some(rec) = &self.rec {
             rec.add_event(current_span(), name.to_string(), attrs());
         }
@@ -748,7 +748,7 @@ mod tests {
         let rec = Recorder::new();
         install(&rec);
         let span = handle().scope_span(SpanKind::Plan, || "p".into());
-        handle().event("search", || vec![("evaluated".into(), Value::U64(17))]);
+        handle().event("search", || vec![("evaluated", Value::U64(17))]);
         let expected_parent = span.id();
         drop(span);
         uninstall();

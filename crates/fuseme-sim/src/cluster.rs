@@ -176,7 +176,7 @@ impl Cluster {
         self.fault_plan.as_ref()
     }
 
-    /// Sets the recovery policy (retry / speculation / stage re-run knobs).
+    /// Sets the recovery policy: off, or armed with a task-retry budget.
     pub fn set_fault_tolerance(&mut self, cfg: FaultToleranceConfig) {
         self.fault_tolerance = cfg;
     }

@@ -8,6 +8,21 @@ use crate::ledger::Phase;
 use crate::time::{pack_waves, SimClock, TaskCost, WaveSlot};
 use crate::SimError;
 
+/// Base backoff before a task's first retry, in simulated seconds; doubles
+/// per subsequent retry.
+const RETRY_BACKOFF_SECS: f64 = 1.0;
+/// Upper bound on a single retry backoff, in simulated seconds.
+const RETRY_BACKOFF_CAP_SECS: f64 = 60.0;
+/// A task is a straggler when it exceeds this multiple of its wave's
+/// median duration (Spark's `spark.speculation.multiplier`).
+const SPECULATION_MULTIPLE: f64 = 1.5;
+
+/// Backoff before retry number `retry` (1-based): capped exponential.
+fn backoff_secs(retry: u32) -> f64 {
+    let doubled = RETRY_BACKOFF_SECS * 2f64.powi(retry.saturating_sub(1) as i32);
+    doubled.min(RETRY_BACKOFF_CAP_SECS)
+}
+
 /// Trace label for a ledger phase.
 pub fn phase_label(phase: Phase) -> &'static str {
     match phase {
@@ -94,9 +109,9 @@ pub fn run_stage<'a, T: Send + 'a>(
             cluster.fault_ledger().record_mem_admission_reject();
             obs.event(events::MEM_ADMISSION_REJECT, || {
                 vec![
-                    (keys::STAGE_ID.to_string(), stage_id.into()),
-                    (keys::TASK_ID.to_string(), (t.task_id as u64).into()),
-                    (keys::PEAK_MEM.to_string(), t.mem_bytes.into()),
+                    (keys::STAGE_ID, stage_id.into()),
+                    (keys::TASK_ID, (t.task_id as u64).into()),
+                    (keys::PEAK_MEM, t.mem_bytes.into()),
                 ]
             });
             return Err(SimError::OutOfMemory {
@@ -113,6 +128,7 @@ pub fn run_stage<'a, T: Send + 'a>(
     // 2. Fault resolution: crash/retry counts and straggler slowdowns per
     // task, decided deterministically before any accounting.
     let ft = cluster.fault_tolerance();
+    let max_retries = ft.max_task_retries();
     let fault_plan = cluster.fault_plan();
     let executor_lost = fault_plan.is_some_and(|p| p.executor_loss(stage_id));
     let (crashes, slowdowns): (Vec<u32>, Vec<f64>) = match fault_plan {
@@ -121,7 +137,7 @@ pub fn run_stage<'a, T: Send + 'a>(
             .iter()
             .map(|t| {
                 let mut c = 0u32;
-                while c <= ft.max_task_retries && p.crashes(stage_id, t.task_id, c) {
+                while c <= max_retries && p.crashes(stage_id, t.task_id, c) {
                     c += 1;
                 }
                 (c, p.slowdown(stage_id, t.task_id))
@@ -131,7 +147,7 @@ pub fn run_stage<'a, T: Send + 'a>(
     // A task whose crashes exceeded the retry budget is lost — terminal
     // for the stage, fail-fast before charges like an admission failure.
     for (t, &c) in tasks.iter().zip(&crashes) {
-        if c > ft.max_task_retries {
+        if c > max_retries {
             return Err(SimError::TaskLost {
                 stage: stage_id,
                 task: t.task_id,
@@ -161,7 +177,7 @@ pub fn run_stage<'a, T: Send + 'a>(
             let eff = base_secs[i] * slowdowns[i];
             let mut total = eff * (crashes[i] as f64 + 1.0);
             for retry in 1..=crashes[i] {
-                total += ft.backoff_secs(retry);
+                total += backoff_secs(retry);
             }
             total
         })
@@ -171,8 +187,8 @@ pub fn run_stage<'a, T: Send + 'a>(
     let waves = pack_waves(&task_secs, config.total_tasks());
 
     // 3c. Recovery accounting. Retried attempts re-consolidate their
-    // inputs and redo their compute; with speculation on, any task
-    // exceeding `speculation_multiple`× its wave's median gets a copy
+    // inputs and redo their compute; with recovery armed, any task
+    // exceeding `SPECULATION_MULTIPLE`× its wave's median gets a copy
     // launched at that threshold, restarting from scratch at declared
     // (un-slowed) speed — the copy is only launched when it finishes
     // before the straggler would, and the superseded original's work is
@@ -194,12 +210,12 @@ pub fn run_stage<'a, T: Send + 'a>(
             total_retries += crashes[i] as u64;
         }
     }
-    if ft.speculation {
+    if ft.is_armed() {
         for wave in &waves {
             let mut wave_times: Vec<f64> = wave.iter().map(|&i| task_secs[i]).collect();
             wave_times.sort_by(|a, b| a.total_cmp(b));
             let median = wave_times[wave_times.len() / 2];
-            let threshold = median * ft.speculation_multiple;
+            let threshold = median * SPECULATION_MULTIPLE;
             if threshold <= 0.0 {
                 continue;
             }
@@ -240,17 +256,11 @@ pub fn run_stage<'a, T: Send + 'a>(
             if c > 0 {
                 obs.event(events::TASK_RETRY, || {
                     vec![
-                        (keys::STAGE_ID.to_string(), stage_id.into()),
-                        (keys::TASK_ID.to_string(), (tasks[i].task_id as u64).into()),
-                        (keys::ATTEMPTS.to_string(), (c as u64 + 1).into()),
-                        (
-                            keys::WASTED_BYTES.to_string(),
-                            (costs[i].recv_bytes * c as u64).into(),
-                        ),
-                        (
-                            keys::WASTED_FLOPS.to_string(),
-                            (costs[i].flops * c as u64).into(),
-                        ),
+                        (keys::STAGE_ID, stage_id.into()),
+                        (keys::TASK_ID, (tasks[i].task_id as u64).into()),
+                        (keys::ATTEMPTS, (c as u64 + 1).into()),
+                        (keys::WASTED_BYTES, (costs[i].recv_bytes * c as u64).into()),
+                        (keys::WASTED_FLOPS, (costs[i].flops * c as u64).into()),
                     ]
                 });
             }
@@ -259,9 +269,9 @@ pub fn run_stage<'a, T: Send + 'a>(
             faults.record_speculative_launch();
             obs.event(events::SPECULATIVE_LAUNCH, || {
                 vec![
-                    (keys::STAGE_ID.to_string(), stage_id.into()),
-                    (keys::TASK_ID.to_string(), (tasks[i].task_id as u64).into()),
-                    (keys::WINNER.to_string(), "speculative".into()),
+                    (keys::STAGE_ID, stage_id.into()),
+                    (keys::TASK_ID, (tasks[i].task_id as u64).into()),
+                    (keys::WINNER, "speculative".into()),
                 ]
             });
         }
@@ -303,7 +313,7 @@ pub fn run_stage<'a, T: Send + 'a>(
     if executor_lost {
         cluster.fault_ledger().record_executor_loss();
         obs.event(events::EXECUTOR_LOST, || {
-            vec![(keys::STAGE_ID.to_string(), stage_id.into())]
+            vec![(keys::STAGE_ID, stage_id.into())]
         });
         return Err(SimError::ExecutorLost { stage: stage_id });
     }
@@ -602,10 +612,8 @@ mod tests {
     fn crashed_task_succeeds_on_retry_and_charges_twice() {
         let mut cluster = Cluster::new(ClusterConfig::test_small());
         cluster.set_fault_plan(Some(crate::FaultPlan::new(1).with_crash_at(0, 0)));
-        cluster.set_fault_tolerance(crate::FaultToleranceConfig {
+        cluster.set_fault_tolerance(crate::FaultToleranceConfig::Armed {
             max_task_retries: 1,
-            retry_backoff_secs: 1.0,
-            ..crate::FaultToleranceConfig::default()
         });
         let tasks = vec![work(0, 100, 1, 7)];
         let out = run_stage(&cluster, Phase::Consolidation, tasks).unwrap();
@@ -645,18 +653,20 @@ mod tests {
     fn rate_crashes_with_retry_budget_still_complete() {
         let mut cluster = Cluster::new(ClusterConfig::test_small());
         cluster.set_fault_plan(Some(crate::FaultPlan::new(42).with_crash_rate(0.3)));
-        cluster.set_fault_tolerance(crate::FaultToleranceConfig {
+        cluster.set_fault_tolerance(crate::FaultToleranceConfig::Armed {
             max_task_retries: 8,
-            ..crate::FaultToleranceConfig::default()
         });
         let tasks = (0..64).map(|i| work(i, 10, 1, i as i32)).collect();
         let out = run_stage(&cluster, Phase::Consolidation, tasks).unwrap();
         assert_eq!(out.outputs, (0..64).collect::<Vec<i32>>());
         let fs = cluster.fault_stats();
         assert!(fs.retries > 0, "a 30% crash rate must hit some of 64 tasks");
-        // Every retry recharged exactly one task's bytes.
-        assert_eq!(cluster.comm().total(), 640 + 10 * fs.retries);
-        assert_eq!(fs.wasted_bytes, 10 * fs.retries);
+        // Every retry and every speculative copy (armed recovery races
+        // tasks that retries slowed down) recharged exactly one task's
+        // bytes.
+        let recharged = fs.retries + fs.speculative_launches;
+        assert_eq!(cluster.comm().total(), 640 + 10 * recharged);
+        assert_eq!(fs.wasted_bytes, 10 * recharged);
     }
 
     #[test]
@@ -666,20 +676,16 @@ mod tests {
         cfg.tasks_per_node = 4;
         cfg.net_bandwidth = 100.0; // per-task 25 B/s → 100-byte task = 4 s
         cfg.compute_bandwidth = 1e12;
-        let straggle = |speculation: bool| {
+        let straggle = |ft: crate::FaultToleranceConfig| {
             let mut cluster = Cluster::new(cfg);
             cluster.set_fault_plan(Some(crate::FaultPlan::new(9).with_straggler_at(0, 3, 10.0)));
-            cluster.set_fault_tolerance(crate::FaultToleranceConfig {
-                speculation,
-                speculation_multiple: 1.5,
-                ..crate::FaultToleranceConfig::default()
-            });
+            cluster.set_fault_tolerance(ft);
             let tasks = (0..4).map(|i| work(i, 100, 1, 0)).collect();
             let out = run_stage(&cluster, Phase::Consolidation, tasks).unwrap();
             (out.sim_secs, cluster.comm().total(), cluster.fault_stats())
         };
-        let (slow_secs, slow_bytes, slow_fs) = straggle(false);
-        let (spec_secs, spec_bytes, spec_fs) = straggle(true);
+        let (slow_secs, slow_bytes, slow_fs) = straggle(crate::FaultToleranceConfig::Off);
+        let (spec_secs, spec_bytes, spec_fs) = straggle(crate::FaultToleranceConfig::resilient());
         // Unmitigated straggler: the wave costs the 10×-slowed task.
         assert!((slow_secs - 40.0).abs() < 1e-9, "{slow_secs}");
         assert_eq!(slow_fs.speculative_launches, 0);
@@ -693,6 +699,15 @@ mod tests {
         // original is wasted work.
         assert_eq!(spec_bytes, 500);
         assert_eq!(spec_fs.wasted_bytes, 100);
+    }
+
+    #[test]
+    fn backoff_is_capped_exponential() {
+        assert_eq!(backoff_secs(1), 1.0);
+        assert_eq!(backoff_secs(2), 2.0);
+        assert_eq!(backoff_secs(6), 32.0);
+        assert_eq!(backoff_secs(7), 60.0); // capped
+        assert_eq!(backoff_secs(10), 60.0);
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! plan with the same seed perturbs the same tasks in the same way
 //! regardless of thread scheduling.
 //!
-//! Recovery is governed by a [`FaultToleranceConfig`] whose default is
-//! **everything off**: a single injected crash is then terminal
+//! Recovery is governed by a [`FaultToleranceConfig`]: either off (the
+//! default) or armed with a per-task retry budget, in which case task
+//! retry, speculation, stage re-runs and the memory-pressure ladder all
+//! run. Off, a single injected crash is terminal
 //! ([`crate::SimError::TaskLost`]), exactly like the seed engine treated
 //! every failure. Recovery is never free — retried and speculative work is
 //! charged to the [`crate::CommLedger`] again and extends simulated time,
@@ -21,7 +23,7 @@
 //! spec models estimate error — a task's actual peak exceeding its
 //! declared `MemEst` — producing *runtime* out-of-memory failures that the
 //! driver's memory-pressure recovery ladder (re-plan → split → unfused)
-//! can absorb when [`FaultToleranceConfig::memory_recovery`] is armed.
+//! can absorb when recovery is armed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -266,93 +268,48 @@ impl FaultPlan {
     }
 }
 
-/// Recovery knobs, Spark-flavoured. The default is everything **off**, so a
-/// cluster without an explicit configuration behaves exactly like the
+/// Recovery policy, Spark-flavoured. The default is **off**, so a cluster
+/// without an explicit policy behaves exactly like the
 /// pre-fault-tolerance engine (and any injected fault is terminal).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FaultToleranceConfig {
-    /// Extra attempts per task after the first (Spark's
-    /// `spark.task.maxFailures - 1`). `0` disables retry.
-    pub max_task_retries: u32,
-    /// Base backoff before the first retry, in simulated seconds; doubles
-    /// per subsequent retry.
-    pub retry_backoff_secs: f64,
-    /// Upper bound on a single backoff, in simulated seconds.
-    pub retry_backoff_cap_secs: f64,
-    /// Whether straggling tasks get a speculative copy (Spark's
-    /// `spark.speculation`).
-    pub speculation: bool,
-    /// A task is a straggler when it exceeds this multiple of its wave's
-    /// median duration (Spark's `spark.speculation.multiplier`).
-    pub speculation_multiple: f64,
-    /// Driver-side re-runs of a unit whose executor died. `0` disables
-    /// stage re-run, making [`crate::SimError::ExecutorLost`] terminal.
-    pub max_stage_reruns: u32,
-    /// Whether the driver's memory-pressure recovery ladder is armed: an
-    /// exec unit that fails memory admission or OOMs mid-flight is
-    /// re-planned under a tightened budget, split, or executed unfused
-    /// before the failure is terminal.
-    pub memory_recovery: bool,
-    /// Effective-budget safety factor for the first recovery re-plan: the
-    /// optimizer searches against `θ_t · mem_headroom` instead of θ_t.
-    pub mem_headroom: f64,
-    /// Multiplier applied to the headroom factor on each subsequent
-    /// re-plan attempt (each rung plans against a yet-tighter budget).
-    pub mem_headroom_decay: f64,
-    /// Tightened-budget re-plans attempted per exec unit before the ladder
-    /// escalates to plan splitting.
-    pub max_replans: u32,
-}
-
-impl Default for FaultToleranceConfig {
-    fn default() -> Self {
-        FaultToleranceConfig {
-            max_task_retries: 0,
-            retry_backoff_secs: 1.0,
-            retry_backoff_cap_secs: 60.0,
-            speculation: false,
-            speculation_multiple: 1.5,
-            max_stage_reruns: 0,
-            memory_recovery: false,
-            mem_headroom: 0.8,
-            mem_headroom_decay: 0.5,
-            max_replans: 2,
-        }
-    }
+///
+/// Arming recovery turns every mechanism on together: task retry with
+/// capped exponential backoff and speculative copies of stragglers inside
+/// a stage (`executor.rs`), stage re-runs on executor loss and the
+/// memory-pressure recovery ladder in the driver. Only the task-retry
+/// budget differs between armed callers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum FaultToleranceConfig {
+    /// No recovery: the first injected fault is terminal.
+    #[default]
+    Off,
+    /// Every recovery mechanism armed.
+    Armed {
+        /// Extra attempts per task after the first (Spark's
+        /// `spark.task.maxFailures - 1`).
+        max_task_retries: u32,
+    },
 }
 
 impl FaultToleranceConfig {
-    /// A Spark-like production posture: 3 retries with 1 s → 60 s capped
-    /// exponential backoff, speculation at 1.5× the wave median, up to
-    /// 2 stage re-runs on executor loss, and the memory-pressure ladder
-    /// armed (2 re-plans at 0.8× headroom shrinking by half per attempt).
+    /// A Spark-like production posture: recovery armed with 3 task
+    /// retries.
     pub fn resilient() -> Self {
-        FaultToleranceConfig {
+        FaultToleranceConfig::Armed {
             max_task_retries: 3,
-            retry_backoff_secs: 1.0,
-            retry_backoff_cap_secs: 60.0,
-            speculation: true,
-            speculation_multiple: 1.5,
-            max_stage_reruns: 2,
-            memory_recovery: true,
-            mem_headroom: 0.8,
-            mem_headroom_decay: 0.5,
-            max_replans: 2,
         }
     }
 
-    /// Whether any recovery mechanism is enabled.
-    pub fn enabled(&self) -> bool {
-        self.max_task_retries > 0
-            || self.speculation
-            || self.max_stage_reruns > 0
-            || self.memory_recovery
+    /// Whether recovery is armed.
+    pub fn is_armed(&self) -> bool {
+        matches!(self, FaultToleranceConfig::Armed { .. })
     }
 
-    /// Backoff before retry number `retry` (1-based): capped exponential.
-    pub fn backoff_secs(&self, retry: u32) -> f64 {
-        let doubled = self.retry_backoff_secs * 2f64.powi(retry.saturating_sub(1) as i32);
-        doubled.min(self.retry_backoff_cap_secs)
+    /// Extra attempts per task after the first; `0` when recovery is off.
+    pub fn max_task_retries(&self) -> u32 {
+        match *self {
+            FaultToleranceConfig::Off => 0,
+            FaultToleranceConfig::Armed { max_task_retries } => max_task_retries,
+        }
     }
 }
 
@@ -579,36 +536,13 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_capped_exponential() {
-        let ft = FaultToleranceConfig {
-            retry_backoff_secs: 1.0,
-            retry_backoff_cap_secs: 5.0,
-            ..FaultToleranceConfig::default()
-        };
-        assert_eq!(ft.backoff_secs(1), 1.0);
-        assert_eq!(ft.backoff_secs(2), 2.0);
-        assert_eq!(ft.backoff_secs(3), 4.0);
-        assert_eq!(ft.backoff_secs(4), 5.0); // capped
-        assert_eq!(ft.backoff_secs(10), 5.0);
-    }
-
-    #[test]
     fn default_config_is_fully_off() {
         let ft = FaultToleranceConfig::default();
-        assert!(!ft.enabled());
-        assert_eq!(ft.max_task_retries, 0);
-        assert_eq!(ft.max_stage_reruns, 0);
-        assert!(!ft.speculation);
-        assert!(!ft.memory_recovery);
+        assert!(!ft.is_armed());
+        assert_eq!(ft.max_task_retries(), 0);
         let resilient = FaultToleranceConfig::resilient();
-        assert!(resilient.enabled());
-        assert!(resilient.memory_recovery);
-        // Memory recovery alone counts as an enabled mechanism.
-        let mem_only = FaultToleranceConfig {
-            memory_recovery: true,
-            ..FaultToleranceConfig::default()
-        };
-        assert!(mem_only.enabled());
+        assert!(resilient.is_armed());
+        assert_eq!(resilient.max_task_retries(), 3);
     }
 
     #[test]

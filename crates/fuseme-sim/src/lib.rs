@@ -21,8 +21,9 @@
 //!
 //! * **Fault injection and recovery** — a seeded [`FaultPlan`] perturbs
 //!   tasks deterministically (crashes, stragglers, executor loss); a
-//!   [`FaultToleranceConfig`] enables Spark-style recovery — per-task retry
-//!   with capped exponential backoff and wave-level speculative execution —
+//!   [`FaultToleranceConfig`] arms Spark-style recovery — per-task retry
+//!   with capped exponential backoff and wave-level speculative execution
+//!   here, stage re-runs and the memory-pressure ladder in the driver —
 //!   whose recomputation is charged to the ledger and clock like any other
 //!   work (see [`fault`]).
 //!
@@ -175,7 +176,7 @@ pub enum SimError {
         attempts: u32,
     },
     /// The stage's executor died; recoverable by a driver-side stage
-    /// re-run when [`FaultToleranceConfig::max_stage_reruns`] allows it.
+    /// re-run when the [`FaultToleranceConfig`] is armed.
     ExecutorLost {
         /// Stage whose executor was lost.
         stage: u64,

@@ -40,7 +40,7 @@ fn main() {
     // --- what does each planner fuse? -------------------------------------
     let planners: [(&str, FusionPlan); 3] = [
         ("FuseME CFG", Cfg::new(model).plan(&dag)),
-        ("SystemDS GEN", GenLike::default().plan(&dag)),
+        ("SystemDS GEN", GenLike.plan(&dag)),
         ("MatFast fold", Folded.plan(&dag)),
     ];
     println!("planner comparison:");
