@@ -193,7 +193,7 @@ impl Engine {
     /// estimates there (omitted for infeasible units, which have none),
     /// otherwise the policy's name.
     pub fn explain(&self, dag: &QueryDag) -> String {
-        use fuseme_fusion::optimizer::optimize;
+        use fuseme_fusion::optimizer::search;
         use fuseme_fusion::plan::ExecUnit;
         use fuseme_fusion::space::SpaceTree;
         use std::fmt::Write as _;
@@ -219,7 +219,7 @@ impl Engine {
                 (None, _) if matches!(unit, ExecUnit::Single(_)) => format!("single {labels}"),
                 (None, _) => format!("cell-fused [{labels}]"),
                 (Some(_), MatmulStrategy::Cfo) => {
-                    let opt = optimize(dag, &p, &SpaceTree::build(dag, &p), &self.exec.model);
+                    let opt = search(dag, &p, &SpaceTree::build(dag, &p), &self.exec.model, &[]);
                     let est = if opt.feasible {
                         format!(
                             " net≈{:.2}MB mem/task≈{:.2}MB",

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use fuseme::prelude::*;
 use fuseme_exec::fused_op::{execute_fused, ValueMap};
 use fuseme_fusion::cost::{estimate, CostModel};
-use fuseme_fusion::optimizer::{optimize, optimize_exhaustive};
+use fuseme_fusion::optimizer::{optimize_exhaustive, search};
 use fuseme_fusion::space::SpaceTree;
 use fuseme_workloads::nmf::SimpleNmf;
 
@@ -77,7 +77,7 @@ fn sweep(scale: Scale, out_dir: &Path) -> Vec<Measurement> {
             .expect("NMF fuses into one plan")
     };
     let tree = SpaceTree::build(&dag, &plan);
-    let opt = optimize(&dag, &plan, &tree, &model);
+    let opt = search(&dag, &plan, &tree, &model, &[]);
     let values: ValueMap = dag
         .nodes()
         .iter()
@@ -192,7 +192,7 @@ fn pruning(scale: Scale, out_dir: &Path) -> Vec<Measurement> {
         );
         let tree = SpaceTree::build(&dag, &plan);
         let ex = optimize_exhaustive(&dag, &plan, &tree, &model);
-        let pr = optimize(&dag, &plan, &tree, &model);
+        let pr = search(&dag, &plan, &tree, &model, &[]);
         let agree = ex.pqr == pr.pqr || (!ex.feasible && !pr.feasible);
         table.row(vec![
             label.into(),

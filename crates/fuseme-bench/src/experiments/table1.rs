@@ -7,7 +7,7 @@ use std::path::Path;
 
 use fuseme::prelude::*;
 use fuseme_fusion::cost::{estimate, CostModel};
-use fuseme_fusion::optimizer::optimize;
+use fuseme_fusion::optimizer::search;
 use fuseme_fusion::space::SpaceTree;
 use fuseme_workloads::nmf::SimpleNmf;
 
@@ -50,7 +50,7 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Measurement> {
     let t = model.total_tasks();
     let grid_i = dag.node(plan.root).meta.grid().block_rows;
     let grid_j = dag.node(plan.root).meta.grid().block_cols;
-    let opt = optimize(&dag, &plan, &tree, &model);
+    let opt = search(&dag, &plan, &tree, &model, &[]);
 
     // Analytic rows: BFO ≡ (T,T,1), RFO ≡ (I,J,1), CFO at (P*,Q*,R*).
     let mut table = Table::new(

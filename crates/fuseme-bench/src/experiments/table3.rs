@@ -6,7 +6,7 @@ use std::path::Path;
 
 use fuseme::prelude::*;
 use fuseme_fusion::cost::CostModel;
-use fuseme_fusion::optimizer::optimize;
+use fuseme_fusion::optimizer::search;
 use fuseme_fusion::space::SpaceTree;
 use fuseme_workloads::datasets::{
     vary_common_dim, vary_density, vary_two_large_dims, SyntheticCase,
@@ -57,7 +57,7 @@ pub fn run(scale: Scale, out_dir: &Path) -> Vec<Measurement> {
                     .expect("NMF fuses into one plan")
             };
             let tree = SpaceTree::build(&dag, &plan);
-            let opt = optimize(&dag, &plan, &tree, &model);
+            let opt = search(&dag, &plan, &tree, &model, &[]);
             table.row(vec![
                 family.into(),
                 case.label.into(),

@@ -297,14 +297,6 @@ pub fn time_cell(run: &RunSummary) -> String {
     }
 }
 
-/// Renders a communication cell in GB, or a failure label.
-pub fn comm_cell(run: &RunSummary) -> String {
-    match run.status {
-        RunStatus::Completed => format!("{:.3}", gb(run.comm_total())),
-        other => other.label().to_string(),
-    }
-}
-
 /// Renders a communication cell scaled back to *full-scale-equivalent* GB
 /// (measured bytes × the byte divisor, directly comparable to the paper's
 /// figures). `byte_div` is the divisor the experiment's cluster used.
@@ -488,6 +480,5 @@ mod tests {
             },
         );
         assert_eq!(time_cell(&run), "T.O.");
-        assert_eq!(comm_cell(&run), "T.O.");
     }
 }

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use fuseme_fusion::cfg::{split, split_candidates};
 use fuseme_fusion::cost::CostModel;
-use fuseme_fusion::optimizer::{min_feasible_theta, optimize_cached, CachedInput, OptResult, Pqr};
+use fuseme_fusion::optimizer::{min_feasible_theta, search, CachedInput, OptResult, Pqr};
 use fuseme_fusion::plan::{mm_dims, ExecUnit, FusionPlan, PartialPlan};
 use fuseme_fusion::space::{input_axes, SpaceTree};
 use fuseme_matrix::BlockedMatrix;
@@ -380,7 +380,7 @@ fn recover_from_oom(
                 mem_per_task: (config.model.mem_per_task as f64 * headroom) as u64,
                 ..config.model
             };
-            let replanned = optimize_cached(dag, plan, &tree, &tightened, &cached);
+            let replanned = search(dag, plan, &tree, &tightened, &cached);
             if !replanned.feasible {
                 break; // tightening further cannot help
             }
@@ -541,9 +541,9 @@ fn record_pqr(stats: &mut EngineStats, root: NodeId, pqr: Pqr) {
 
 /// Collects, for each of a unit's loop-invariant external inputs, the
 /// `(P,Q,R)` layouts whose replica sets are already resident in the
-/// cluster's replica cache. The cache-aware search treats those layouts as
-/// candidate partitionings whose `NetEst` drops the cached inputs' shuffle
-/// term. Empty when the cache is disarmed or cold for this unit.
+/// cluster's replica cache. [`search`] costs those layouts first, with a
+/// `NetEst` that drops the cached inputs' shuffle term, and the best seeds
+/// its incumbent. Empty when the cache is disarmed or cold for this unit.
 fn cached_inputs(
     cluster: &Cluster,
     dag: &QueryDag,
@@ -591,7 +591,7 @@ fn choose_strategy(
         MatmulStrategy::Cfo => {
             let tree = SpaceTree::build(dag, plan);
             let cached = cached_inputs(cluster, dag, &tree, values);
-            let opt = optimize_cached(dag, plan, &tree, &config.model, &cached);
+            let opt = search(dag, plan, &tree, &config.model, &cached);
             // On infeasible searches Algorithm 3 falls back to the finest
             // partitioning and lets admission control (or the recovery
             // ladder) report the failure honestly; the outcome is recorded

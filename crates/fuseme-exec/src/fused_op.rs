@@ -719,25 +719,11 @@ fn cuboid_layout(
     compute_node: NodeId,
 ) -> (Vec<TaskSlice>, usize, bool) {
     let (i, j, k) = mm_dims(dag, mm);
+    let parity = coordinate_parity(dag, plan, mm, compute_node);
     let grid = dag.node(compute_node).meta.grid();
-    // Structures where the main multiplication feeds another multiplication
-    // cannot split the k-axis, and their output grid is unrelated to the
-    // main multiplication's (i, j) — tile the output grid directly instead.
-    let (parity, r_parts, p_chunks, q_chunks) = match coordinate_parity(dag, plan, mm, compute_node)
-    {
-        Ok(parity) => {
-            let (rows, cols) = if parity { (j, i) } else { (i, j) };
-            debug_assert_eq!((rows, cols), (grid.block_rows, grid.block_cols));
-            (parity, pqr.r, chunks(i, pqr.p), chunks(j, pqr.q))
-        }
-        Err(_) => (
-            false,
-            1,
-            chunks(grid.block_rows, pqr.p),
-            chunks(grid.block_cols, pqr.q),
-        ),
-    };
-    let k_chunks = chunks(k, r_parts);
+    let (rows, cols) = if parity { (j, i) } else { (i, j) };
+    debug_assert_eq!((rows, cols), (grid.block_rows, grid.block_cols));
+    let (p_chunks, q_chunks, k_chunks) = (chunks(i, pqr.p), chunks(j, pqr.q), chunks(k, pqr.r));
 
     let mut tasks = Vec::new();
     for (p, pc) in p_chunks.iter().enumerate().take(pqr.p) {
@@ -760,7 +746,7 @@ fn cuboid_layout(
             }
         }
     }
-    (tasks, r_parts, parity)
+    (tasks, pqr.r, parity)
 }
 
 /// Single-stage layout: stripe the compute grid's blocks over `ntasks`.
@@ -786,15 +772,11 @@ fn striped_layout(rows: usize, cols: usize, ntasks: usize, k: Range<usize>) -> V
 }
 
 /// Walks from the main multiplication up to the compute root, tracking
-/// whether coordinates flip (transpose parity). Errors if another
-/// multiplication consumes the main one inside the plan — that structure
-/// cannot split the k-axis.
-fn coordinate_parity(
-    dag: &QueryDag,
-    plan: &PartialPlan,
-    mm: NodeId,
-    compute_node: NodeId,
-) -> Result<bool, SimError> {
+/// whether coordinates flip (transpose parity). No other multiplication lies
+/// on the walk: [`PartialPlan::main_matmul`] only anchors on a
+/// multiplication that reaches no other member multiplication through
+/// in-plan consumers.
+fn coordinate_parity(dag: &QueryDag, plan: &PartialPlan, mm: NodeId, compute_node: NodeId) -> bool {
     let mut current = mm;
     let mut parity = false;
     while current != compute_node {
@@ -806,18 +788,12 @@ fn coordinate_parity(
         else {
             break;
         };
-        match dag.node(c).kind {
-            OpKind::Transpose => parity = !parity,
-            OpKind::MatMul => {
-                return Err(SimError::Task(
-                    "main multiplication feeds another multiplication; k-split unsupported".into(),
-                ))
-            }
-            _ => {}
+        if matches!(dag.node(c).kind, OpKind::Transpose) {
+            parity = !parity;
         }
         current = c;
     }
-    Ok(parity)
+    parity
 }
 
 /// BFO's "main" matrix and its bytes: the non-scalar plan input with the
@@ -1527,7 +1503,7 @@ mod tests {
             crate::driver::ExecConfig::for_cluster(&cluster, crate::MatmulStrategy::Cfo).model;
         let plan = singleton(mm.id());
         let tree = SpaceTree::build(&dag, &plan);
-        let pqr = fuseme_fusion::optimizer::optimize(&dag, &plan, &tree, &model).pqr;
+        let pqr = fuseme_fusion::optimizer::search(&dag, &plan, &tree, &model, &[]).pqr;
         let out = execute_fused(&cluster, &dag, &plan, &values, &Strategy::Cuboid { pqr }).unwrap();
         assert!(out.approx_eq(&expected, 1e-9));
         assert!(pqr.tasks() >= 1);

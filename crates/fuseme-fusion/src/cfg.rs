@@ -21,7 +21,7 @@ use std::collections::BTreeSet;
 use fuseme_plan::{NodeId, OpKind, QueryDag};
 
 use crate::cost::CostModel;
-use crate::optimizer::optimize;
+use crate::optimizer::search;
 use crate::plan::{FusionPlan, PartialPlan};
 use crate::space::SpaceTree;
 
@@ -69,7 +69,7 @@ impl Cfg {
                 continue;
             }
             let tree = SpaceTree::build(dag, &plan);
-            let mut cost = optimize(dag, &plan, &tree, &self.model).cost;
+            let mut cost = search(dag, &plan, &tree, &self.model, &[]).cost;
             for vi in split_candidates(dag, &plan) {
                 if !plan.ops.contains(&vi) {
                     continue; // already split off with an earlier vi
@@ -79,8 +79,8 @@ impl Cfg {
                 };
                 let tree_m = SpaceTree::build(dag, &fm);
                 let tree_i = SpaceTree::build(dag, &fi);
-                let cost_m = optimize(dag, &fm, &tree_m, &self.model).cost;
-                let cost_i = optimize(dag, &fi, &tree_i, &self.model).cost;
+                let cost_m = search(dag, &fm, &tree_m, &self.model, &[]).cost;
+                let cost_i = search(dag, &fi, &tree_i, &self.model, &[]).cost;
                 if cost > cost_m + cost_i {
                     queue.push_back(fi);
                     plan = fm;

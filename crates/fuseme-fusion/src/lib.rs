@@ -26,8 +26,7 @@ pub mod space;
 pub use cfg::{split, split_candidates, Cfg};
 pub use cost::{estimate_with_cache, CostModel, Estimates};
 pub use optimizer::{
-    min_feasible_theta, optimize, optimize_cached, optimize_exhaustive, CachedInput, Pqr,
-    SearchStats,
+    min_feasible_theta, optimize_exhaustive, search, CachedInput, Pqr, SearchStats,
 };
 pub use plan::{ExecUnit, FusionPlan, PartialPlan};
 pub use space::{input_axes, SpaceTree};

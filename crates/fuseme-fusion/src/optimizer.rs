@@ -6,12 +6,15 @@
 //! provided:
 //!
 //! * [`optimize_exhaustive`] — evaluates the full `I×J×K` space (DistME's
-//!   approach; the paper's Fig. 13(d) baseline);
-//! * [`optimize`] — the paper's pruning search. Both `NetEst` and `ComEst`
+//!   approach; the paper's Fig. 13(d) baseline and the tests' oracle);
+//! * [`search`] — the paper's pruning search. Both `NetEst` and `ComEst`
 //!   are monotone non-decreasing and `MemEst` monotone non-increasing in
 //!   each of `P`, `Q`, `R`, so for a fixed `(Q, R)` the smallest feasible
-//!   `P` is optimal, found by binary search; and `Cost(1, Q, R)` lower-bounds
-//!   the whole `(·, Q, R)` family, letting entire families be skipped.
+//!   `P` is optimal, found by binary search; `Cost(1, Q, R)` lower-bounds
+//!   the whole `(·, Q, R)` family, and since it never decreases in `Q` or
+//!   `R`, the first family that loses ends its `Q` row, and a losing
+//!   `Q = 1` family ends the search. Cluster-resident replica layouts are
+//!   costed cache-aware first and seed the incumbent.
 //!
 //! Both searches return bit-identical results (tested); only the number of
 //! cost evaluations differs.
@@ -22,6 +25,8 @@ use fuseme_plan::{NodeId, QueryDag};
 use serde::{Deserialize, Serialize};
 
 use crate::cost::{estimate, estimate_with_cache, CostModel, Estimates};
+use crate::plan::{mm_dims, PartialPlan};
+use crate::space::SpaceTree;
 
 /// Fraction of θ_t the searches actually target. Real engines reserve
 /// headroom for serialization buffers and estimate error — SystemDS budgets
@@ -33,8 +38,6 @@ pub const MEM_SAFETY: f64 = 0.7;
 fn budget(model: &CostModel) -> u64 {
     (model.mem_per_task as f64 * MEM_SAFETY) as u64
 }
-use crate::plan::{mm_dims, PartialPlan};
-use crate::space::SpaceTree;
 
 /// A cuboid parameter triple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -85,18 +88,48 @@ pub struct OptResult {
     pub stats: SearchStats,
 }
 
+/// A plan input with known cluster-resident cuboid replicas: `node` is the
+/// external input's DAG id, `pqrs` the `(P,Q,R)` layouts at which a replica
+/// set from a previous iteration is still valid (same matrix version, same
+/// model-space axis). Built by the driver from the runtime's replica cache;
+/// the fusion crate deliberately knows nothing about the cache itself.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CachedInput {
+    /// External input node of the plan.
+    pub node: NodeId,
+    /// Cuboid layouts with a valid resident replica set.
+    pub pqrs: Vec<(usize, usize, usize)>,
+}
+
+/// A ranked candidate: cost, parameters, estimates.
+type Candidate = (f64, Pqr, Estimates);
+
 /// Context shared by both searches.
 struct Search<'a> {
     dag: &'a QueryDag,
     plan: &'a PartialPlan,
     tree: &'a SpaceTree,
+    model: &'a CostModel,
     evaluated: u64,
+    best: Option<Candidate>,
 }
 
 impl Search<'_> {
     fn estimate(&mut self, p: usize, q: usize, r: usize) -> Estimates {
         self.evaluated += 1;
         estimate(self.dag, self.plan, self.tree, p, q, r)
+    }
+
+    /// Offers a candidate: over-budget ones are dropped, the rest replace
+    /// the incumbent when [`better`].
+    fn offer(&mut self, pqr: Pqr, est: Estimates) {
+        if est.mem_bytes > budget(self.model) {
+            return;
+        }
+        let cand = (self.model.cost(&est), pqr, est);
+        if better(&cand, &self.best) {
+            self.best = Some(cand);
+        }
     }
 }
 
@@ -129,50 +162,62 @@ pub fn optimize_exhaustive(
         dag,
         plan,
         tree,
+        model,
         evaluated: 0,
+        best: None,
     };
-    let mut best: Option<(f64, Pqr, Estimates)> = None;
     for r in 1..=k {
         for q in 1..=j {
             for p in 1..=i {
                 let est = search.estimate(p, q, r);
-                if est.mem_bytes > budget(model) || p * q * r < required {
-                    continue;
-                }
-                let cost = model.cost(&est);
-                let cand = (cost, Pqr { p, q, r }, est);
-                if better(&cand, &best) {
-                    best = Some(cand);
+                if p * q * r >= required {
+                    search.offer(Pqr { p, q, r }, est);
                 }
             }
         }
     }
-    let result = finish(best, i, j, k, search.evaluated, start);
+    let result = finish(search.best, i, j, k, search.evaluated, start);
     record_search("exhaustive", (i * j * k) as u64, &result);
     result
 }
 
-/// The paper's pruning search; result is identical to
-/// [`optimize_exhaustive`] but typically orders of magnitude fewer
-/// evaluations.
-pub fn optimize(
+/// The paper's pruning search. Layouts in `cached` — where some inputs
+/// already have cluster-resident replicas, so their consolidation ships
+/// nothing — are costed first with [`estimate_with_cache`]; the best
+/// feasible one seeds the incumbent. The pruning loop then runs once with
+/// the cache-oblivious [`estimate`]. The result equals a sweep of the whole
+/// space under the cache-aware estimate, with far fewer evaluations: away
+/// from a cached layout both estimates agree, and a cached layout costs at
+/// most its oblivious cost. Pass `&[]` when nothing is cached.
+pub fn search(
     dag: &QueryDag,
     plan: &PartialPlan,
     tree: &SpaceTree,
     model: &CostModel,
+    cached: &[CachedInput],
 ) -> OptResult {
-    optimize_bounded(dag, plan, tree, model, usize::MAX)
+    pruned(dag, plan, tree, model, cached, usize::MAX)
 }
 
-/// [`optimize`] with the `R` dimension capped at `max_r`. The engine never
-/// bounds `R`: every plan with a main multiplication can split its k-axis
-/// (see [`crate::plan::k_splittable`]), so [`optimize`] passes
-/// `usize::MAX`.
+/// [`search`] with no cached layouts and `R` capped at `max_r`. Only the
+/// benchmark's per-layer replay calls this; the engine never bounds `R`,
+/// since every plan with a main multiplication can split its k-axis.
 pub fn optimize_bounded(
     dag: &QueryDag,
     plan: &PartialPlan,
     tree: &SpaceTree,
     model: &CostModel,
+    max_r: usize,
+) -> OptResult {
+    pruned(dag, plan, tree, model, &[], max_r)
+}
+
+fn pruned(
+    dag: &QueryDag,
+    plan: &PartialPlan,
+    tree: &SpaceTree,
+    model: &CostModel,
+    cached: &[CachedInput],
     max_r: usize,
 ) -> OptResult {
     let start = std::time::Instant::now();
@@ -184,95 +229,13 @@ pub fn optimize_bounded(
         dag,
         plan,
         tree,
+        model,
         evaluated: 0,
+        best: None,
     };
-    let mut best: Option<(f64, Pqr, Estimates)> = None;
-    for r in 1..=k {
-        for q in 1..=j {
-            // Lower bound for the whole (·, q, r) family: cost at p = 1
-            // (cost is monotone non-decreasing in p). If that already loses
-            // to the incumbent, skip the family.
-            let lb = model.cost(&search.estimate(1, q, r));
-            if let Some((best_cost, _, _)) = best {
-                if lb > best_cost {
-                    continue;
-                }
-            }
-            // Feasibility floor from parallelism: p ≥ required / (q·r).
-            let p_par = required.div_ceil(q * r).max(1);
-            if p_par > i {
-                continue;
-            }
-            // Feasibility floor from memory: MemEst is monotone
-            // non-increasing in p, so binary-search the smallest feasible p.
-            let p_mem = match smallest_feasible_p(&mut search, model, q, r, i) {
-                Some(p) => p,
-                None => continue, // even p = I blows the budget
-            };
-            let p = p_par.max(p_mem);
-            if p > i {
-                continue;
-            }
-            let est = search.estimate(p, q, r);
-            if est.mem_bytes > budget(model) {
-                continue;
-            }
-            let cost = model.cost(&est);
-            let cand = (cost, Pqr { p, q, r }, est);
-            if better(&cand, &best) {
-                best = Some(cand);
-            }
-        }
-    }
-    let result = finish(best, i, j, k, search.evaluated, start);
-    record_search("pruned", (i * j * k) as u64, &result);
-    result
-}
-
-/// A plan input with known cluster-resident cuboid replicas: `node` is the
-/// external input's DAG id, `pqrs` the `(P,Q,R)` layouts at which a replica
-/// set from a previous iteration is still valid (same matrix version, same
-/// model-space axis). Built by the driver from the runtime's replica cache;
-/// the fusion crate deliberately knows nothing about the cache itself.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CachedInput {
-    /// External input node of the plan.
-    pub node: NodeId,
-    /// Cuboid layouts with a valid resident replica set.
-    pub pqrs: Vec<(usize, usize, usize)>,
-}
-
-/// Cache-aware variant of [`optimize`]. Runs the normal pruning
-/// search first (its monotonicity-based pruning is only sound for the
-/// cache-oblivious `NetEst`), then re-evaluates every cached layout — plus
-/// the oblivious optimum itself — with the cache-aware
-/// [`estimate_with_cache`], and returns whichever candidate wins. A cached
-/// layout can beat the oblivious optimum because its loop-invariant inputs
-/// ship zero bytes; it is still subject to the memory budget and the
-/// parallelism floor.
-pub fn optimize_cached(
-    dag: &QueryDag,
-    plan: &PartialPlan,
-    tree: &SpaceTree,
-    model: &CostModel,
-    cached: &[CachedInput],
-) -> OptResult {
-    let mut result = optimize(dag, plan, tree, model);
-    if cached.is_empty() || !result.feasible {
-        // Cache hits change network bytes only; if no partitioning fits in
-        // memory without the cache, none fits with it.
-        return result;
-    }
-    let Some((i, j, k, required)) = search_dims(dag, plan, model) else {
-        return result;
-    };
-    let start = std::time::Instant::now();
-    let mut candidates: BTreeSet<(usize, usize, usize)> =
+    let layouts: BTreeSet<(usize, usize, usize)> =
         cached.iter().flat_map(|c| c.pqrs.iter().copied()).collect();
-    candidates.insert((result.pqr.p, result.pqr.q, result.pqr.r));
-    let mut evaluated = 0u64;
-    let mut best: Option<(f64, Pqr, Estimates)> = None;
-    for (p, q, r) in candidates {
+    for (p, q, r) in layouts {
         if p == 0 || q == 0 || r == 0 || p > i || q > j || r > k || p * q * r < required {
             continue;
         }
@@ -281,25 +244,41 @@ pub fn optimize_cached(
             .filter(|c| c.pqrs.contains(&(p, q, r)))
             .map(|c| c.node)
             .collect();
+        search.evaluated += 1;
         let est = estimate_with_cache(dag, plan, tree, p, q, r, &free);
-        evaluated += 1;
-        if est.mem_bytes > budget(model) {
-            continue;
-        }
-        let cand = (model.cost(&est), Pqr { p, q, r }, est);
-        if better(&cand, &best) {
-            best = Some(cand);
+        search.offer(Pqr { p, q, r }, est);
+    }
+    'r: for r in 1..=k {
+        for q in 1..=j {
+            // Lower bound for the whole (·, q, r) family: cost at p = 1
+            // (cost is monotone non-decreasing in p). It never decreases in
+            // q or r either, so once it loses to the incumbent every later
+            // family in this row loses too, and when the row's first family
+            // loses, so does every later row.
+            let lb = model.cost(&search.estimate(1, q, r));
+            if search.best.is_some_and(|(best_cost, _, _)| lb > best_cost) {
+                if q == 1 {
+                    break 'r;
+                }
+                break;
+            }
+            // Feasibility floor from parallelism: p ≥ required / (q·r).
+            let p_par = required.div_ceil(q * r).max(1);
+            if p_par > i {
+                continue;
+            }
+            // Feasibility floor from memory: MemEst is monotone
+            // non-increasing in p, so binary-search the smallest feasible p.
+            let Some(p_mem) = smallest_feasible_p(&mut search, q, r, i) else {
+                continue; // even p = I blows the budget
+            };
+            let p = p_par.max(p_mem);
+            let est = search.estimate(p, q, r);
+            search.offer(Pqr { p, q, r }, est);
         }
     }
-    result.stats.evaluated += evaluated;
-    result.stats.elapsed_secs += start.elapsed().as_secs_f64();
-    if let Some((cost, pqr, est)) = best {
-        // The oblivious optimum was among the candidates, so `best` is at
-        // least as good as it (under the cache-aware estimate).
-        result.pqr = pqr;
-        result.cost = cost;
-        result.est = est;
-    }
+    let result = finish(search.best, i, j, k, search.evaluated, start);
+    record_search("pruned", (i * j * k) as u64, &result);
     result
 }
 
@@ -354,14 +333,8 @@ fn record_search(mode: &'static str, space: u64, result: &OptResult) {
 
 /// Binary search for the smallest `p` in `1..=max_p` with
 /// `MemEst(p, q, r) ≤ θ_t`, relying on monotonicity.
-fn smallest_feasible_p(
-    search: &mut Search<'_>,
-    model: &CostModel,
-    q: usize,
-    r: usize,
-    max_p: usize,
-) -> Option<usize> {
-    let limit = budget(model);
+fn smallest_feasible_p(search: &mut Search<'_>, q: usize, r: usize, max_p: usize) -> Option<usize> {
+    let limit = budget(search.model);
     let fits = |search: &mut Search<'_>, p: usize| search.estimate(p, q, r).mem_bytes <= limit;
     if !fits(search, max_p) {
         return None;
@@ -381,7 +354,7 @@ fn smallest_feasible_p(
 /// Deterministic candidate ordering: lower cost wins; ties prefer smaller
 /// `R` (the paper: the optimizer "tends to determine R as a value as small
 /// as possible"), then fewer tasks, then lexicographically smaller `(p,q)`.
-fn better(cand: &(f64, Pqr, Estimates), best: &Option<(f64, Pqr, Estimates)>) -> bool {
+fn better(cand: &Candidate, best: &Option<Candidate>) -> bool {
     match best {
         None => true,
         Some((bc, bp, _)) => {
@@ -392,7 +365,7 @@ fn better(cand: &(f64, Pqr, Estimates), best: &Option<(f64, Pqr, Estimates)>) ->
 }
 
 fn finish(
-    best: Option<(f64, Pqr, Estimates)>,
+    best: Option<Candidate>,
     i: usize,
     j: usize,
     k: usize,
@@ -493,7 +466,7 @@ mod tests {
             let (dag, plan) = nmf(i, j, k, 10, 0.2);
             let tree = SpaceTree::build(&dag, &plan);
             let m = model(mem);
-            let a = optimize(&dag, &plan, &tree, &m);
+            let a = search(&dag, &plan, &tree, &m, &[]);
             let b = optimize_exhaustive(&dag, &plan, &tree, &m);
             assert_eq!(a.feasible, b.feasible, "dims {dims:?} mem {mem}");
             if a.feasible {
@@ -508,7 +481,7 @@ mod tests {
         let (dag, plan) = nmf(16, 16, 4, 10, 0.2);
         let tree = SpaceTree::build(&dag, &plan);
         let m = model(100_000);
-        let a = optimize(&dag, &plan, &tree, &m);
+        let a = search(&dag, &plan, &tree, &m, &[]);
         let b = optimize_exhaustive(&dag, &plan, &tree, &m);
         assert!(
             a.stats.evaluated * 4 < b.stats.evaluated,
@@ -523,7 +496,7 @@ mod tests {
         let (dag, plan) = nmf(8, 8, 2, 10, 0.2);
         let tree = SpaceTree::build(&dag, &plan);
         let m = model(60_000);
-        let res = optimize(&dag, &plan, &tree, &m);
+        let res = search(&dag, &plan, &tree, &m, &[]);
         assert!(res.feasible);
         assert!(res.est.mem_bytes <= m.mem_per_task);
     }
@@ -533,7 +506,7 @@ mod tests {
         let (dag, plan) = nmf(4, 4, 2, 10, 0.5);
         let tree = SpaceTree::build(&dag, &plan);
         let m = model(16); // 16 bytes per task: hopeless
-        let res = optimize(&dag, &plan, &tree, &m);
+        let res = search(&dag, &plan, &tree, &m, &[]);
         assert!(!res.feasible);
         assert_eq!(res.pqr, Pqr { p: 4, q: 4, r: 2 });
         assert!(res.cost.is_infinite());
@@ -546,7 +519,7 @@ mod tests {
         let (dag, plan) = nmf(8, 8, 4, 10, 0.2);
         let tree = SpaceTree::build(&dag, &plan);
         let m = model(u64::MAX);
-        let res = optimize(&dag, &plan, &tree, &m);
+        let res = search(&dag, &plan, &tree, &m, &[]);
         assert!(res.pqr.tasks() >= m.total_tasks());
     }
 
@@ -556,7 +529,7 @@ mod tests {
         let (dag, plan) = nmf(1, 2, 1, 10, 1.0);
         let tree = SpaceTree::build(&dag, &plan);
         let m = model(u64::MAX);
-        let res = optimize(&dag, &plan, &tree, &m);
+        let res = search(&dag, &plan, &tree, &m, &[]);
         assert!(res.feasible);
         assert_eq!(res.pqr.tasks(), 2);
     }
@@ -565,8 +538,8 @@ mod tests {
     fn tight_memory_forces_more_partitions() {
         let (dag, plan) = nmf(8, 8, 2, 10, 0.2);
         let tree = SpaceTree::build(&dag, &plan);
-        let loose = optimize(&dag, &plan, &tree, &model(10_000_000));
-        let tight = optimize(&dag, &plan, &tree, &model(40_000));
+        let loose = search(&dag, &plan, &tree, &model(10_000_000), &[]);
+        let tight = search(&dag, &plan, &tree, &model(40_000), &[]);
         assert!(loose.feasible && tight.feasible);
         assert!(
             tight.pqr.tasks() >= loose.pqr.tasks(),
@@ -584,11 +557,11 @@ mod tests {
         let theta = min_feasible_theta(&dag, &plan, &tree);
         assert!(theta > 0);
         assert!(
-            optimize(&dag, &plan, &tree, &model(theta)).feasible,
+            search(&dag, &plan, &tree, &model(theta), &[]).feasible,
             "theta {theta} must admit the finest partitioning"
         );
         assert!(
-            !optimize(&dag, &plan, &tree, &model(theta - 1)).feasible,
+            !search(&dag, &plan, &tree, &model(theta - 1), &[]).feasible,
             "theta - 1 must reject every partitioning"
         );
     }
@@ -598,7 +571,7 @@ mod tests {
         let (dag, plan) = nmf(8, 8, 2, 10, 0.2);
         let tree = SpaceTree::build(&dag, &plan);
         let m = model(10_000_000);
-        let base = optimize(&dag, &plan, &tree, &m);
+        let base = search(&dag, &plan, &tree, &m, &[]);
         assert!(base.feasible);
         // Pretend every external input already has replicas resident at
         // some feasible layout other than the oblivious optimum.
@@ -612,7 +585,7 @@ mod tests {
                 pqrs: vec![alt],
             })
             .collect();
-        let aware = optimize_cached(&dag, &plan, &tree, &m, &cached);
+        let aware = search(&dag, &plan, &tree, &m, &cached);
         assert!(aware.feasible);
         // All inputs free at `alt` ⇒ its NetEst collapses to the scalar +
         // aggregation terms, so the cached layout must win (or tie via the
@@ -631,8 +604,13 @@ mod tests {
         let (dag, plan) = nmf(8, 8, 2, 10, 0.2);
         let tree = SpaceTree::build(&dag, &plan);
         let m = model(10_000_000);
-        let base = optimize(&dag, &plan, &tree, &m);
-        let aware = optimize_cached(&dag, &plan, &tree, &m, &[]);
+        let base = search(&dag, &plan, &tree, &m, &[]);
+        // A degenerate layout and two outside the 8×8×2 space.
+        let cached = [CachedInput {
+            node: dag.nodes()[0].id,
+            pqrs: vec![(0, 1, 1), (9, 1, 1), (1, 1, 3)],
+        }];
+        let aware = search(&dag, &plan, &tree, &m, &cached);
         assert_eq!(aware.pqr, base.pqr);
         assert_eq!(aware.est, base.est);
     }
@@ -642,7 +620,7 @@ mod tests {
         let (dag, plan) = nmf(8, 8, 2, 10, 0.2);
         let tree = SpaceTree::build(&dag, &plan);
         let m = model(40_000); // tight: coarse layouts blow the budget
-        let base = optimize(&dag, &plan, &tree, &m);
+        let base = search(&dag, &plan, &tree, &m, &[]);
         assert!(base.feasible);
         // A cached replica at the coarsest layout must not tempt the search
         // into an over-budget (or under-parallel) plan.
@@ -650,7 +628,7 @@ mod tests {
             node: dag.nodes()[0].id,
             pqrs: vec![(1, 1, 1)],
         }];
-        let aware = optimize_cached(&dag, &plan, &tree, &m, &cached);
+        let aware = search(&dag, &plan, &tree, &m, &cached);
         assert_eq!(aware.pqr, base.pqr);
         assert!(aware.est.mem_bytes <= 40_000);
     }
@@ -663,7 +641,7 @@ mod tests {
         let dag = b.finish(vec![s]);
         let plan = PartialPlan::new(BTreeSet::from([s.id()]), s.id());
         let tree = SpaceTree::build(&dag, &plan);
-        let res = optimize(&dag, &plan, &tree, &model(u64::MAX));
+        let res = search(&dag, &plan, &tree, &model(u64::MAX), &[]);
         assert!(res.feasible);
         assert_eq!(res.pqr, Pqr { p: 1, q: 1, r: 1 });
     }

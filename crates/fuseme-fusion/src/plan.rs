@@ -158,7 +158,9 @@ pub fn reaches_via_consumers(
 /// passing through another member multiplication. That holds for every
 /// plan with a main multiplication, because [`PartialPlan::main_matmul`]
 /// only anchors on a multiplication that reaches no other member
-/// multiplication through in-plan consumers.
+/// multiplication through in-plan consumers. Only the benchmark's per-layer
+/// replay calls this, to pick the `R` cap it hands
+/// [`crate::optimizer::optimize_bounded`].
 pub fn k_splittable(dag: &QueryDag, plan: &PartialPlan) -> bool {
     plan.main_matmul(dag).is_some()
 }

@@ -1,18 +1,23 @@
 //! Property-based tests for the fusion layer: cost-model monotonicity, the
-//! optimizer's equivalence with exhaustive search, and planner validity on
-//! randomized query DAGs.
+//! optimizer's equivalence with exhaustive search (cache-oblivious and
+//! cache-aware), and planner validity on randomized query DAGs.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use fuseme_fusion::cfg::{explore, Cfg};
-use fuseme_fusion::cost::{estimate, CostModel};
+use fuseme_fusion::cost::{estimate, estimate_with_cache, CostModel, Estimates};
 use fuseme_fusion::folded::Folded;
 use fuseme_fusion::gen_like::GenLike;
-use fuseme_fusion::optimizer::{optimize, optimize_exhaustive};
-use fuseme_fusion::plan::{reaches_via_consumers, ExecUnit, PartialPlan};
+use fuseme_fusion::optimizer::{optimize_exhaustive, search, CachedInput, Pqr, MEM_SAFETY};
+use fuseme_fusion::plan::{mm_dims, reaches_via_consumers, ExecUnit, PartialPlan};
 use fuseme_fusion::space::SpaceTree;
 use fuseme_matrix::{BinOp, MatrixMeta, UnaryOp};
-use fuseme_plan::{DagBuilder, QueryDag};
+use fuseme_plan::{DagBuilder, NodeId, OpKind, QueryDag};
 
 /// The NMF-shaped plan with randomized grid extents and density.
 fn nmf_fixture(i: usize, j: usize, k: usize, density: f64) -> (QueryDag, PartialPlan) {
@@ -41,6 +46,88 @@ fn model(mem: u64) -> CostModel {
         net_bandwidth: 1e7,
         compute_bandwidth: 1e9,
     }
+}
+
+/// [`model`] at bandwidths where `NetEst` dominates the cost, where
+/// `ComEst` does, and at the default mix.
+fn bandwidth_models(mem: u64) -> [CostModel; 3] {
+    let base = model(mem);
+    [
+        CostModel {
+            net_bandwidth: 1e3,
+            compute_bandwidth: 1e15,
+            ..base
+        },
+        CostModel {
+            net_bandwidth: 1e15,
+            compute_bandwidth: 1e3,
+            ..base
+        },
+        base,
+    ]
+}
+
+/// The units with a main multiplication that CFG makes of a random DAG.
+fn random_units(ops: &[u8], density: f64) -> (QueryDag, Vec<PartialPlan>) {
+    let dag = random_dag(ops, density);
+    let units = Cfg::new(model(1 << 22))
+        .plan(&dag)
+        .units
+        .iter()
+        .map(|u| u.plan().into_owned())
+        .filter(|p| p.main_matmul(&dag).is_some())
+        .collect();
+    (dag, units)
+}
+
+/// `Cost(1, q, r)`, the lower bound of the `(·, q, r)` family, never
+/// decreases in `q` or `r` (the `r = 1 → 2` step included) — what lets the
+/// pruning search stop at the first losing family.
+fn check_family_bounds_monotone(dag: &QueryDag, plan: &PartialPlan) -> Result<(), TestCaseError> {
+    let tree = SpaceTree::build(dag, plan);
+    let main = plan
+        .main_matmul(dag)
+        .expect("unit has a main multiplication");
+    let (_, j, k) = mm_dims(dag, main);
+    for m in bandwidth_models(u64::MAX) {
+        let bound: Vec<Vec<f64>> = (1..=k)
+            .map(|r| {
+                (1..=j)
+                    .map(|q| m.cost(&estimate(dag, plan, &tree, 1, q, r)))
+                    .collect()
+            })
+            .collect();
+        let at = |q: usize, r: usize| bound[r - 1][q - 1];
+        for r in 1..=k {
+            for q in 1..=j {
+                let c = at(q, r);
+                if q < j {
+                    prop_assert!(c <= at(q + 1, r), "Cost(1, {q}, {r}) drops at q + 1");
+                }
+                if r < k {
+                    prop_assert!(c <= at(q, r + 1), "Cost(1, {q}, {r}) drops at r + 1");
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The pruning search (with nothing cached) and the exhaustive sweep agree
+/// on feasibility, parameters, estimates and cost.
+fn check_search_matches_exhaustive(
+    dag: &QueryDag,
+    plan: &PartialPlan,
+    m: &CostModel,
+) -> Result<(), TestCaseError> {
+    let tree = SpaceTree::build(dag, plan);
+    let a = search(dag, plan, &tree, m, &[]);
+    let b = optimize_exhaustive(dag, plan, &tree, m);
+    prop_assert_eq!(a.feasible, b.feasible);
+    prop_assert_eq!(a.pqr, b.pqr, "cost {} vs {}", a.cost, b.cost);
+    prop_assert_eq!(a.est, b.est);
+    prop_assert!(a.cost == b.cost || (a.cost.is_infinite() && b.cost.is_infinite()));
+    Ok(())
 }
 
 proptest! {
@@ -105,22 +192,57 @@ proptest! {
         }
     }
 
+    /// Family lower bounds are monotone on the NMF plan.
+    #[test]
+    fn family_bounds_are_monotone(
+        i in 2usize..12, j in 2usize..12, k in 1usize..6,
+        density in 0.01f64..1.0,
+    ) {
+        let (dag, plan) = nmf_fixture(i, j, k, density);
+        check_family_bounds_monotone(&dag, &plan)?;
+    }
+
+    /// Family lower bounds are monotone on every unit CFG plans for a
+    /// random DAG.
+    #[test]
+    fn family_bounds_are_monotone_on_random_units(
+        ops in proptest::collection::vec(0u8..6, 1..14),
+        density in 0.001f64..0.9,
+    ) {
+        let (dag, units) = random_units(&ops, density);
+        for plan in &units {
+            check_family_bounds_monotone(&dag, plan)?;
+        }
+    }
+
     /// The pruning search returns exactly the exhaustive optimum for random
-    /// shapes and budgets.
+    /// shapes, budgets and cluster sizes (the parallelism floor).
     #[test]
     fn pruning_equals_exhaustive(
         i in 2usize..14, j in 2usize..14, k in 1usize..6,
         density in 0.01f64..1.0,
         mem_kb in 8u64..512,
+        nodes in 1usize..6,
     ) {
         let (dag, plan) = nmf_fixture(i, j, k, density);
-        let tree = SpaceTree::build(&dag, &plan);
-        let m = model(mem_kb << 10);
-        let a = optimize(&dag, &plan, &tree, &m);
-        let b = optimize_exhaustive(&dag, &plan, &tree, &m);
-        prop_assert_eq!(a.feasible, b.feasible);
-        if a.feasible {
-            prop_assert_eq!(a.pqr, b.pqr, "cost {} vs {}", a.cost, b.cost);
+        for m in bandwidth_models(mem_kb << 10) {
+            check_search_matches_exhaustive(&dag, &plan, &CostModel { nodes, ..m })?;
+        }
+    }
+
+    /// The same on every unit CFG plans for a random DAG.
+    #[test]
+    fn pruning_equals_exhaustive_on_random_units(
+        ops in proptest::collection::vec(0u8..6, 1..14),
+        density in 0.001f64..0.9,
+        mem_kb in 1u64..256,
+        nodes in 1usize..6,
+    ) {
+        let (dag, units) = random_units(&ops, density);
+        for plan in &units {
+            for m in bandwidth_models(mem_kb << 10) {
+                check_search_matches_exhaustive(&dag, plan, &CostModel { nodes, ..m })?;
+            }
         }
     }
 
@@ -181,6 +303,111 @@ proptest! {
             }
         }
     }
+}
+
+/// Brute-force cache-aware optimum: every `(p, q, r)` costed with
+/// `estimate_with_cache`, whose free set is the inputs cached at exactly that
+/// layout, under the search's memory budget and parallelism floor, ranked by
+/// cost, then `r`, then tasks, then `(p, q)`. `None` when nothing fits.
+fn cache_aware_oracle(
+    dag: &QueryDag,
+    plan: &PartialPlan,
+    tree: &SpaceTree,
+    m: &CostModel,
+    cached: &[CachedInput],
+) -> Option<(f64, Pqr, Estimates)> {
+    let (i, j, k) = mm_dims(dag, plan.main_matmul(dag).expect("main multiplication"));
+    let required = m.total_tasks().min(i * j * k);
+    let budget = (m.mem_per_task as f64 * MEM_SAFETY) as u64;
+    let mut best: Option<(f64, Pqr, Estimates)> = None;
+    for r in 1..=k {
+        for q in 1..=j {
+            for p in 1..=i {
+                let free: BTreeSet<NodeId> = cached
+                    .iter()
+                    .filter(|c| c.pqrs.contains(&(p, q, r)))
+                    .map(|c| c.node)
+                    .collect();
+                let est = estimate_with_cache(dag, plan, tree, p, q, r, &free);
+                if p * q * r < required || est.mem_bytes > budget {
+                    continue;
+                }
+                let pqr = Pqr { p, q, r };
+                let key = (m.cost(&est), r, pqr.tasks(), p, q);
+                if best.is_none_or(|(c, b, _)| key < (c, b.r, b.tasks(), b.p, b.q)) {
+                    best = Some((key.0, pqr, est));
+                }
+            }
+        }
+    }
+    best
+}
+
+/// `search` with cached layouts equals the brute-force cache-aware optimum
+/// over random shapes, budgets, cluster sizes and cached layouts — and the
+/// cache changes the winner in some of the cases, so the agreement is not
+/// vacuous.
+#[test]
+fn cached_search_equals_cache_aware_oracle() {
+    let mut rng = StdRng::seed_from_u64(16);
+    let mut changed = 0;
+    for _ in 0..1000 {
+        let (i, j, k) = (
+            rng.gen_range(2usize..10),
+            rng.gen_range(2usize..10),
+            rng.gen_range(1usize..5),
+        );
+        let (dag, plan) = nmf_fixture(i, j, k, rng.gen_range(0.01f64..1.0));
+        let tree = SpaceTree::build(&dag, &plan);
+        let m = CostModel {
+            nodes: rng.gen_range(1usize..6),
+            ..model(rng.gen_range(8u64..512) << 10)
+        };
+        let oblivious = search(&dag, &plan, &tree, &m, &[]);
+        let near = oblivious.pqr;
+        let cached: Vec<CachedInput> = dag
+            .nodes()
+            .iter()
+            .filter(|n| matches!(n.kind, OpKind::Input { .. }))
+            .map(|n| CachedInput {
+                node: n.id,
+                pqrs: (0..rng.gen_range(0usize..4))
+                    .map(|_| {
+                        if rng.gen_bool(0.5) {
+                            // A neighbour of the oblivious optimum, which
+                            // the cache can tip into winning.
+                            (
+                                near.p + rng.gen_range(0usize..2),
+                                near.q + rng.gen_range(0usize..2),
+                                near.r + rng.gen_range(0usize..2),
+                            )
+                        } else {
+                            (
+                                rng.gen_range(0..=i + 1),
+                                rng.gen_range(1..=j),
+                                rng.gen_range(1..=k + 1),
+                            )
+                        }
+                    })
+                    .collect(),
+            })
+            .collect();
+        let aware = search(&dag, &plan, &tree, &m, &cached);
+        let ctx = format!("dims ({i},{j},{k}) model {m:?} cached {cached:?}");
+        match cache_aware_oracle(&dag, &plan, &tree, &m, &cached) {
+            Some((cost, pqr, est)) => {
+                assert!(aware.feasible, "{ctx}");
+                assert_eq!(
+                    (aware.cost, aware.pqr, aware.est),
+                    (cost, pqr, est),
+                    "{ctx}"
+                );
+            }
+            None => assert!(!aware.feasible, "{ctx}"),
+        }
+        changed += usize::from(aware.pqr != oblivious.pqr);
+    }
+    assert!(changed > 0, "no case had its winner changed by the cache");
 }
 
 /// Builds a random, well-shaped DAG from a byte script. All matrices share

@@ -89,22 +89,6 @@ impl QueryDag {
             .collect()
     }
 
-    /// Undirected adjacency of an operator: its inputs plus its consumers,
-    /// excluding leaves. The CFG exploration phase (Algorithm 2) grows
-    /// candidate plans along these edges.
-    pub fn adjacent_ops(&self, id: NodeId) -> Vec<NodeId> {
-        let mut out = BTreeSet::new();
-        for &input in &self.nodes[id].inputs {
-            if !self.nodes[input].kind.is_leaf() {
-                out.insert(input);
-            }
-        }
-        for &c in &self.consumers[id] {
-            out.insert(c);
-        }
-        out.into_iter().collect()
-    }
-
     /// Undirected adjacency of a *set* of operators: all operators adjacent
     /// to any member, excluding members themselves. When `exclude_outgoing`
     /// is set, consumers of the set are omitted (the paper's
@@ -171,20 +155,6 @@ impl QueryDag {
             }
         }
         None
-    }
-
-    /// Names of all distinct input matrices, in first-appearance order.
-    pub fn input_names(&self) -> Vec<&str> {
-        let mut seen = BTreeSet::new();
-        let mut out = Vec::new();
-        for n in &self.nodes {
-            if let OpKind::Input { name } = &n.kind {
-                if seen.insert(name.as_str()) {
-                    out.push(name.as_str());
-                }
-            }
-        }
-        out
     }
 
     /// Validates structural invariants (topological ids, arity, root
@@ -308,15 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn adjacency_excludes_leaves() {
-        let dag = gnmf_like();
-        let mm = dag.matmuls()[0]; // matmul(x, v) or transpose-fed
-        for adj in dag.adjacent_ops(mm) {
-            assert!(!dag.node(adj).kind.is_leaf());
-        }
-    }
-
-    #[test]
     fn adjacent_of_set_direction_control() {
         let dag = gnmf_like();
         let root = dag.roots()[0];
@@ -355,12 +316,6 @@ mod tests {
         // Restricting `within` restricts the result.
         let only_root = BTreeSet::from([root]);
         assert_eq!(dag.descendants_within(root, &only_root), only_root);
-    }
-
-    #[test]
-    fn input_names_deduplicated() {
-        let dag = gnmf_like();
-        assert_eq!(dag.input_names(), vec!["X", "U", "V"]);
     }
 
     #[test]

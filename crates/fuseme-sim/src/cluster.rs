@@ -91,12 +91,6 @@ impl ClusterConfig {
         self.compute_bandwidth / self.tasks_per_node as f64
     }
 
-    /// Returns a copy with a different node count (Fig. 12(d)/(h) vary `N`).
-    pub fn with_nodes(mut self, nodes: usize) -> Self {
-        self.nodes = nodes;
-        self
-    }
-
     /// Returns a copy with a different per-task memory budget.
     pub fn with_mem_per_task(mut self, bytes: u64) -> Self {
         self.mem_per_task = bytes;
@@ -244,12 +238,6 @@ mod tests {
     fn per_task_bandwidth_shares_node() {
         let c = ClusterConfig::paper_testbed();
         assert!((c.task_net_bandwidth() * 12.0 - c.net_bandwidth).abs() < 1e-6);
-    }
-
-    #[test]
-    fn with_nodes_scales_tasks() {
-        let c = ClusterConfig::paper_testbed().with_nodes(2);
-        assert_eq!(c.total_tasks(), 24);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use fuseme::prelude::*;
 use fuseme_fusion::cost::{estimate, CostModel};
 use fuseme_fusion::folded::Folded;
 use fuseme_fusion::gen_like::GenLike;
-use fuseme_fusion::optimizer::{optimize, optimize_exhaustive};
+use fuseme_fusion::optimizer::{optimize_exhaustive, search};
 use fuseme_fusion::space::SpaceTree;
 
 fn main() {
@@ -82,7 +82,7 @@ fn main() {
         })
         .expect("CFG fuses the multiplication here");
     let tree = SpaceTree::build(&dag, &fused_plan);
-    let pruned = optimize(&dag, &fused_plan, &tree, &model);
+    let pruned = search(&dag, &fused_plan, &tree, &model, &[]);
     let exhaustive = optimize_exhaustive(&dag, &fused_plan, &tree, &model);
     println!(
         "\ncuboid optimizer: picked {} (cost {:.3}); exhaustive agrees: {}; \

@@ -72,7 +72,7 @@ fn cfo_beats_bfo_rfo_and_survives_larger_inputs() {
 #[test]
 fn pruning_search_matches_exhaustive_cheaply() {
     use fuseme_fusion::cost::CostModel;
-    use fuseme_fusion::optimizer::{optimize, optimize_exhaustive};
+    use fuseme_fusion::optimizer::{optimize_exhaustive, search};
     use fuseme_fusion::space::SpaceTree;
 
     let s = scale();
@@ -104,7 +104,7 @@ fn pruning_search_matches_exhaustive_cheaply() {
     };
     let tree = SpaceTree::build(&dag, &plan);
     let ex = optimize_exhaustive(&dag, &plan, &tree, &model);
-    let pr = optimize(&dag, &plan, &tree, &model);
+    let pr = search(&dag, &plan, &tree, &model, &[]);
     assert_eq!(ex.pqr, pr.pqr);
     assert!(
         pr.stats.evaluated * 20 < ex.stats.evaluated,

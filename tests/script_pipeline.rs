@@ -113,7 +113,7 @@ proptest! {
         mem_kb in 64u64..4096,
     ) {
         use fuseme_fusion::cost::CostModel;
-        use fuseme_fusion::optimizer::optimize;
+        use fuseme_fusion::optimizer::search;
         use fuseme_fusion::space::SpaceTree;
         let bs = 8;
         let mut b = DagBuilder::new();
@@ -136,7 +136,7 @@ proptest! {
             net_bandwidth: 1e8,
             compute_bandwidth: 1e9,
         };
-        let res = optimize(&dag, &plan, &tree, &model);
+        let res = search(&dag, &plan, &tree, &model, &[]);
         if res.feasible {
             prop_assert!(res.est.mem_bytes <= model.mem_per_task);
             prop_assert!(res.pqr.p <= i && res.pqr.q <= j && res.pqr.r <= k);
