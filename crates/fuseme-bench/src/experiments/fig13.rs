@@ -150,12 +150,12 @@ fn sweep(scale: Scale, out_dir: &Path) -> Vec<Measurement> {
 fn pruning(scale: Scale, out_dir: &Path) -> Vec<Measurement> {
     let bs = scale.block_size();
     let mut table = Table::new(
-        "Fig. 13(d) — optimizer search latency (ms)",
+        "Fig. 13(d) — optimizer search latency (µs)",
         &[
             "voxels",
-            "exhaustive ms",
+            "exhaustive µs",
             "evals",
-            "pruning ms",
+            "pruning µs",
             "evals",
             "same answer",
         ],
@@ -196,9 +196,9 @@ fn pruning(scale: Scale, out_dir: &Path) -> Vec<Measurement> {
         let agree = ex.pqr == pr.pqr || (!ex.feasible && !pr.feasible);
         table.row(vec![
             label.into(),
-            format!("{:.1}", ex.stats.elapsed_secs * 1e3).into(),
+            format!("{:.1}", ex.stats.elapsed_secs * 1e6).into(),
             ex.stats.evaluated.into(),
-            format!("{:.1}", pr.stats.elapsed_secs * 1e3).into(),
+            format!("{:.1}", pr.stats.elapsed_secs * 1e6).into(),
             pr.stats.evaluated.into(),
             agree.into(),
         ]);

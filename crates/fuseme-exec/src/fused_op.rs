@@ -48,7 +48,7 @@ use fuseme_plan::{NodeId, OpKind, QueryDag};
 use fuseme_sim::executor::run_stage;
 use fuseme_sim::{Cluster, Phase, SimError, TaskWork};
 
-use crate::kernel::{footprints, BlockProgram, Footprint, LocalStore, Piece, TaskProgram};
+use crate::kernel::{footprints, AggShape, BlockProgram, Footprint, LocalStore, TaskProgram};
 
 /// Materialized values available to an operator: input leaves plus outputs
 /// of earlier execution units.
@@ -74,14 +74,6 @@ pub enum Strategy {
     /// RFO: every input routed at output-block granularity; side-matrix
     /// blocks are replicated up to `I`/`J` times.
     Replication,
-}
-
-/// Shape of an aggregation root.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AggShape {
-    Full,
-    Row,
-    Col,
 }
 
 /// What a task hands back, in coordinate order: output blocks, aggregation
@@ -222,38 +214,39 @@ impl UnitKernel {
             return Ok(out);
         };
         // Every tile block folds in, in tile order: runs of supported blocks
-        // as they are evaluated, unsupported blocks as zero blocks (one per
-        // distinct block shape).
-        let mut zeros: Vec<Arc<Block>> = Vec::new();
+        // as they are evaluated, unsupported blocks as zero blocks (folded
+        // once per distinct block shape).
+        let mut zeros: Vec<((usize, usize), Vec<f64>)> = Vec::new();
         let mut partials: BTreeMap<(usize, usize), DenseBlock> = BTreeMap::new();
-        let mut fold = |c: Coord, piece: Piece<'_>| {
-            fold_partial(&mut partials, piece, c, op, shape, &self.root_meta);
-            Ok(())
+        let mut fold = |c: Coord, values: &[f64]| {
+            fold_partial(&mut partials, values, c, op, shape, &self.root_meta);
         };
         // `supported[start..at]` is the run being gathered.
         let (mut start, mut at) = (0, 0);
         for (bi, bj) in tile.coords() {
             if supported.get(at) == Some(&(bi, bj)) {
                 if at > start && !adjacent(supported[at - 1], (bi, bj)) {
-                    program.eval_run(&supported[start..at], &mut fold)?;
+                    program.fold_run(&supported[start..at], op, shape, &mut fold)?;
                     start = at;
                 }
                 at += 1;
                 continue;
             }
-            program.eval_run(&supported[start..at], &mut fold)?;
+            program.fold_run(&supported[start..at], op, shape, &mut fold)?;
             start = at;
-            let (r, c) = self.compute_meta.block_dims(bi, bj);
-            let zero = match zeros.iter().find(|z| (z.rows(), z.cols()) == (r, c)) {
-                Some(z) => Arc::clone(z),
+            let dims = self.compute_meta.block_dims(bi, bj);
+            let zero = match zeros.iter().position(|z| z.0 == dims) {
+                Some(z) => z,
                 None => {
-                    zeros.push(Arc::new(Block::zero(r, c)));
-                    Arc::clone(&zeros[zeros.len() - 1])
+                    let mut values = Vec::new();
+                    shape.fold_block(op, &Block::zero(dims.0, dims.1), &mut values);
+                    zeros.push((dims, values));
+                    zeros.len() - 1
                 }
             };
-            fold((bi, bj), Piece::Block(zero))?;
+            fold((bi, bj), &zeros[zero].1);
         }
-        program.eval_run(&supported[start..at], &mut fold)?;
+        program.fold_run(&supported[start..at], op, shape, &mut fold)?;
         Ok(partials
             .into_iter()
             .map(|(coord, b)| (coord, Arc::new(Block::Dense(b))))
@@ -272,10 +265,11 @@ fn runs(coords: &[Coord]) -> impl Iterator<Item = &[Coord]> {
     coords.chunk_by(|&a, &b| adjacent(a, b))
 }
 
-/// Folds one compute block into the task's aggregation partials.
+/// Folds one compute block's fold (see [`AggShape::fold_block`]) into the
+/// task's aggregation partials.
 fn fold_partial(
     partials: &mut BTreeMap<(usize, usize), DenseBlock>,
-    piece: Piece<'_>,
+    values: &[f64],
     (bi, bj): (usize, usize),
     op: AggOp,
     shape: AggShape,
@@ -294,39 +288,13 @@ fn fold_partial(
             DenseBlock::filled(1, c, op.identity())
         }),
     };
-    let mut combine = |r: usize, c: usize, v: f64| {
-        let cur = slot.get(r, c);
-        slot.set(r, c, op.combine(cur, v));
-    };
-    match (piece, shape) {
-        (Piece::Block(b), AggShape::Full) => combine(0, 0, b.agg(op)),
-        (Piece::Block(b), AggShape::Row) => {
-            for (r, &v) in b.row_agg(op).data().iter().enumerate() {
-                combine(r, 0, v);
-            }
-        }
-        (Piece::Block(b), AggShape::Col) => {
-            for (c, &v) in b.col_agg(op).data().iter().enumerate() {
-                combine(0, c, v);
-            }
-        }
-        // A block held in a row panel folds as `DenseBlock::agg`, `row_agg`
-        // and `col_agg` fold the (never empty) block cut out of it:
-        // row-major from the identity.
-        (Piece::Panel { panel, cols }, AggShape::Full) => {
-            let block = (0..panel.rows()).flat_map(|r| &panel.row(r)[cols.clone()]);
-            combine(0, 0, op.fold(block.copied()));
-        }
-        (Piece::Panel { panel, cols }, AggShape::Row) => {
-            for r in 0..panel.rows() {
-                combine(r, 0, op.fold(panel.row(r)[cols.clone()].iter().copied()));
-            }
-        }
-        (Piece::Panel { panel, cols }, AggShape::Col) => {
-            for (c, at) in cols.enumerate() {
-                combine(0, c, op.fold((0..panel.rows()).map(|r| panel.get(r, at))));
-            }
-        }
+    for (x, &v) in values.iter().enumerate() {
+        let (r, c) = if shape == AggShape::Col {
+            (0, x)
+        } else {
+            (x, 0)
+        };
+        slot.set(r, c, op.combine(slot.get(r, c), v));
     }
 }
 

@@ -11,21 +11,27 @@
 //!   is not `> 0`) takes the dense accumulator first — five. A
 //!   per-operator intermediate `Block` (`+ eps`, `log`) or a
 //!   per-(node, block) map entry would add to either.
-//! * GNMF's loss `(X - V %*% U)^2`, evaluated a run of blocks at a time.
-//!   A run on the row-panel path allocates per run, not per block: its
-//!   panels (the run's layout, slots, `X`, the left operand blocks, the
-//!   product), so fewer allocations than blocks. A row whose product
-//!   compacts to sparse goes block by block, as many times as before.
+//! * GNMF's loss `sum((X - V %*% U)^2)`, folded a run of blocks at a
+//!   time. A run on the row-panel path allocates per run, not per block:
+//!   the run's layout, the left operand blocks and the product panel. The
+//!   fold runs in the same pass from the task's scratch, so no other panel
+//!   exists: `X` is read from its blocks, and the difference and its
+//!   square from one element row.
+//! * The same compute node `(X - V %*% U)^2` as a stored output,
+//!   evaluated a run of blocks at a time. A row whose product compacts to
+//!   sparse goes block by block, as many times as before, after the five
+//!   allocations of the abandoned panel (the run's layout, slots, `X`, the
+//!   left operand blocks, the product).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use fuseme_exec::kernel::{BlockProgram, Footprint, Piece};
+use fuseme_exec::kernel::{AggShape, BlockProgram, Footprint, Piece};
 use fuseme_exec::LocalStore;
-use fuseme_matrix::{gen, BinOp, Block, UnaryOp};
-use fuseme_plan::DagBuilder;
+use fuseme_matrix::{gen, AggOp, BinOp, Block, UnaryOp};
+use fuseme_plan::{DagBuilder, NodeId, QueryDag};
 
 struct Counting;
 
@@ -124,14 +130,12 @@ fn uncertified_products_fall_back_to_the_dense_accumulator() {
     }
 }
 
-/// Evaluates row `row` of the loss's compute node `(X - V %*% U)^2` over
-/// 32 block columns as one run, after row `row + 1` (which sizes the
-/// task's scratch and stacks `U`'s panel), and returns the allocations it
-/// took, whether each block came from the row panel, and the allocations
-/// of evaluating the same blocks one by one afterwards. `X` is sparse with
-/// absent blocks; `V` and `U` are dense, except that `V`'s block row 1
-/// keeps one non-zero row of four, so its products compact to sparse.
-fn loss_run_allocations(row: usize) -> (u64, Vec<bool>, u64) {
+/// The loss's compute node `(X - V %*% U)^2` over 4 block rows and 32
+/// block columns, with its multiplication and root, and the store holding
+/// its inputs. `X` is sparse with absent blocks; `V` and `U` are dense,
+/// except that `V`'s block row 1 keeps one non-zero row of four, so its
+/// products compact to sparse.
+fn loss_fixture() -> (QueryDag, BTreeSet<NodeId>, NodeId, NodeId, LocalStore) {
     let bs = 4;
     let x = gen::sparse_uniform(16, 128, bs, 0.05, 1.0, 2.0, 1).unwrap();
     let mut v = gen::dense_uniform(16, 12, bs, 0.1, 1.0, 2).unwrap();
@@ -159,10 +163,23 @@ fn loss_run_allocations(row: usize) -> (u64, Vec<bool>, u64) {
         store.insert(id, m.blocks().clone());
     }
     assert!(x.present_blocks() < 4 * 32, "some X blocks are absent");
+    (dag, ops, mm.id(), sq.id(), store)
+}
 
-    let program = BlockProgram::compile(&dag, &ops, Some(mm.id()), sq.id());
+/// Block row `i` of the fixture's 32 block columns.
+fn run(i: usize) -> Vec<(usize, usize)> {
+    (0..32).map(|j| (i, j)).collect()
+}
+
+/// Evaluates row `row` of the loss's compute node as one run, after row
+/// `row + 1` (which sizes the task's scratch and stacks `U`'s panel), and
+/// returns the allocations it took, whether each block came from the row
+/// panel, and the allocations of evaluating the same blocks one by one
+/// afterwards.
+fn loss_run_allocations(row: usize) -> (u64, Vec<bool>, u64) {
+    let (dag, ops, mm, sq, store) = loss_fixture();
+    let program = BlockProgram::compile(&dag, &ops, Some(mm), sq);
     let mut task = program.bind(&store, 0..3);
-    let run = |i: usize| -> Vec<(usize, usize)> { (0..32).map(|j| (i, j)).collect() };
     task.eval_run(&run(row + 1), |_, _| Ok(())).unwrap();
     let (run, mut panel) = (run(row), Vec::with_capacity(32));
     let before = allocs();
@@ -180,10 +197,26 @@ fn loss_run_allocations(row: usize) -> (u64, Vec<bool>, u64) {
 }
 
 #[test]
-fn loss_runs_allocate_five_times_per_run_on_the_row_panel() {
-    let (n, panel, _) = loss_run_allocations(2);
-    assert!(panel.iter().all(|&p| p), "{panel:?}");
-    assert_eq!((n, panel.len()), (5, 32));
+fn loss_runs_allocate_three_times_per_run_on_the_fused_fold() {
+    // Row 2 folds as `sum` does, after row 3 sized the scratch; each
+    // block's fold has the bits of the block's own `agg`.
+    let (dag, ops, mm, sq, store) = loss_fixture();
+    let program = BlockProgram::compile(&dag, &ops, Some(mm), sq);
+    let mut task = program.bind(&store, 0..3);
+    let mut sum = |run: &[(usize, usize)], folds: &mut Vec<f64>| {
+        task.fold_run(run, AggOp::Sum, AggShape::Full, |_, v| folds.extend(v))
+            .unwrap();
+    };
+    sum(&run(3), &mut Vec::with_capacity(32));
+    let (row, mut folds) = (run(2), Vec::with_capacity(32));
+    let before = allocs();
+    sum(&row, &mut folds);
+    let n = allocs() - before;
+    assert_eq!((n, folds.len()), (3, 32));
+    for (&c, fold) in row.iter().zip(&folds) {
+        let want = task.eval(c).unwrap().agg(AggOp::Sum);
+        assert_eq!(fold.to_bits(), want.to_bits(), "block {c:?}");
+    }
 }
 
 #[test]

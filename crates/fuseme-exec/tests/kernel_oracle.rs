@@ -36,7 +36,7 @@ use fuseme_exec::kernel::BlockProgram;
 use fuseme_exec::{LocalStore, Strategy};
 use fuseme_fusion::optimizer::Pqr;
 use fuseme_fusion::plan::PartialPlan;
-use fuseme_matrix::{AggOp, BinOp, BlockedMatrix, MatrixMeta, UnaryOp};
+use fuseme_matrix::{AggOp, BinOp, Block, BlockedMatrix, MatrixMeta, UnaryOp};
 use fuseme_plan::{Bindings, DagBuilder, Expr, NodeId, OpKind, QueryDag};
 use fuseme_sim::{Cluster, ClusterConfig, SimError};
 
@@ -253,6 +253,22 @@ fn squared_error(b: &mut DagBuilder, x: Expr, y: Expr) -> Expr {
     b.unary(d, UnaryOp::Square)
 }
 
+/// `exp(X - Y %*% Y) * X`.
+fn exp_gated(b: &mut DagBuilder, x: Expr, y: Expr) -> Expr {
+    let p = b.matmul(y, y);
+    let d = b.binary(x, p, BinOp::Sub);
+    let e = b.unary(d, UnaryOp::Exp);
+    b.binary(e, x, BinOp::Mul)
+}
+
+/// `exp(X - Y %*% Y) - Y`.
+fn exp_shifted(b: &mut DagBuilder, x: Expr, y: Expr) -> Expr {
+    let p = b.matmul(y, y);
+    let d = b.binary(x, p, BinOp::Sub);
+    let e = b.unary(d, UnaryOp::Exp);
+    b.binary(e, y, BinOp::Sub)
+}
+
 /// [`bindings`] with holes in `Y`: its block column `1 + seed % 3` and
 /// block `(seed % 4, 0)` are absent. Products in that column have no
 /// terms, so where `X` is absent too their blocks are unsupported. In a
@@ -270,21 +286,65 @@ fn holed_bindings(seed: u64) -> Bindings {
     binds
 }
 
+/// [`bindings`] with `X`'s stored values replaced, one by one in turn, by
+/// `0.0`, `-0.0`, `inf`, `-inf` and NaN where `(row + col + seed) % 3 ==
+/// 0`: they stay stored, so a zero-filled panel must read them as stored.
+fn special_bindings(seed: u64) -> Bindings {
+    let mut binds = bindings(seed);
+    let specials = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+    let mut next = 0;
+    let mut special = |r: usize, c: usize, v: f64| {
+        if !(r + c + seed as usize).is_multiple_of(3) {
+            return v;
+        }
+        next += 1;
+        specials[next % specials.len()]
+    };
+    let x = &binds["X"];
+    let blocks: Vec<_> = x
+        .iter_blocks()
+        .map(|(bi, bj, b)| {
+            let block = match &**b {
+                Block::Sparse(s) => Block::Sparse(s.map_stored(&mut special)),
+                Block::Dense(d) => {
+                    let mut d = d.clone();
+                    for r in 0..d.rows() {
+                        for c in 0..d.cols() {
+                            d.set(r, c, special(r, c, d.get(r, c)));
+                        }
+                    }
+                    Block::Dense(d)
+                }
+            };
+            ((bi, bj), block)
+        })
+        .collect();
+    let special_x = BlockedMatrix::from_blocks(*x.meta(), blocks).unwrap();
+    binds.insert("X".to_string(), Arc::new(special_x));
+    binds
+}
+
 /// Runs of output blocks evaluated as row panels, pinned: GNMF's loss
 /// `sum((X - Y %*% Y)^2)` and its `rowSums`, `colSums`, min and max forms,
-/// a stored element-wise output over a product with a computed right
-/// operand (`(Y %*% t(Y)) + X`), and bare products, whose `R > 1` layouts
-/// hand back stage-1 partials run by run. Every binding of a few seeds
-/// plus one with holes in `Y`, under tilings whose runs are whole block
-/// rows, cut by tile edges, or single blocks. Runs are also cut by
-/// unsupported blocks (the holes), fall back where a run's blocks sum over
-/// different `k`s (the holes) or a product compacts to sparse (the hazard
-/// binding), and read absent and sparse `X` blocks as zeros (every
-/// binding).
+/// longer chains after the product (`exp(X - Y %*% Y) * X`, whose `* X`
+/// gates it block by block, and `exp(X - Y %*% Y) - Y`, which runs on the
+/// panel) in full, row and column forms, `sum(X + 1 / -(Y %*% Y))`, which
+/// tells a product's zeros stored dense (`-0.0`, so `-inf`) from a product
+/// compacted to sparse (`+inf`), a stored element-wise output over
+/// a product with a computed right operand (`(Y %*% t(Y)) + X`), GNMF's
+/// update shape `Y * (t(Y) %*% X)`, whose `k`s come from `X`'s column when
+/// it holds fewer blocks than `t(Y)`'s, and bare products, whose `R > 1`
+/// layouts hand back stage-1 partials run by run. Every binding of a few
+/// seeds plus one with holes in `Y` and one with `±0.0`, `±inf` and NaN
+/// stored in `X`, under tilings whose runs are whole block rows, cut by
+/// tile edges, or single blocks. Runs are also cut by unsupported blocks
+/// (the holes), fall back where a run's blocks sum over different `k`s
+/// (the holes) or a product compacts to sparse (the hazard binding), and
+/// read absent and sparse `X` blocks as zeros (every binding).
 #[test]
 fn panel_runs_match_interpreter() {
     type Shape = fn(&mut DagBuilder, Expr, Expr) -> Expr;
-    let shapes: [Shape; 8] = [
+    let shapes: [Shape; 16] = [
         |b, x, y| {
             let e = squared_error(b, x, y);
             b.full_agg(e, AggOp::Sum)
@@ -306,9 +366,46 @@ fn panel_runs_match_interpreter() {
             b.full_agg(e, AggOp::Max)
         },
         |b, x, y| {
+            let e = exp_gated(b, x, y);
+            b.full_agg(e, AggOp::Sum)
+        },
+        |b, x, y| {
+            let e = exp_gated(b, x, y);
+            b.row_agg(e, AggOp::Sum)
+        },
+        |b, x, y| {
+            let e = exp_gated(b, x, y);
+            b.col_agg(e, AggOp::Sum)
+        },
+        |b, x, y| {
+            let e = exp_shifted(b, x, y);
+            b.full_agg(e, AggOp::Sum)
+        },
+        |b, x, y| {
+            let e = exp_shifted(b, x, y);
+            b.row_agg(e, AggOp::Max)
+        },
+        |b, x, y| {
+            let e = exp_shifted(b, x, y);
+            b.col_agg(e, AggOp::Sum)
+        },
+        |b, x, y| {
+            let p = b.matmul(y, y);
+            let neg = b.unary(p, UnaryOp::Neg);
+            let one = b.scalar(1.0);
+            let inv = b.binary(one, neg, BinOp::Div);
+            let e = b.binary(x, inv, BinOp::Add);
+            b.full_agg(e, AggOp::Sum)
+        },
+        |b, x, y| {
             let yt = b.transpose(y);
             let p = b.matmul(y, yt);
             b.binary(p, x, BinOp::Add)
+        },
+        |b, x, y| {
+            let yt = b.transpose(y);
+            let p = b.matmul(yt, x);
+            b.binary(y, p, BinOp::Mul)
         },
         |b, _, y| b.matmul(y, y),
         |b, _, y| {
@@ -332,7 +429,8 @@ fn panel_runs_match_interpreter() {
         let out = shape(&mut b, x, y);
         let dag = b.finish(vec![out]);
         for seed in 0..3 {
-            let binds = all_bindings(seed).into_iter().chain([holed_bindings(seed)]);
+            let more = [holed_bindings(seed), special_bindings(seed)];
+            let binds = all_bindings(seed).into_iter().chain(more);
             for binds in binds {
                 for plan in plans(&dag, &cluster) {
                     let values = values_for(&dag, &plan, &binds, seed);
