@@ -181,8 +181,8 @@ impl UnitKernel {
         wanted.retain(|&c| mm.has_support(c));
         let mut out = Vec::with_capacity(wanted.len());
         for run in runs(&wanted) {
-            mm.eval_run(run, |c, piece| {
-                out.push((c, piece.into_block()));
+            mm.eval_run(run, |c, b| {
+                out.push((c, b));
                 Ok(())
             })?;
         }
@@ -203,8 +203,7 @@ impl UnitKernel {
         let Some((op, shape)) = self.agg else {
             let mut out = Vec::with_capacity(supported.len());
             for run in runs(&supported) {
-                program.eval_run(run, |c, piece| {
-                    let b = piece.into_block();
+                program.eval_run(run, |c, b| {
                     if b.nnz() > 0 {
                         out.push((c, b));
                     }

@@ -45,12 +45,11 @@
 //!   off one walk of its row, and a multiplication whose left operand
 //!   bounds its `k`s ORs its right operand's rows over those `k`s.
 //!
-//! Tasks evaluate their supported output blocks a **run** at a time
-//! ([`TaskProgram::eval_run`]): a maximal stretch of adjacent blocks in one
-//! block row. A run of two or more blocks goes through the value program
-//! once, every slot holding a dense *row panel*, the run's blocks of its
-//! node side by side, when every slot of every block would be
-//! `Block::Dense` on the per-block path. That is read off facts at hand:
+//! Tasks evaluate their supported output blocks a **run** at a time: a
+//! maximal stretch of adjacent blocks in one block row. A run of two or
+//! more blocks goes through the value program in one **row pass** when
+//! every slot of every block would be `Block::Dense` on the per-block path.
+//! That is read off facts at hand:
 //!
 //! * the program has no transpose, swapped instruction or deferred chain;
 //! * every load's blocks in the run are dense, except for a load whose only
@@ -64,27 +63,28 @@
 //! * after the product, no block of the run holds so few non-zeros that
 //!   `compact()` would store it sparse.
 //!
-//! Any other run, and every run of one block, goes block by block. On the
-//! panel a multiplication is one [`DenseBlock::gemm_panel`]: the left
-//! operand's blocks at the run's `k`s side by side, times the right
-//! operand's blocks stacked (kept for the tile's next run with the same
-//! columns and `k`s). Each element accumulates from `+0.0` over the
-//! concatenated inner index in ascending order, skipping zero left
-//! entries: per block, what `gemm_acc` chained over ascending `k` gives.
-//! Element-wise operators run in place on the panel, and a block that is
-//! stored is cut out of it as a `Block::Dense`.
+//! Any other run, and every run of one block, goes block by block. In the
+//! pass only the products are panels, the run's blocks side by side: each
+//! is one [`DenseBlock::gemm_panel`], the left operand's blocks at the
+//! run's `k`s side by side, times the right operand's blocks stacked (kept
+//! for the tile's next run with the same columns and `k`s). Each element
+//! accumulates from `+0.0` over the concatenated inner index in ascending
+//! order, skipping zero left entries: per block, what `gemm_acc` chained
+//! over ascending `k` gives. The products' zeros are counted for the
+//! compaction rule before anything else is computed. Then, element row by
+//! element row, the other instructions run over one row of scratch per
+//! slot, loads reading their blocks' rows in place (a sparse block's stored
+//! entries over zeros), and the root's row goes to one of two sinks:
 //!
-//! An aggregation root folds in the same pass ([`TaskProgram::fold_run`]):
-//! only the products are panels. Element row by element row, the other
-//! instructions run over one row of scratch per slot, loads reading their
-//! blocks' rows in place (a sparse block's stored entries over zeros), the
-//! products' zeros are counted for the compaction rule, and every block's
-//! accumulators take the root's values of the row in column order. So each
-//! accumulator is fed, from the identity, exactly the values, in exactly
-//! the order, that `Block::agg`, `row_agg` or `col_agg` fold of the dense
-//! block; nothing leaves the pass until every block of the run has passed
-//! the rule. `fused_op` then combines the blocks' folds in tile order, with
-//! unsupported blocks folded as zero blocks.
+//! * **store** ([`TaskProgram::eval_run`]): each block's chunk of the row
+//!   is appended to that block's elements, and the blocks are handed back
+//!   as `Block::Dense`;
+//! * **fold** ([`TaskProgram::fold_run`]), for an aggregation root: every
+//!   block's accumulators take the chunk's values in column order. So each
+//!   accumulator is fed, from the identity, exactly the values, in exactly
+//!   the order, that `Block::agg`, `row_agg` or `col_agg` fold of the
+//!   dense block. `fused_op` then combines the blocks' folds in tile
+//!   order, with unsupported blocks folded as zero blocks.
 //!
 //! A task's [`LocalStore`] keeps one [`BlockList`] per plan node, the same
 //! sorted list a `BlockedMatrix` keeps its blocks in, so a multiplication's
@@ -569,7 +569,7 @@ struct Instr {
     /// Part of a [`Chain`]: run by the consuming `Zip`, not in order.
     deferred: bool,
     /// A load whose only reader is a non-zero-dominant `Zip` with a
-    /// computed other side: on a row panel its sparse and absent blocks
+    /// computed other side: in the row pass its sparse and absent blocks
     /// read as zero-filled dense ones, which is what `Block::zip` makes of
     /// them against a dense block.
     zero_fill: bool,
@@ -581,8 +581,8 @@ struct Region {
     instrs: Vec<Instr>,
     sup: Sup,
     matmuls: usize,
-    /// Runs of blocks may be evaluated as row panels: no transpose,
-    /// swapped instruction, deferred chain or failing instruction.
+    /// Runs of blocks may go through the row pass: no transpose, swapped
+    /// instruction, deferred chain or failing instruction.
     panels: bool,
     /// One empty block per block shape of every load and multiplication:
     /// what an absent block or a product without terms reads as.
@@ -949,7 +949,7 @@ fn empty_slot() -> SimError {
 struct RegionState<'s> {
     slots: Vec<Val<'s>>,
     matmuls: Vec<MatMulState<'s>>,
-    fold: FoldScratch<'s>,
+    scratch: RowScratch<'s>,
 }
 
 struct MatMulState<'s> {
@@ -1006,7 +1006,7 @@ impl<'s> RegionState<'s> {
         RegionState {
             slots: (0..region.instrs.len()).map(|_| Val::Empty).collect(),
             matmuls,
-            fold: FoldScratch::default(),
+            scratch: RowScratch::default(),
         }
     }
 }
@@ -1358,22 +1358,6 @@ impl<'s> MatMulState<'s> {
     }
 }
 
-/// `true` unless some block of the run's product panel holds so few
-/// non-zeros that `compact()` would store it sparse.
-fn all_dense(product: &DenseBlock, run: &Run<'_>) -> bool {
-    run.spans.iter().all(|span| {
-        let nnz = (0..product.rows())
-            .map(|r| {
-                product.row(r)[span.clone()]
-                    .iter()
-                    .filter(|&&v| v != 0.0)
-                    .count()
-            })
-            .sum();
-        !compacts_to_sparse(nnz, product.rows() * span.len())
-    })
-}
-
 /// The right operand's blocks at `ks` over the run's columns, stacked, each
 /// `k`'s `heights` rows high; `None` unless they are all supported and
 /// dense.
@@ -1426,8 +1410,8 @@ fn stack_right<'s>(
     Ok(Some(stacked))
 }
 
-/// Whether a load's block of `shape` reads as part of a dense panel: it is
-/// dense, or the load is [`Instr::zero_fill`] and the block sparse or
+/// Whether a load's block of `shape` reads as dense in the row pass: it
+/// is dense, or the load is [`Instr::zero_fill`] and the block sparse or
 /// absent.
 fn reads_dense(ins: &Instr, block: Option<&Arc<Block>>, shape: (usize, usize)) -> bool {
     match block.map(|b| &**b) {
@@ -1435,32 +1419,6 @@ fn reads_dense(ins: &Instr, block: Option<&Arc<Block>>, shape: (usize, usize)) -
         Some(Block::Sparse(s)) => ins.zero_fill && (s.rows(), s.cols()) == shape,
         None => ins.zero_fill,
     }
-}
-
-/// A load's blocks at the run, side by side, or `None` when one does not
-/// [`reads_dense`].
-fn load_panel(t: &Bound<'_>, load: usize, ins: &Instr, run: &Run<'_>) -> Option<DenseBlock> {
-    let mut panel = DenseBlock::zeros(run.rows, run.width());
-    let blocks = row_blocks(t.loads[load], run.row, run);
-    for (block, span) in blocks.zip(&run.spans) {
-        if !reads_dense(ins, block, (run.rows, span.len())) {
-            return None;
-        }
-        match block.map(|b| &**b) {
-            Some(Block::Dense(d)) => {
-                for r in 0..run.rows {
-                    panel.row_mut(r)[span.clone()].copy_from_slice(d.row(r));
-                }
-            }
-            Some(Block::Sparse(s)) => {
-                for (r, c, v) in s.iter() {
-                    panel.set(r, span.start + c, v);
-                }
-            }
-            None => {}
-        }
-    }
-    Some(panel)
 }
 
 /// The blocks of `list` in row `row` at the run's columns, in run order.
@@ -1478,81 +1436,6 @@ fn row_blocks<'a, 'l: 'a>(
         while present.next_if(|&((_, at), _)| at < j).is_some() {}
         present.next_if(|&((_, at), _)| at == j).map(|(_, b)| b)
     })
-}
-
-/// Takes a panel slot for its last reader, or copies it.
-fn panel_input(
-    slots: &mut [Option<DenseBlock>],
-    instrs: &[Instr],
-    src: usize,
-) -> Result<DenseBlock, SimError> {
-    let panel = if instrs[src].uses == 1 {
-        slots[src].take()
-    } else {
-        slots[src].clone()
-    };
-    panel.ok_or_else(empty_slot)
-}
-
-/// `l op r` over two panels, in place in a side nobody else reads.
-fn zip_panels(
-    slots: &mut [Option<DenseBlock>],
-    instrs: &[Instr],
-    op: BinOp,
-    [l, r]: [usize; 2],
-) -> Result<DenseBlock, SimError> {
-    if instrs[l].uses == 1 {
-        let mut a = panel_input(slots, instrs, l)?;
-        let b = slots[r].as_ref().ok_or_else(empty_slot)?;
-        for (x, &y) in a.data_mut().iter_mut().zip(b.data()) {
-            *x = op.apply(*x, y);
-        }
-        Ok(a)
-    } else {
-        let mut b = panel_input(slots, instrs, r)?;
-        let a = slots[l].as_ref().ok_or_else(empty_slot)?;
-        for (y, &x) in b.data_mut().iter_mut().zip(a.data()) {
-            *y = op.apply(x, *y);
-        }
-        Ok(b)
-    }
-}
-
-/// Evaluates `region` at a run of blocks in one block row as one row
-/// panel: every slot holds its node's blocks at the run side by side, and
-/// every instruction runs once over the whole panel. Returns `None` as soon
-/// as some block of the run would not be `Block::Dense` on the per-block
-/// path; the run then goes block by block.
-fn eval_panel<'s>(
-    region: &'s Region,
-    st: &mut RegionState<'s>,
-    t: &Bound<'s>,
-    run: &Run<'_>,
-) -> Result<Option<DenseBlock>, SimError> {
-    let instrs = &region.instrs;
-    let mut slots: Vec<Option<DenseBlock>> = Vec::with_capacity(instrs.len());
-    for ins in instrs {
-        let panel = match &ins.op {
-            Op::Load(load) => load_panel(t, *load, ins, run),
-            Op::Cell(cell, src) => {
-                let mut p = panel_input(&mut slots, instrs, *src)?;
-                for v in p.data_mut() {
-                    *v = cell.apply(*v);
-                }
-                Some(p)
-            }
-            Op::Zip { op, l, r, .. } => Some(zip_panels(&mut slots, instrs, *op, [*l, *r])?),
-            Op::MatMul(mm) => {
-                (st.matmuls[mm.state].panel(mm, t, run)?).filter(|p| all_dense(p, run))
-            }
-            Op::Transpose(_) | Op::Fail(_) => None,
-        };
-        let Some(panel) = panel else {
-            return Ok(None);
-        };
-        slots.push(Some(panel));
-    }
-    slots.pop().flatten().ok_or_else(empty_slot).map(Some)
 }
 
 /// How an aggregation root folds each block of the node it aggregates:
@@ -1587,40 +1470,52 @@ impl AggShape {
     }
 }
 
-/// Per-task scratch of [`fold_panel`], reused run after run.
+/// Where [`row_pass`] sends the root's rows.
+#[derive(Debug, Clone, Copy)]
+enum Sink {
+    /// Each block's elements into `RowScratch::outs`.
+    Store,
+    /// Each block's fold by `op` into `RowScratch::accs`.
+    Fold(AggOp, AggShape),
+}
+
+/// Per-task scratch of [`row_pass`], reused run after run.
 #[derive(Default)]
-struct FoldScratch<'s> {
+struct RowScratch<'s> {
     /// One element row of every slot: slot `x` at `x * width..`.
     rows: Vec<f64>,
     /// Every load's blocks at the run, load after load.
     blocks: Vec<Option<&'s Arc<Block>>>,
     /// Every multiplication's product panel.
     products: Vec<DenseBlock>,
-    /// Zeros of every product in every block of the run.
-    zeros: Vec<usize>,
-    /// Every block's fold, block after block: one value, one per row, or
+    /// The fold sink's values, block after block: one, one per row, or
     /// one per column.
     accs: Vec<f64>,
+    /// The store sink's blocks, each its elements row-major, in run order.
+    outs: Vec<Vec<f64>>,
 }
 
-/// Evaluates `region` at a run of blocks under the rules of [`eval_panel`]
-/// and folds the root's values into `FoldScratch::accs` in the same pass
-/// (the module doc tells how). Returns `false`, leaving the accumulators
-/// unread, when some block of the run would not be `Block::Dense` on the
-/// per-block path.
-fn fold_panel<'s>(
+/// Evaluates `region` at a run of blocks in one pass and sends the root's
+/// rows to `sink` (the module doc tells how). Returns `false` when some
+/// block of the run would not be `Block::Dense` on the per-block path,
+/// before the sink is touched.
+fn row_pass<'s>(
     region: &'s Region,
     st: &mut RegionState<'s>,
     t: &Bound<'s>,
     run: &Run<'_>,
-    op: AggOp,
-    shape: AggShape,
+    sink: Sink,
 ) -> Result<bool, SimError> {
     let instrs = &region.instrs;
     let RegionState {
-        matmuls, fold: sc, ..
+        matmuls,
+        scratch: sc,
+        ..
     } = st;
     let (n, width) = (run.coords.len(), run.width());
+    // Every block of the run is `bs` columns wide but the last, which may
+    // be narrower: the blocks of a row are its chunks of `bs`.
+    let bs = run.spans[0].len();
     sc.blocks.clear();
     sc.products.clear();
     for ins in instrs {
@@ -1633,27 +1528,50 @@ fn fold_panel<'s>(
                     sc.blocks.push(b);
                 }
             }
-            Op::MatMul(mm) => match matmuls[mm.state].panel(mm, t, run)? {
-                Some(p) => sc.products.push(p),
-                None => return Ok(false),
-            },
+            Op::MatMul(mm) => {
+                let Some(product) = matmuls[mm.state].panel(mm, t, run)? else {
+                    return Ok(false);
+                };
+                // The compaction rule: no block of the product may hold so
+                // few non-zeros that `compact()` would store it sparse.
+                let zeros = |span: &Range<usize>| -> usize {
+                    (0..run.rows)
+                        .map(|r| product.row(r)[span.clone()].iter().filter(|&&v| v == 0.0))
+                        .map(Iterator::count)
+                        .sum()
+                };
+                let compacts = product.data().contains(&0.0)
+                    && run.spans.iter().any(|span| {
+                        let elems = run.rows * span.len();
+                        compacts_to_sparse(elems - zeros(span), elems)
+                    });
+                if compacts {
+                    return Ok(false);
+                }
+                sc.products.push(product);
+            }
             Op::Cell(..) | Op::Zip { .. } => {}
             Op::Transpose(_) | Op::Fail(_) => return Ok(false),
         }
     }
     sc.rows.resize(instrs.len() * width, 0.0);
-    sc.zeros.clear();
-    sc.zeros.resize(sc.products.len() * n, 0);
-    sc.accs.clear();
-    let accs = match shape {
-        AggShape::Full => n,
-        AggShape::Row => n * run.rows,
-        AggShape::Col => width,
-    };
-    sc.accs.resize(accs, op.identity());
-    // Every block of the run is `bs` columns wide but the last, which may
-    // be narrower: the blocks of a row are its chunks of `bs`.
-    let bs = run.spans[0].len();
+    match sink {
+        Sink::Store => {
+            sc.outs.clear();
+            for span in &run.spans {
+                sc.outs.push(Vec::with_capacity(run.rows * span.len()));
+            }
+        }
+        Sink::Fold(op, shape) => {
+            sc.accs.clear();
+            let accs = match shape {
+                AggShape::Full => n,
+                AggShape::Row => n * run.rows,
+                AggShape::Col => width,
+            };
+            sc.accs.resize(accs, op.identity());
+        }
+    }
     for r in 0..run.rows {
         let mut loads = sc.blocks.chunks(n);
         for (x, ins) in instrs.iter().enumerate() {
@@ -1685,15 +1603,7 @@ fn fold_panel<'s>(
                         }
                     }
                 }
-                Op::MatMul(mm) => {
-                    let row = products[mm.state].row(r);
-                    if row.iter().filter(|&&v| v == 0.0).count() > 0 {
-                        let zeros = &mut sc.zeros[mm.state * n..(mm.state + 1) * n];
-                        for (count, block) in zeros.iter_mut().zip(row.chunks(bs)) {
-                            *count += block.iter().filter(|&&v| v == 0.0).count();
-                        }
-                    }
-                }
+                Op::MatMul(_) => {}
                 Op::Cell(cell, src) => cell.apply_row(out, slot(*src)),
                 Op::Zip {
                     op, l, r: right, ..
@@ -1706,30 +1616,30 @@ fn fold_panel<'s>(
             _ => &sc.rows[(instrs.len() - 1) * width..],
         };
         let blocks = root.chunks(bs);
-        match shape {
-            AggShape::Full => {
+        match sink {
+            Sink::Store => {
+                for (out, block) in sc.outs.iter_mut().zip(blocks) {
+                    out.extend_from_slice(block);
+                }
+            }
+            Sink::Fold(op, AggShape::Full) => {
                 for (acc, block) in sc.accs.iter_mut().zip(blocks) {
                     *acc = fold_from(op, *acc, block);
                 }
             }
-            AggShape::Row => {
+            Sink::Fold(op, AggShape::Row) => {
                 for (acc, block) in sc.accs[r..].iter_mut().step_by(run.rows).zip(blocks) {
                     *acc = fold_from(op, op.identity(), block);
                 }
             }
-            AggShape::Col => {
+            Sink::Fold(op, AggShape::Col) => {
                 for (acc, &v) in sc.accs.iter_mut().zip(root) {
                     *acc = op.combine(*acc, v);
                 }
             }
         }
     }
-    let zeros = &sc.zeros;
-    let dense = |p: usize, b: usize| {
-        let elems = run.rows * run.spans[b].len();
-        !compacts_to_sparse(elems - zeros[p * n + b], elems)
-    };
-    Ok((0..sc.products.len()).all(|p| (0..n).all(|b| dense(p, b))))
+    Ok(true)
 }
 
 /// `acc` combined with every value in order, as `AggOp::fold` combines
@@ -1800,31 +1710,6 @@ impl<'a> Run<'a> {
     /// Element columns of the panel.
     fn width(&self) -> usize {
         self.spans.last().map_or(0, |s| s.end)
-    }
-}
-
-/// One block of a run, as [`TaskProgram::eval_run`] hands it over.
-pub enum Piece<'a> {
-    /// The block, evaluated on its own.
-    Block(Arc<Block>),
-    /// Columns `cols` of the run's row panel: the values of a block that is
-    /// `Block::Dense` on the per-block path.
-    Panel {
-        /// The run's blocks side by side.
-        panel: &'a DenseBlock,
-        /// The block's columns in `panel`.
-        cols: Range<usize>,
-    },
-}
-
-impl Piece<'_> {
-    /// The block as [`TaskProgram::eval`] returns it: a panel's columns are
-    /// cut out as a dense block.
-    pub fn into_block(self) -> Arc<Block> {
-        match self {
-            Piece::Block(b) => b,
-            Piece::Panel { panel, cols } => Arc::new(Block::Dense(panel.columns(cols))),
-        }
     }
 }
 
@@ -1905,37 +1790,22 @@ impl<'s> TaskProgram<'s> {
     }
 
     /// The node's blocks at `run`, coordinates in one block row with
-    /// columns ascending, handed to `f` in order. A run of two or more blocks is evaluated as one row
-    /// panel when every block of it would be dense on the way; otherwise
-    /// block by block with [`TaskProgram::eval`]. Either way every value
-    /// has the same bits.
+    /// columns ascending, handed to `f` in order: the blocks
+    /// [`TaskProgram::eval`] returns, with the same bits and formats. A run
+    /// of two or more blocks is stored by the row pass when every block of
+    /// it would be dense on the way; otherwise it goes block by block.
     pub fn eval_run(
         &mut self,
         run: &[Coord],
-        mut f: impl FnMut(Coord, Piece<'_>) -> Result<(), SimError>,
+        mut f: impl FnMut(Coord, Arc<Block>) -> Result<(), SimError>,
     ) -> Result<(), SimError> {
-        let region = &self.program.region;
-        let root = region
-            .instrs
-            .last()
-            .filter(|_| run.len() > 1 && region.panels);
-        if let Some(root) = root {
-            let layout = Run::new(&root.meta, run);
-            if let Some(panel) = eval_panel(region, &mut self.state, &self.bound, &layout)? {
-                for (&c, cols) in run.iter().zip(layout.spans) {
-                    f(
-                        c,
-                        Piece::Panel {
-                            panel: &panel,
-                            cols,
-                        },
-                    )?;
-                }
-                return Ok(());
-            }
-        }
-        for &c in run {
-            f(c, Piece::Block(self.eval(c)?))?;
+        let Some(layout) = self.pass_or_each(run, Sink::Store, &mut f)? else {
+            return Ok(());
+        };
+        let outs = self.state.scratch.outs.drain(..);
+        for ((&c, span), data) in run.iter().zip(&layout.spans).zip(outs) {
+            let block = DenseBlock::from_vec(layout.rows, span.len(), data)?;
+            f(c, Arc::new(Block::Dense(block)))?;
         }
         Ok(())
     }
@@ -1944,8 +1814,8 @@ impl<'s> TaskProgram<'s> {
     /// of `shape`, handed to `f` block by block in order: the values
     /// [`AggShape::fold_block`] gives for the block [`TaskProgram::eval`]
     /// returns, with the same bits. A run of two or more blocks is folded
-    /// in the pass that evaluates it as a row panel when every block of it
-    /// would be dense on the way; otherwise block by block.
+    /// by the row pass when every block of it would be dense on the way;
+    /// otherwise block by block.
     pub fn fold_run(
         &mut self,
         run: &[Coord],
@@ -1953,28 +1823,45 @@ impl<'s> TaskProgram<'s> {
         shape: AggShape,
         mut f: impl FnMut(Coord, &[f64]),
     ) -> Result<(), SimError> {
-        let region = &self.program.region;
-        let root = (region.instrs.last()).filter(|_| run.len() > 1 && region.panels);
-        if let Some(root) = root {
-            let layout = Run::new(&root.meta, run);
-            if fold_panel(region, &mut self.state, &self.bound, &layout, op, shape)? {
-                let mut at = 0;
-                for (&c, span) in run.iter().zip(&layout.spans) {
-                    let len = shape.len(layout.rows, span.len());
-                    f(c, &self.state.fold.accs[at..at + len]);
-                    at += len;
-                }
-                return Ok(());
-            }
-        }
         let mut values = Vec::new();
-        for &c in run {
-            let b = self.eval(c)?;
+        let each = |c, b: Arc<Block>| {
             values.clear();
             shape.fold_block(op, &b, &mut values);
             f(c, &values);
+            Ok(())
+        };
+        let Some(layout) = self.pass_or_each(run, Sink::Fold(op, shape), each)? else {
+            return Ok(());
+        };
+        let mut at = 0;
+        for (&c, span) in run.iter().zip(&layout.spans) {
+            let len = shape.len(layout.rows, span.len());
+            f(c, &self.state.scratch.accs[at..at + len]);
+            at += len;
         }
         Ok(())
+    }
+
+    /// Runs `run` through the row pass into `sink` when the run qualifies,
+    /// returning its layout; otherwise hands `each` every block as
+    /// [`TaskProgram::eval`] returns it, and returns `None`.
+    fn pass_or_each<'r>(
+        &mut self,
+        run: &'r [Coord],
+        sink: Sink,
+        mut each: impl FnMut(Coord, Arc<Block>) -> Result<(), SimError>,
+    ) -> Result<Option<Run<'r>>, SimError> {
+        let region = &self.program.region;
+        if let Some(root) = (region.instrs.last()).filter(|_| run.len() > 1 && region.panels) {
+            let layout = Run::new(&root.meta, run);
+            if row_pass(region, &mut self.state, &self.bound, &layout, sink)? {
+                return Ok(Some(layout));
+            }
+        }
+        for &c in run {
+            each(c, self.eval(c)?)?;
+        }
+        Ok(None)
     }
 }
 

@@ -12,23 +12,24 @@
 //!   per-operator intermediate `Block` (`+ eps`, `log`) or a
 //!   per-(node, block) map entry would add to either.
 //! * GNMF's loss `sum((X - V %*% U)^2)`, folded a run of blocks at a
-//!   time. A run on the row-panel path allocates per run, not per block:
-//!   the run's layout, the left operand blocks and the product panel. The
+//!   time. A run on the row pass allocates per run, not per block: the
+//!   run's layout, the left operand blocks and the product panel. The
 //!   fold runs in the same pass from the task's scratch, so no other panel
 //!   exists: `X` is read from its blocks, and the difference and its
 //!   square from one element row.
 //! * The same compute node `(X - V %*% U)^2` as a stored output,
-//!   evaluated a run of blocks at a time. A row whose product compacts to
-//!   sparse goes block by block, as many times as before, after the five
-//!   allocations of the abandoned panel (the run's layout, slots, `X`, the
-//!   left operand blocks, the product).
+//!   evaluated a run of blocks at a time by the same pass: the same three
+//!   allocations per run, and per block only its elements and the `Arc`
+//!   handed back. A row whose product compacts to sparse goes block by
+//!   block, as many times as before, after the three allocations of the
+//!   abandoned pass; its output blocks are never allocated.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use fuseme_exec::kernel::{AggShape, BlockProgram, Footprint, Piece};
+use fuseme_exec::kernel::{AggShape, BlockProgram, Footprint};
 use fuseme_exec::LocalStore;
 use fuseme_matrix::{gen, AggOp, BinOp, Block, UnaryOp};
 use fuseme_plan::{DagBuilder, NodeId, QueryDag};
@@ -171,29 +172,52 @@ fn run(i: usize) -> Vec<(usize, usize)> {
     (0..32).map(|j| (i, j)).collect()
 }
 
-/// Evaluates row `row` of the loss's compute node as one run, after row
-/// `row + 1` (which sizes the task's scratch and stacks `U`'s panel), and
-/// returns the allocations it took, whether each block came from the row
-/// panel, and the allocations of evaluating the same blocks one by one
-/// afterwards.
-fn loss_run_allocations(row: usize) -> (u64, Vec<bool>, u64) {
+/// What evaluating row `row` of the loss's compute node as one run, after
+/// row `row + 1` (which sizes the task's scratch and stacks `U`'s panel),
+/// allocates and hands back, and what evaluating the same blocks one by one
+/// afterwards does.
+struct Stored {
+    run_allocs: u64,
+    run: Vec<Arc<Block>>,
+    each_allocs: u64,
+    each: Vec<Arc<Block>>,
+}
+
+fn loss_run_allocations(row: usize) -> Stored {
     let (dag, ops, mm, sq, store) = loss_fixture();
     let program = BlockProgram::compile(&dag, &ops, Some(mm), sq);
     let mut task = program.bind(&store, 0..3);
     task.eval_run(&run(row + 1), |_, _| Ok(())).unwrap();
-    let (run, mut panel) = (run(row), Vec::with_capacity(32));
+    let (coords, mut run) = (run(row), Vec::with_capacity(32));
     let before = allocs();
-    task.eval_run(&run, |_, p| {
-        panel.push(matches!(p, Piece::Panel { .. }));
+    task.eval_run(&coords, |_, b| {
+        run.push(b);
         Ok(())
     })
     .unwrap();
-    let ran = allocs() - before;
+    let run_allocs = allocs() - before;
+    let mut each = Vec::with_capacity(32);
     let before = allocs();
-    for &c in &run {
-        task.eval(c).unwrap();
+    for &c in &coords {
+        each.push(task.eval(c).unwrap());
     }
-    (ran, panel, allocs() - before)
+    Stored {
+        run_allocs,
+        run,
+        each_allocs: allocs() - before,
+        each,
+    }
+}
+
+/// The two lists hold the same blocks, bit for bit and format for format.
+fn assert_same_blocks(got: &[Arc<Block>], want: &[Arc<Block>]) {
+    assert_eq!(got.len(), want.len());
+    for (g, w) in got.iter().zip(want) {
+        assert_eq!(g.is_sparse(), w.is_sparse());
+        let bits =
+            |b: &Block| -> Vec<u64> { b.to_dense().data().iter().map(|v| v.to_bits()).collect() };
+        assert_eq!(bits(g), bits(w));
+    }
 }
 
 #[test]
@@ -220,15 +244,28 @@ fn loss_runs_allocate_three_times_per_run_on_the_fused_fold() {
 }
 
 #[test]
+fn stored_loss_runs_allocate_three_times_per_run_and_twice_per_block() {
+    // Row 2's products are dense: the row pass stores it, each block's
+    // elements appended row by row to one buffer and wrapped in an `Arc`.
+    let stored = loss_run_allocations(2);
+    assert_eq!(stored.run_allocs, 3 + 2 * 32);
+    assert!(stored.run.iter().all(|b| !b.is_sparse()));
+    assert_same_blocks(&stored.run, &stored.each);
+}
+
+#[test]
 fn loss_rows_that_compact_to_sparse_go_block_by_block() {
-    // The panel is abandoned once the product is known: its five
-    // allocations are spent, then every block allocates as `eval` does.
-    let (n, panel, per_block) = loss_run_allocations(1);
-    assert!(panel.iter().all(|&p| !p), "{panel:?}");
-    assert_eq!(n, per_block + 5);
+    // The pass is abandoned once the product is known, before any output
+    // block exists: its three allocations are spent, then every block
+    // allocates as `eval` does.
+    let stored = loss_run_allocations(1);
+    assert!(stored.run.iter().any(|b| b.is_sparse()));
+    assert_eq!(stored.run_allocs, stored.each_allocs + 3);
     assert!(
-        per_block >= panel.len() as u64,
-        "{per_block} for {} blocks",
-        panel.len()
+        stored.each_allocs >= stored.run.len() as u64,
+        "{} for {} blocks",
+        stored.each_allocs,
+        stored.run.len()
     );
+    assert_same_blocks(&stored.run, &stored.each);
 }

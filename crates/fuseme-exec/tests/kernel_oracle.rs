@@ -324,27 +324,30 @@ fn special_bindings(seed: u64) -> Bindings {
     binds
 }
 
-/// Runs of output blocks evaluated as row panels, pinned: GNMF's loss
+/// Runs of output blocks through the row pass, pinned: GNMF's loss
 /// `sum((X - Y %*% Y)^2)` and its `rowSums`, `colSums`, min and max forms,
 /// longer chains after the product (`exp(X - Y %*% Y) * X`, whose `* X`
 /// gates it block by block, and `exp(X - Y %*% Y) - Y`, which runs on the
-/// panel) in full, row and column forms, `sum(X + 1 / -(Y %*% Y))`, which
+/// pass) in full, row and column forms, `sum(X + 1 / -(Y %*% Y))`, which
 /// tells a product's zeros stored dense (`-0.0`, so `-inf`) from a product
 /// compacted to sparse (`+inf`), a stored element-wise output over
 /// a product with a computed right operand (`(Y %*% t(Y)) + X`), GNMF's
 /// update shape `Y * (t(Y) %*% X)`, whose `k`s come from `X`'s column when
-/// it holds fewer blocks than `t(Y)`'s, and bare products, whose `R > 1`
-/// layouts hand back stage-1 partials run by run. Every binding of a few
-/// seeds plus one with holes in `Y` and one with `±0.0`, `±inf` and NaN
-/// stored in `X`, under tilings whose runs are whole block rows, cut by
-/// tile edges, or single blocks. Runs are also cut by unsupported blocks
+/// it holds fewer blocks than `t(Y)`'s, bare products, whose `R > 1`
+/// layouts hand back stage-1 partials run by run, the loss's compute node
+/// `(X - Y %*% Y)^2` stored, which reads `X` zero-filled, and the update
+/// with its denominator `Y * (t(Y) %*% X) / (Y + 1e-9)`, whose stage 2 at
+/// `R > 1` is an element-wise output stored by the row pass. Every binding
+/// of a few seeds plus one with holes in `Y` and one with `±0.0`, `±inf`
+/// and NaN stored in `X`, under tilings whose runs are whole block rows,
+/// cut by tile edges, or single blocks. Runs are also cut by unsupported blocks
 /// (the holes), fall back where a run's blocks sum over different `k`s
 /// (the holes) or a product compacts to sparse (the hazard binding), and
 /// read absent and sparse `X` blocks as zeros (every binding).
 #[test]
 fn panel_runs_match_interpreter() {
     type Shape = fn(&mut DagBuilder, Expr, Expr) -> Expr;
-    let shapes: [Shape; 16] = [
+    let shapes: [Shape; 18] = [
         |b, x, y| {
             let e = squared_error(b, x, y);
             b.full_agg(e, AggOp::Sum)
@@ -411,6 +414,15 @@ fn panel_runs_match_interpreter() {
         |b, _, y| {
             let yt = b.transpose(y);
             b.matmul(y, yt)
+        },
+        squared_error,
+        |b, x, y| {
+            let yt = b.transpose(y);
+            let p = b.matmul(yt, x);
+            let num = b.binary(y, p, BinOp::Mul);
+            let eps = b.scalar(1e-9);
+            let den = b.binary(y, eps, BinOp::Add);
+            b.binary(num, den, BinOp::Div)
         },
     ];
     let tilings = [

@@ -105,19 +105,6 @@ impl DenseBlock {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// The block of columns `cols`, every row.
-    pub fn columns(&self, cols: std::ops::Range<usize>) -> DenseBlock {
-        let mut data = Vec::with_capacity(self.rows * cols.len());
-        for r in 0..self.rows {
-            data.extend_from_slice(&self.row(r)[cols.clone()]);
-        }
-        DenseBlock {
-            rows: self.rows,
-            cols: cols.len(),
-            data,
-        }
-    }
-
     /// Number of stored non-zero values.
     pub fn nnz(&self) -> usize {
         self.data.iter().filter(|&&v| v != 0.0).count()

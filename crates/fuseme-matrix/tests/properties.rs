@@ -478,7 +478,9 @@ proptest! {
             let mut acc = DenseBlock::zeros(m, w);
             for (l, r) in &terms {
                 prop_assert_eq!(m * l.cols() * w >= TILED_MIN_MACS, m > 7, "size class");
-                l.gemm_acc(&r.columns(cols.clone()), &mut acc).unwrap();
+                let cut = (0..r.rows()).flat_map(|i| r.row(i)[cols.clone()].to_vec()).collect();
+                let r = DenseBlock::from_vec(r.rows(), w, cut).unwrap();
+                l.gemm_acc(&r, &mut acc).unwrap();
             }
             for i in 0..m {
                 for (j, at) in cols.clone().enumerate() {
