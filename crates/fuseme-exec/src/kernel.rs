@@ -21,16 +21,22 @@
 //!   a chain, or the gate itself (`X * (A %*% B)`), the product is held
 //!   back too and computed at the gate's stored cells only: for each one,
 //!   a dot product from `+0.0` over the `k`s the support rule yields,
-//!   ascending, with [`DenseBlock::dot_acc`], which accumulates exactly as
-//!   `gemm_acc` does. The path needs a *certificate*, computed once per
-//!   operand block per task: every operand block is dense with every entry
-//!   `> 0`, and for each term the product of the two blocks' least entries
-//!   is `> 0`. Then every product cell is positive and the product would
-//!   reach the chain as a dense block, so the gated block is the one the
-//!   dense product would give. Without it, or without a sparse gate of the
-//!   same shape, the multiplication runs in full (dense accumulator,
-//!   `compact()`) and the zip takes its general path: `compact()` may make
-//!   the product sparse, which meets the gate differently.
+//!   ascending. [`DenseBlock::sampled_dot_acc`] computes them one term at
+//!   a time, four cells side by side as independent chains, reading the
+//!   operand blocks in place; the cell list and the dots live in the
+//!   task's scratch, so a gated block allocates only its sparse output.
+//!   The path needs a *certificate*, computed once per operand block per
+//!   task: every operand block is dense with every entry `> 0`, and for
+//!   each term the product of the two blocks' least entries is `> 0`. Then
+//!   every product cell is positive and the product would reach the chain
+//!   as a dense block, so the gated block is the one the dense product
+//!   would give. The certificate is also the kernel's precondition: the
+//!   kernel skips no zero left entries, which `gemm_acc` does, and with
+//!   none to skip the two accumulate exactly the same terms in the same
+//!   order. Without it, or without a sparse gate of the same shape, the
+//!   multiplication runs in full (dense accumulator, `compact()`) and the
+//!   zip takes its general path: `compact()` may make the product sparse,
+//!   which meets the gate differently.
 //!
 //!   An absent block, and a product without terms, reads as the empty
 //!   block of its shape that the compiled program holds, one per shape.
@@ -960,8 +966,9 @@ struct MatMulState<'s> {
     /// right, by coordinate: the block's least entry when it is dense with
     /// every entry `> 0`, else `None`.
     floors: [BTreeMap<Coord, Option<f64>>; 2],
-    /// A certified product's operand pairs, by ascending `k`.
-    terms: Vec<[Arc<Block>; 2]>,
+    /// A gated block's stored cells, and the certified product at them.
+    cells: Vec<(usize, usize)>,
+    dots: Vec<f64>,
     /// The right operand's row panel last stacked for a run: every run of
     /// a tile with the same columns and `k`s reads the same one.
     stacked: Option<Stacked>,
@@ -998,7 +1005,8 @@ impl<'s> RegionState<'s> {
                     left: memo(&mm.left),
                     right: memo(&mm.right),
                     floors: [BTreeMap::new(), BTreeMap::new()],
-                    terms: Vec::new(),
+                    cells: Vec::new(),
+                    dots: Vec::new(),
                     stacked: None,
                 });
             }
@@ -1081,19 +1089,10 @@ fn eval_region<'s>(
 /// dense base, computed at the sparse block's stored positions only —
 /// exactly what `Block::zip` stores for `sparse * dense` (the pattern of
 /// the sparse side, values `sparse · dense`), without the dense side ever
-/// existing. `base(r, c)` is the base's value at a stored cell.
-fn gate(sparse: &SparseBlock, chain: &Chain, base: impl Fn(usize, usize) -> f64) -> Block {
+/// existing. `base(r, c)` is the base's value at a stored cell; it is
+/// called once per cell, in storage order.
+fn gate(sparse: &SparseBlock, chain: &Chain, mut base: impl FnMut(usize, usize) -> f64) -> Block {
     Block::Sparse(sparse.map_stored(|r, c, v| v * chain.apply(base(r, c))))
-}
-
-/// Cell `(r, c)` of a certified product: a dot from `+0.0` over the terms
-/// in ascending `k` with [`DenseBlock::dot_acc`], element for element what
-/// `gemm_acc` accumulates into the dense product.
-fn product_cell(terms: &[[Arc<Block>; 2]], r: usize, c: usize) -> f64 {
-    terms.iter().fold(0.0, |acc, [a, b]| match (&**a, &**b) {
-        (Block::Dense(a), Block::Dense(b)) => a.dot_acc(r, b, c, acc),
-        _ => unreachable!("certified operands are dense"),
-    })
 }
 
 fn zip<'s>(
@@ -1154,8 +1153,13 @@ fn zip<'s>(
         };
         if let Some((mm, at)) = held[d] {
             if (s.rows(), s.cols()) == instrs[ch.base].meta.block_dims(at.0, at.1) {
-                let terms = &st.matmuls[mm.state].terms;
-                return Ok(gate(s, ch, |r, c| product_cell(terms, r, c)));
+                let ms = &mut st.matmuls[mm.state];
+                ms.sample(mm, t, at, s)?;
+                let (dots, mut n) = (&ms.dots, 0);
+                return Ok(gate(s, ch, |_, _| {
+                    n += 1;
+                    dots[n - 1]
+                }));
             }
         } else if let Block::Dense(b) = st.slots[ch.base].block()? {
             if (s.rows(), s.cols()) == (b.rows(), b.cols()) {
@@ -1204,14 +1208,32 @@ fn operand<'a>(
 
 /// The certificate's fact about one operand block: its least entry when it
 /// is dense with every entry `> 0` (so neither zero, negative nor NaN).
+///
+/// Four lanes scan the entries without an early exit, each keeping its own
+/// least entry and whether all its entries are `> 0`. The least of
+/// positive, non-NaN values does not depend on the order they are taken
+/// in, so the lanes' least is the block's. (`lesser` is a plain compare,
+/// cheaper than `f64::min`'s NaN handling, which a NaN entry's `positive`
+/// makes moot.)
 fn floor(b: &Block) -> Option<f64> {
-    match b {
-        Block::Dense(d) if !d.data().is_empty() => d
-            .data()
-            .iter()
-            .try_fold(f64::INFINITY, |m, &v| (v > 0.0).then(|| m.min(v))),
-        _ => None,
+    let Block::Dense(d) = b else { return None };
+    let lesser = |a: f64, b: f64| if b < a { b } else { a };
+    let data = d.data();
+    let mut least = [f64::INFINITY; 4];
+    let mut positive = [true; 4];
+    let mut quads = data.chunks_exact(4);
+    for quad in &mut quads {
+        for l in 0..4 {
+            positive[l] &= quad[l] > 0.0;
+            least[l] = lesser(least[l], quad[l]);
+        }
     }
+    for &v in quads.remainder() {
+        positive[0] &= v > 0.0;
+        least[0] = lesser(least[0], v);
+    }
+    (!data.is_empty() && positive.iter().all(|&p| p))
+        .then(|| least.into_iter().fold(f64::INFINITY, f64::min))
 }
 
 impl<'s> MatMulState<'s> {
@@ -1276,11 +1298,12 @@ impl<'s> MatMulState<'s> {
     /// dense with every entry `> 0`, and for every term the product of the
     /// two blocks' least entries is `> 0`. Rounding is monotone, so no term
     /// of any cell underflows to zero; every cell is a sum of positive
-    /// terms, hence positive, and `compact` keeps the block dense. When it
-    /// holds, `terms` lists the operand pairs. A product with no terms is
-    /// an empty sparse block, so it is never certified.
+    /// terms, hence positive, and `compact` keeps the block dense. It is
+    /// also [`DenseBlock::sampled_dot_acc`]'s precondition: no left entry
+    /// is zero, so [`MatMulState::sample`] gives `gemm_acc`'s bits. A
+    /// product with no terms is an empty sparse block, so it is never
+    /// certified.
     fn certify(&mut self, mm: &MatMulOp, t: &Bound<'s>, (i, j): Coord) -> Result<bool, SimError> {
-        self.terms.clear();
         if self.ks.is_empty() {
             return Ok(false);
         }
@@ -1289,17 +1312,47 @@ impl<'s> MatMulState<'s> {
             let r = operand(&mm.right, &self.right, t, (k, j))?;
             let fl = *self.floors[0].entry((i, k)).or_insert_with(|| floor(l));
             let fr = *self.floors[1].entry((k, j)).or_insert_with(|| floor(r));
-            match (fl, fr) {
-                (Some(a), Some(b)) if a * b > 0.0 => {
-                    self.terms.push([Arc::clone(l), Arc::clone(r)]);
-                }
-                _ => {
-                    self.terms.clear();
-                    return Ok(false);
-                }
+            if !matches!((fl, fr), (Some(a), Some(b)) if a * b > 0.0) {
+                return Ok(false);
             }
         }
         Ok(true)
+    }
+
+    /// The certified product at the stored cells of `gate`, in storage
+    /// order, into `dots`: per cell a dot from `+0.0` over the terms in
+    /// ascending `k`, element for element what `gemm_acc` accumulates into
+    /// the dense product.
+    fn sample(
+        &mut self,
+        mm: &MatMulOp,
+        t: &Bound<'s>,
+        (i, j): Coord,
+        gate: &SparseBlock,
+    ) -> Result<(), SimError> {
+        let MatMulState {
+            ks,
+            left,
+            right,
+            cells,
+            dots,
+            ..
+        } = self;
+        cells.clear();
+        for r in 0..gate.rows() {
+            cells.extend(gate.row_entries(r).0.iter().map(|&c| (r, c as usize)));
+        }
+        dots.clear();
+        dots.resize(cells.len(), 0.0);
+        for &k in ks.iter() {
+            let l = operand(&mm.left, left, t, (i, k))?;
+            let r = operand(&mm.right, right, t, (k, j))?;
+            let (Block::Dense(l), Block::Dense(r)) = (&**l, &**r) else {
+                unreachable!("certified operands are dense");
+            };
+            l.sampled_dot_acc(r, cells, dots);
+        }
+        Ok(())
     }
 
     /// The product at the run's blocks as one row panel, from one
@@ -2352,6 +2405,66 @@ mod tests {
         };
         assert!(matches!(m.left, Operand::Load(_)));
         assert!(matches!(m.right, Operand::Program(_)));
+    }
+
+    /// The lane-wise `floor` against its serial definition, an early-exit
+    /// fold of `f64::min` over the entries, on random blocks: dense blocks
+    /// of positive entries (subnormals and `+inf` among them) with or
+    /// without a sprinkling of NaN, `±0.0`, negatives and `-inf`, sparse
+    /// blocks, and blocks with no entries.
+    #[test]
+    fn floor_matches_its_serial_definition() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let serial = |b: &Block| match b {
+            Block::Dense(d) if !d.data().is_empty() => d
+                .data()
+                .iter()
+                .try_fold(f64::INFINITY, |m, &v| (v > 0.0).then(|| m.min(v))),
+            _ => None,
+        };
+        let positive = [
+            5e-324,
+            f64::MIN_POSITIVE / 3.0,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+        ];
+        let hazards = [f64::NAN, 0.0, -0.0, -1.5, -5e-324, f64::NEG_INFINITY];
+        let mut rng = StdRng::seed_from_u64(11);
+        let (mut some, mut none) = (0, 0);
+        for _ in 0..2000 {
+            let (rows, cols) = (rng.gen_range(0..10), rng.gen_range(0..10));
+            let hazard_rate = if rng.gen_bool(0.5) { 0.0 } else { 0.05 };
+            let data = (0..rows * cols)
+                .map(|_| {
+                    if rng.gen_bool(hazard_rate) {
+                        hazards[rng.gen_range(0..hazards.len())]
+                    } else if rng.gen_bool(0.1) {
+                        positive[rng.gen_range(0..positive.len())]
+                    } else {
+                        rng.gen_range(1e-3..1e3)
+                    }
+                })
+                .collect();
+            let dense = DenseBlock::from_vec(rows, cols, data).unwrap();
+            let block = if rng.gen_bool(0.2) {
+                Block::Sparse(SparseBlock::from_dense(&dense))
+            } else {
+                Block::Dense(dense)
+            };
+            let want = serial(&block);
+            assert_eq!(
+                floor(&block).map(f64::to_bits),
+                want.map(f64::to_bits),
+                "{block:?}"
+            );
+            if want.is_some() {
+                some += 1;
+            } else {
+                none += 1;
+            }
+        }
+        assert!(some > 500 && none > 500, "{some} certified, {none} not");
     }
 
     #[test]

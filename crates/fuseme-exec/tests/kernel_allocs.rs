@@ -4,9 +4,11 @@
 //! what the kernels allocate.
 //!
 //! * The NMF chain `X * log(U %*% t(V) + eps)`, once the task's memoized
-//!   `t(V)` blocks exist. Gated, the multiplication runs only at `X`'s
-//!   stored cells, so a block allocates its sparse output (row pointers,
-//!   column indices, values) and the `Arc` handed back — four
+//!   `t(V)` blocks exist and its gated-cell scratch (the cell list and the
+//!   dots) has grown, both in the first pass, per task. Gated, the
+//!   multiplication runs only at `X`'s stored cells, reading `U`'s and
+//!   `t(V)`'s blocks in place, so a block allocates its sparse output (row
+//!   pointers, column indices, values) and the `Arc` handed back — four
 //!   allocations. A product whose certificate fails (an operand entry that
 //!   is not `> 0`) takes the dense accumulator first — five. A
 //!   per-operator intermediate `Block` (`+ eps`, `log`) or a

@@ -36,7 +36,7 @@ use fuseme_exec::kernel::BlockProgram;
 use fuseme_exec::{LocalStore, Strategy};
 use fuseme_fusion::optimizer::Pqr;
 use fuseme_fusion::plan::PartialPlan;
-use fuseme_matrix::{AggOp, BinOp, Block, BlockedMatrix, MatrixMeta, UnaryOp};
+use fuseme_matrix::{gen, AggOp, BinOp, Block, BlockedMatrix, MatrixMeta, UnaryOp};
 use fuseme_plan::{Bindings, DagBuilder, Expr, NodeId, OpKind, QueryDag};
 use fuseme_sim::{Cluster, ClusterConfig, SimError};
 
@@ -187,13 +187,52 @@ proptest! {
     }
 }
 
+/// Bindings for the gated multiplication at `n × n` in 4 × 4 blocks, all
+/// over a dense `Y`: `X` at density 0.3 and at density 0.1, whose present
+/// blocks mostly hold one to three stored cells, over a positive `Y`; and
+/// `X` at density 0.3 over a positive `Y` whose first block row and column
+/// are scaled to about `1e-200`. A term of two such blocks has floors, and
+/// products, that underflow to zero, so it must not be certified: the
+/// products fall back to the dense accumulator, where every term of block
+/// `(0, 0)` is zero and the block compacts to an empty sparse one.
+fn gated_bindings(n: usize, seed: u64) -> [Bindings; 3] {
+    let x = |density| gen::sparse_uniform(n, n, 4, density, -1.0, 1.0, seed).unwrap();
+    let y = gen::dense_uniform(n, n, 4, 0.1, 1.0, seed + 1).unwrap();
+    let tiny = BlockedMatrix::from_blocks(
+        *y.meta(),
+        y.iter_blocks().map(|(bi, bj, b)| {
+            let scale = if bi == 0 || bj == 0 { 1e-200 } else { 1.0 };
+            ((bi, bj), b.scalar_zip(scale, BinOp::Mul))
+        }),
+    )
+    .unwrap();
+    let bind = |x: BlockedMatrix, y: BlockedMatrix| -> Bindings {
+        [
+            ("X".to_string(), Arc::new(x)),
+            ("Y".to_string(), Arc::new(y)),
+        ]
+        .into_iter()
+        .collect()
+    };
+    let thin = x(0.1);
+    assert!(
+        thin.iter_blocks()
+            .any(|(_, _, b)| (1..=3).contains(&b.nnz())),
+        "some X block holds one to three cells"
+    );
+    [bind(x(0.3), y.clone()), bind(thin, y), bind(x(0.3), tiny)]
+}
+
 /// The gated multiplication's shapes, pinned rather than left to the random
 /// generator: a densifying chain over a product (`X * log(Y %*% t(Y) +
 /// 0.5)`), a bare product with the gate on either side, and a chain that
-/// keeps zeros (`X * -(Y %*% Y)`), on every binding of a few seeds. The
-/// positive binding takes the gated path; the hazard binding's products
-/// compact to sparse blocks and must fall back, since a gate over a sparse
-/// product stores `-0.0` or drops the cell.
+/// keeps zeros (`X * -(Y %*% Y)`), on every binding of a few seeds and on
+/// [`gated_bindings`]. The positive bindings take the gated path, its
+/// cells four at a time with one to three left over; the hazard binding's
+/// products compact to sparse blocks and must fall back, since a gate over
+/// a sparse product stores `-0.0` or drops the cell; so must the products
+/// whose certificate underflows. At 18 × 18 the last block row and column
+/// are 2 wide, and so is the last `k` of every product.
 #[test]
 fn gated_products_match_interpreter() {
     type Shape = fn(&mut DagBuilder, Expr, Expr) -> Expr;
@@ -222,22 +261,28 @@ fn gated_products_match_interpreter() {
         },
     ];
     let cluster = Cluster::new(ClusterConfig::test_small());
-    for shape in shapes {
+    for (shape, n) in shapes.into_iter().flat_map(|s| [(s, 16), (s, 18)]) {
         let mut b = DagBuilder::new();
-        let x = b.input("X", MatrixMeta::sparse(16, 16, 4, 0.3));
-        let y = b.input("Y", MatrixMeta::dense(16, 16, 4));
+        let x = b.input("X", MatrixMeta::sparse(n, n, 4, 0.3));
+        let y = b.input("Y", MatrixMeta::dense(n, n, 4));
         let out = shape(&mut b, x, y);
         let dag = b.finish(vec![out]);
         for seed in 0..4 {
+            let mut all = gated_bindings(n, seed).to_vec();
+            if n == 16 {
+                all.extend(all_bindings(seed));
+            }
             for plan in plans(&dag, &cluster) {
-                for binds in all_bindings(seed) {
-                    let values = values_for(&dag, &plan, &binds, seed);
+                for binds in &all {
+                    let values = values_for(&dag, &plan, binds, seed);
                     for (p, q) in [(1, 1), (2, 3), (4, 4)] {
                         let strategy = Strategy::Cuboid {
                             pqr: Pqr { p, q, r: 1 },
                         };
                         if let Err(e) = compare_unit(&cluster, &dag, &plan, &values, &strategy) {
-                            panic!("{e}\n({p},{q},1), seed {seed}, plan {plan:?}\n{dag}");
+                            panic!(
+                                "{e}\n({p},{q},1), {n} × {n}, seed {seed}, plan {plan:?}\n{dag}"
+                            );
                         }
                     }
                 }

@@ -190,10 +190,11 @@ impl DenseBlock {
     /// they agree bit-for-bit — the dispatch threshold never changes
     /// results.
     ///
-    /// That order is a contract: [`dot_acc`](DenseBlock::dot_acc) computes
-    /// one element the same way, and the executor's gated multiplication
-    /// relies on the two agreeing bit for bit when it computes a product
-    /// only at a sparse gate's stored cells. So does
+    /// That order is a contract:
+    /// [`sampled_dot_acc`](DenseBlock::sampled_dot_acc) computes single
+    /// elements the same way when no left entry is zero, and the executor's
+    /// gated multiplication relies on the two agreeing bit for bit when it
+    /// computes a product only at a sparse gate's stored cells. So does
     /// [`gemm_panel`](DenseBlock::gemm_panel), which the executor uses to
     /// compute a run of output blocks as one row panel.
     pub fn gemm_acc(&self, rhs: &DenseBlock, out: &mut DenseBlock) -> Result<()> {
@@ -206,28 +207,50 @@ impl DenseBlock {
         Ok(())
     }
 
-    /// One element of [`gemm_acc`](DenseBlock::gemm_acc): `acc` plus the
-    /// dot product of row `row` of `self` with column `col` of `rhs`, over
-    /// the inner index in ascending order with `acc += a * b` and zero
-    /// left entries skipped, exactly as both GEMM kernels accumulate it.
-    /// Chaining it over the terms of a sum of products, starting from
-    /// `+0.0`, gives the bits `gemm_acc` leaves in a zeroed accumulator.
+    /// The product `self × rhs` at a list of cells, added to `acc`: for
+    /// cell `cells[n] = (r, c)`, `acc[n]` plus the dot product of row `r`
+    /// of `self` with column `c` of `rhs`, over the inner index ascending
+    /// with `acc += a * b`. Four cells run side by side as independent
+    /// chains, which read one row of `rhs` at a time; the last one to three
+    /// cells run the same order one at a time.
     ///
-    /// Panics when `row` or `col` is out of range or the inner dimensions
-    /// differ.
+    /// It skips no zero left entries. So, chained over the terms of a sum
+    /// of products from `+0.0`, it gives the bits that
+    /// [`gemm_acc`](DenseBlock::gemm_acc) leaves in a zeroed accumulator
+    /// only when no left entry is `±0.0`: that is its precondition. The
+    /// executor's gated multiplication calls it under a certificate that
+    /// every operand entry is `> 0`.
     ///
-    /// Kept out of line: its loop is the gated multiplication's hot loop,
-    /// and inlined its speed swung by a quarter with the code layout of
-    /// unrelated changes to the executor.
-    #[inline(never)]
-    pub fn dot_acc(&self, row: usize, rhs: &DenseBlock, col: usize, mut acc: f64) -> f64 {
-        assert!(self.cols == rhs.rows && col < rhs.cols, "dot_acc shape");
-        for (k, &a) in self.row(row).iter().enumerate() {
-            if a != 0.0 {
-                acc += a * rhs.data[k * rhs.cols + col];
+    /// Panics when a cell is out of range, the inner dimensions differ or
+    /// `acc` is not as long as `cells`.
+    pub fn sampled_dot_acc(&self, rhs: &DenseBlock, cells: &[(usize, usize)], acc: &mut [f64]) {
+        assert!(
+            self.cols == rhs.rows
+                && cells.len() == acc.len()
+                && cells.iter().all(|&(_, c)| c < rhs.cols),
+            "sampled_dot_acc shape"
+        );
+        // Without columns there are no cells, but the rows need a width.
+        let rhs_rows = rhs.data.chunks_exact(rhs.cols.max(1));
+        let mut quads = cells.chunks_exact(4);
+        let mut sums = acc.chunks_exact_mut(4);
+        for (quad, sum) in (&mut quads).zip(&mut sums) {
+            let [a0, a1, a2, a3] = [0, 1, 2, 3].map(|l| self.row(quad[l].0));
+            let [c0, c1, c2, c3] = [0, 1, 2, 3].map(|l| quad[l].1);
+            let mut s = [sum[0], sum[1], sum[2], sum[3]];
+            let lanes = a0.iter().zip(a1).zip(a2).zip(a3).zip(rhs_rows.clone());
+            for ((((x0, x1), x2), x3), b) in lanes {
+                s[0] += x0 * b[c0];
+                s[1] += x1 * b[c1];
+                s[2] += x2 * b[c2];
+                s[3] += x3 * b[c3];
             }
+            sum.copy_from_slice(&s);
         }
-        acc
+        for (&(r, c), sum) in quads.remainder().iter().zip(sums.into_remainder()) {
+            let pairs = self.row(r).iter().zip(rhs_rows.clone());
+            *sum = pairs.fold(*sum, |s, (a, b)| s + a * b[c]);
+        }
     }
 
     /// Row-panel GEMM: the product of the left panel, the blocks `lefts`

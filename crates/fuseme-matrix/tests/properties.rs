@@ -408,23 +408,43 @@ fn hazard_term(m: usize, k: usize, n: usize) -> impl Strategy<Value = (DenseBloc
         })
 }
 
+/// Strategy: one `m × k` by `k × n` term of a sum of products whose
+/// entries are all `> 0`, spread over six orders of magnitude and not
+/// round, so a change of summation order would show in the bits.
+fn positive_term(m: usize, k: usize, n: usize) -> impl Strategy<Value = (DenseBlock, DenseBlock)> {
+    let value = |code: u8| (f64::from(code) + 1.0) * 0.37 * [1e-3, 1.0, 1e3][usize::from(code % 3)];
+    let block = move |rows: usize, cols: usize| {
+        proptest::collection::vec(0u8..64, rows * cols).prop_map(move |codes| {
+            DenseBlock::from_vec(rows, cols, codes.into_iter().map(value).collect()).unwrap()
+        })
+    };
+    (block(m, k), block(k, n))
+}
+
 proptest! {
-    /// `dot_acc` chained over the terms of a sum of products from `+0.0`
-    /// reproduces every element `gemm_acc` accumulates, bit for bit (so
-    /// `±0.0`, infinities and NaN count), for block shapes on both sides of
+    /// `sampled_dot_acc` chained over the terms of a sum of products from
+    /// `+0.0` reproduces, at every listed cell, the element `gemm_acc`
+    /// accumulates, bit for bit, when every operand entry is `> 0`: the
+    /// kernel's precondition, under which neither skips a term. (The
+    /// `±0.0`, infinity and NaN hazards, which the precondition excludes,
+    /// are the `gemm_*` properties'.) Block shapes lie on both sides of
     /// `TILED_MIN_MACS` — the naive kernel below it, the tiled one above —
-    /// and for one to three terms. The executor's gated multiplication
-    /// computes a product at a sparse gate's stored cells this way.
+    /// with one to three terms whose inner lengths need not be multiples
+    /// of 4, and the cell lists, of 1 to 13 cells in any order, leave zero
+    /// to three cells after the last group of four. The executor's gated
+    /// multiplication computes a product at a sparse gate's stored cells
+    /// this way.
     #[test]
-    fn dot_acc_matches_gemm_acc_bit_for_bit(
-        (m, n, terms) in (proptest::bool::ANY, 1usize..=7, 4usize..=7, 1usize..=7, 1usize..=3)
+    fn sampled_dot_acc_matches_gemm_acc_bit_for_bit(
+        (m, n, terms, cells) in (proptest::bool::ANY, 1usize..=7, 4usize..=7, 1usize..=7, 1usize..=3)
             .prop_map(|(big, m, k, n, count)| match big {
                 true => (m + 25, k + 27, n + 25, count),
                 false => (m, k, n, count),
             })
             .prop_flat_map(|(m, k, n, count)| {
-                let term = (k - 3..=k).prop_flat_map(move |k| hazard_term(m, k, n));
-                (Just(m), Just(n), proptest::collection::vec(term, count))
+                let term = (k - 3..=k).prop_flat_map(move |k| positive_term(m, k, n));
+                let cells = proptest::collection::vec((0..m, 0..n), 1..=13);
+                (Just(m), Just(n), proptest::collection::vec(term, count), cells)
             })
     ) {
         let mut acc = DenseBlock::zeros(m, n);
@@ -435,15 +455,16 @@ proptest! {
             terms.iter().all(|(l, _)| (m * l.cols() * n >= TILED_MIN_MACS) == (m > 7)),
             "each size class picks its own kernel"
         );
-        for i in 0..m {
-            for j in 0..n {
-                let dot = terms.iter().fold(0.0, |s, (l, r)| l.dot_acc(i, r, j, s));
-                prop_assert_eq!(
-                    dot.to_bits(),
-                    acc.get(i, j).to_bits(),
-                    "({}, {}): dot {} vs gemm {}", i, j, dot, acc.get(i, j)
-                );
-            }
+        let mut dots = vec![0.0; cells.len()];
+        for (l, r) in &terms {
+            l.sampled_dot_acc(r, &cells, &mut dots);
+        }
+        for (&(i, j), dot) in cells.iter().zip(&dots) {
+            prop_assert_eq!(
+                dot.to_bits(),
+                acc.get(i, j).to_bits(),
+                "({}, {}): dot {} vs gemm {}", i, j, dot, acc.get(i, j)
+            );
         }
     }
 }
