@@ -11,7 +11,10 @@
 //!    CFO routes cuboid slices (side matrices replicated `Q`/`P`/`R`
 //!    times), BFO routes the main matrix by need and *broadcasts* every side
 //!    matrix whole, RFO routes everything by need at output-block
-//!    granularity (sides replicated up to `I`/`J` times).
+//!    granularity (sides replicated up to `I`/`J` times). In this process
+//!    the replicas of a slice are one list, built once per unit and shared
+//!    by the tasks that receive it; the ledger still charges every task's
+//!    replica.
 //! 2. **Local operation** — each task runs the unit's [`UnitKernel`], the
 //!    plan lowered once into block programs, over the output blocks of its
 //!    tile that the plan's sparsity gate lets through, a run of adjacent
@@ -596,12 +599,24 @@ pub fn task_layout(
 /// blocks present in the input are routed, found by walking each input's
 /// block list ([`Footprint::present`]) rather than probing every footprint
 /// coordinate; broadcast inputs go whole to every task.
+///
+/// Each distinct `(node, footprint)` slice is built once per unit and its
+/// list shared by every task that needs it, and each broadcast input
+/// becomes one list for all tasks. On a cluster every task would receive
+/// a copy of its own; each store still counts the bytes of every list it
+/// holds, so the ledger charges each task's replica all the same.
 pub fn route(
     dag: &QueryDag,
     plan: &PartialPlan,
     values: &ValueMap,
     layout: &Layout,
 ) -> Vec<LocalStore> {
+    let mut slices: HashMap<(NodeId, Footprint), Arc<BlockList>> = HashMap::new();
+    let broadcast: Vec<(NodeId, Arc<BlockList>)> = layout
+        .broadcast
+        .iter()
+        .filter_map(|&side| Some((side, Arc::new(values.get(&side)?.blocks().clone()))))
+        .collect();
     let mut stores = Vec::with_capacity(layout.tasks.len());
     for task in &layout.tasks {
         let needed = footprints(
@@ -618,14 +633,15 @@ pub fn route(
                 continue; // routed whole below
             }
             if let Some(m) = values.get(&node) {
-                let blocks = fp.present(m.blocks()).map(|(at, b)| (at, Arc::clone(b)));
-                store.insert(node, blocks.collect());
+                let list = slices.entry((node, fp)).or_insert_with_key(|(_, fp)| {
+                    let blocks = fp.present(m.blocks()).map(|(at, b)| (at, Arc::clone(b)));
+                    Arc::new(blocks.collect())
+                });
+                store.insert(node, Arc::clone(list));
             }
         }
-        for &side in &layout.broadcast {
-            if let Some(m) = values.get(&side) {
-                store.insert(side, m.blocks().clone());
-            }
+        for (side, list) in &broadcast {
+            store.insert(*side, Arc::clone(list));
         }
         stores.push(store);
     }
@@ -825,6 +841,17 @@ pub fn group_partials(
             if !task.is_reducer {
                 *agg_bytes.entry(task.group).or_default() += block.size_bytes();
             }
+            // A dense partial adds into a dense accumulator of its shape in
+            // place when the accumulator is not shared: the same
+            // `acc + part` per element that `Block::zip` computes.
+            if let (Block::Dense(part), Some((shape, acc))) = (&*block, sum.get_mut(coord)) {
+                if shape == (part.rows(), part.cols()) {
+                    for (a, &b) in acc.iter_mut().zip(part.data()) {
+                        *a = BinOp::Add.apply(*a, b);
+                    }
+                    continue;
+                }
+            }
             let block = match sum.get(coord) {
                 Some(acc) => Arc::new(acc.zip(&block, BinOp::Add)?),
                 None => block,
@@ -856,7 +883,8 @@ fn assemble(
                 None => {
                     // Consolidation boundary: re-compact so the next unit's
                     // shuffled replica bytes reflect the block's actual nnz.
-                    result.push(((bi, bj), Arc::new((*block).clone().compact())));
+                    // A block nothing else holds is taken, not copied.
+                    result.push(((bi, bj), Arc::new(Arc::unwrap_or_clone(block).compact())));
                 }
                 Some((op, _)) => match agg_slots.remove(&(bi, bj)) {
                     None => {
@@ -892,7 +920,7 @@ fn assemble(
         result.extend(
             agg_slots
                 .into_iter()
-                .map(|(at, block)| (at, Arc::new((*block).clone().compact()))),
+                .map(|(at, block)| (at, Arc::new(Arc::unwrap_or_clone(block).compact()))),
         );
     }
     let mut result = BlockedMatrix::from_blocks(dag.node(plan.root).meta, result)
@@ -1381,6 +1409,110 @@ mod tests {
         assert_eq!(stats.invalidations, 2);
         assert_eq!(stats.misses, 7);
         assert_eq!(stats.hits, 5);
+    }
+
+    #[test]
+    fn cuboid_routing_builds_one_list_per_slice() {
+        // NMF at (4,5,5): U's slices are (P,1,R), t(V)'s (1,Q,R) and X's
+        // (P,Q,1), so 65 lists serve the 300 task inputs.
+        let bs = 5;
+        let x = gen::sparse_uniform(40, 50, bs, 0.25, 1.0, 2.0, 3).unwrap();
+        let u = gen::dense_uniform(40, 25, bs, 0.1, 1.0, 4).unwrap();
+        let v = gen::dense_uniform(50, 25, bs, 0.1, 1.0, 5).unwrap();
+        let mut b = DagBuilder::new();
+        let (xe, ue, ve) = (
+            b.input("X", *x.meta()),
+            b.input("U", *u.meta()),
+            b.input("V", *v.meta()),
+        );
+        let vt = b.transpose(ve);
+        let mm = b.matmul(ue, vt);
+        let out = b.binary(xe, mm, BinOp::Mul);
+        let dag = b.finish(vec![out]);
+        let plan = PartialPlan::new(BTreeSet::from([vt.id(), mm.id(), out.id()]), out.id());
+        let values: ValueMap = [(xe.id(), x), (ue.id(), u), (ve.id(), v)]
+            .into_iter()
+            .map(|(id, m)| (id, Arc::new(m)))
+            .collect();
+        let cluster = Cluster::new(ClusterConfig::test_small());
+        let pqr = Pqr { p: 4, q: 5, r: 5 };
+        let layout = task_layout(&cluster, &dag, &plan, &values, &Strategy::Cuboid { pqr });
+        let stores = route(&dag, &plan, &values, &layout);
+        assert_eq!(stores.len(), 100);
+        let distinct = |node: NodeId| {
+            let mut lists: Vec<*const BlockList> = stores
+                .iter()
+                .map(|s| Arc::as_ptr(s.list(node).unwrap()))
+                .collect();
+            lists.sort_unstable();
+            lists.dedup();
+            lists.len()
+        };
+        assert_eq!(distinct(ue.id()), 4 * 5, "U: P·R");
+        assert_eq!(distinct(ve.id()), 5 * 5, "t(V): Q·R");
+        assert_eq!(distinct(xe.id()), 4 * 5, "X: P·Q");
+    }
+
+    #[test]
+    fn partials_sum_in_place_as_zip_sums() {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            1.5,
+            -2.0,
+        ];
+        let dense = |shift: usize| {
+            let data = (0..specials.len() * specials.len())
+                .map(|x| specials[(x / specials.len() + shift * x) % specials.len()])
+                .collect();
+            Arc::new(Block::Dense(
+                DenseBlock::from_vec(specials.len(), specials.len(), data).unwrap(),
+            ))
+        };
+        let (first, second, third) = (dense(0), dense(1), dense(3));
+        let zipped = first
+            .zip(&second, BinOp::Add)
+            .unwrap()
+            .zip(&third, BinOp::Add)
+            .unwrap();
+        let task = |id, is_reducer| TaskSlice {
+            id,
+            out: Footprint::default(),
+            k_range: 0..0,
+            group: 0,
+            is_reducer,
+        };
+        let layout = Layout {
+            tasks: vec![task(0, true), task(1, false), task(2, false)],
+            compute_node: 0,
+            broadcast: BTreeSet::new(),
+            main_mm: None,
+            r: 3,
+            parity: false,
+        };
+        let bits =
+            |b: &Block| -> Vec<u64> { b.to_dense().data().iter().map(|v| v.to_bits()).collect() };
+        // A unique accumulator is summed in place, a shared one through
+        // `zip`, which leaves the other holder's block as it was.
+        for shared in [false, true] {
+            let acc = Arc::new((*first).clone());
+            let held = shared.then(|| Arc::clone(&acc));
+            let outputs = vec![
+                vec![((0, 0), acc)],
+                vec![((0, 0), Arc::clone(&second))],
+                vec![((0, 0), Arc::clone(&third))],
+            ];
+            let (grouped, agg_bytes) = group_partials(&layout, outputs).unwrap();
+            let sum = grouped[&0].get((0, 0)).unwrap();
+            assert_eq!(bits(sum), bits(&zipped), "shared: {shared}");
+            assert_eq!(agg_bytes[&0], second.size_bytes() + third.size_bytes());
+            if let Some(held) = held {
+                assert_eq!(bits(&held), bits(&first));
+            }
+        }
     }
 
     /// Tiles as the grid pass before footprints built them: every compute

@@ -94,7 +94,8 @@
 //!
 //! A task's [`LocalStore`] keeps one [`BlockList`] per plan node, the same
 //! sorted list a `BlockedMatrix` keeps its blocks in, so a multiplication's
-//! `k` walks are that list's row and column walks.
+//! `k` walks are that list's row and column walks. The list is shared
+//! (`Arc`) among the tasks that received the same slice of the node.
 //!
 //! [`BlockProgram::bind`] attaches a compiled program to one task's store
 //! and k-slice. Results are bit-identical to evaluating the plan recursively
@@ -111,7 +112,11 @@
 //! [`Footprint::present`] resolves against the input's block list. It is
 //! deliberately *not* sparsity-pruned: consolidation ships whole cuboid
 //! slices (every present block in them), matching the paper's
-//! partition-granular communication.
+//! partition-granular communication. Footprints compare and hash by their
+//! terms, so `fused_op::route` builds one list per distinct `(node,
+//! footprint)` slice of a unit and hands it to every task that needs it.
+//! Each store still counts the bytes of every list it holds, so the ledger
+//! charges each task's replica as if it were a copy of its own.
 //!
 //! The main matrix multiplication sums over the task's `k`-slice only; with
 //! `R > 1` that produces a *partial* result which the aggregation stage
@@ -146,10 +151,15 @@ fn swap_if(swap: bool, (i, j): Coord) -> Coord {
 /// coordinate. Each node keeps one [`BlockList`], the same sorted list a
 /// matrix stores its blocks in, so the store holds memory in proportion to
 /// the blocks present and looks blocks up without hashing.
+///
+/// The list is shared: tasks that receive the same slice of a node (the
+/// `Q` tasks of one cuboid row band, say) hold one list between them. Each
+/// store still reports the bytes of every list it holds, so what a task
+/// is charged for receiving and holding does not depend on the sharing.
 #[derive(Debug, Default, Clone)]
 pub struct LocalStore {
     /// Sorted by node id.
-    nodes: Vec<(NodeId, BlockList)>,
+    nodes: Vec<(NodeId, Arc<BlockList>)>,
 }
 
 impl LocalStore {
@@ -159,20 +169,26 @@ impl LocalStore {
     }
 
     /// Installs `blocks` as everything held for `node`, replacing what was
-    /// held; an empty list holds nothing.
-    pub fn insert(&mut self, node: NodeId, blocks: BlockList) {
-        if blocks.is_empty() {
-            return;
-        }
+    /// held; an empty list holds nothing, so it drops what was held.
+    pub fn insert(&mut self, node: NodeId, blocks: impl Into<Arc<BlockList>>) {
+        let blocks = blocks.into();
         let at = self.nodes.partition_point(|(n, _)| *n < node);
-        match self.nodes.get_mut(at) {
-            Some((n, held)) if *n == node => *held = blocks,
-            _ => self.nodes.insert(at, (node, blocks)),
+        if self.nodes.get(at).is_some_and(|(n, _)| *n == node) {
+            self.nodes.remove(at);
+        }
+        if !blocks.is_empty() {
+            self.nodes.insert(at, (node, blocks));
         }
     }
 
     /// The blocks held for `node`, if any.
     pub(crate) fn node(&self, node: NodeId) -> Option<&BlockList> {
+        self.list(node).map(|list| &**list)
+    }
+
+    /// The shared list held for `node`, if any: tasks that received the
+    /// same slice of `node` hold the same list.
+    pub fn list(&self, node: NodeId) -> Option<&Arc<BlockList>> {
         let at = self.nodes.binary_search_by_key(&node, |(n, _)| *n).ok()?;
         Some(&self.nodes[at].1)
     }
@@ -1924,12 +1940,12 @@ impl<'s> TaskProgram<'s> {
 /// rather than enumerated: what a task computes of a node, or needs of an
 /// input. Terms may overlap; [`Footprint::coords`] then repeats
 /// coordinates.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Footprint {
     terms: Vec<Term>,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Term {
     /// Exactly these coordinates, sorted row-major and distinct.
     Blocks(Vec<Coord>),
@@ -2291,7 +2307,8 @@ mod tests {
         let mut store = LocalStore::new();
         store.insert(xe.id(), x.blocks().clone());
         let held = product.blocks().iter().filter(|&(c, _)| c != gap);
-        store.insert(mm.id(), held.map(|(c, b)| (c, Arc::clone(b))).collect());
+        let held: BlockList = held.map(|(c, b)| (c, Arc::clone(b))).collect();
+        store.insert(mm.id(), held);
         let rest = BTreeSet::from([vt.id(), out.id()]);
         let program = BlockProgram::compile(&dag, &rest, Some(mm.id()), out.id());
         let mut stage2 = program.bind(&store, 0..0);
@@ -2602,18 +2619,12 @@ mod tests {
     fn store_keeps_blocks_sorted_per_node() {
         let blk = |v: f64| Arc::new(Block::Dense(DenseBlock::filled(1, 1, v)));
         let mut s = LocalStore::new();
+        let list = |entries: &[(Coord, Arc<Block>)]| entries.iter().cloned().collect::<BlockList>();
+        s.insert(3, list(&[((1, 0), blk(1.0)), ((0, 2), blk(3.0))]));
+        s.insert(1, list(&[((0, 1), blk(2.0))]));
         s.insert(
             3,
-            [((1, 0), blk(1.0)), ((0, 2), blk(3.0))]
-                .into_iter()
-                .collect(),
-        );
-        s.insert(1, [((0, 1), blk(2.0))].into_iter().collect());
-        s.insert(
-            3,
-            [((1, 0), blk(1.0)), ((0, 2), blk(3.0)), ((1, 0), blk(4.0))]
-                .into_iter()
-                .collect(),
+            list(&[((1, 0), blk(1.0)), ((0, 2), blk(3.0)), ((1, 0), blk(4.0))]),
         );
         s.insert(2, BlockList::default());
         let keys: Vec<_> = s.keys().collect();
@@ -2626,5 +2637,17 @@ mod tests {
         assert_eq!(nb.col(2, &(1..5)).count(), 0);
         assert_eq!((nb.row_len(1, &(0..5)), nb.row_len(1, &(1..5))), (1, 0));
         assert_eq!((nb.col_len(2, &(0..5)), nb.col_len(2, &(1..5))), (1, 0));
+    }
+
+    #[test]
+    fn inserting_an_empty_list_drops_what_was_held() {
+        let blk = Arc::new(Block::Dense(DenseBlock::filled(1, 1, 1.0)));
+        let mut s = LocalStore::new();
+        s.insert(1, BlockList::from_iter([((0, 0), Arc::clone(&blk))]));
+        s.insert(2, BlockList::from_iter([((0, 1), blk)]));
+        s.insert(1, BlockList::default());
+        assert!(s.node(1).is_none() && s.get(1, (0, 0)).is_none());
+        assert_eq!(s.keys().collect::<Vec<_>>(), vec![(2, (0, 1))]);
+        assert_eq!((s.total_bytes(), s.node_bytes(1)), (8, 0));
     }
 }

@@ -9,6 +9,9 @@
 //! counts, BFO broadcast sides, RFO), under every binding of
 //! `common::all_bindings`, every task's routed store must hold exactly the
 //! oracle's `(node, coord)` keys, each pointing at the input's own block.
+//! Routing builds one list per distinct slice: tasks whose footprints of a
+//! node are equal, and all tasks for a broadcast side, hold the same list,
+//! while each store still counts the bytes of every block it holds.
 
 use std::collections::{BTreeSet, HashSet};
 use std::ops::Range;
@@ -20,6 +23,7 @@ mod common;
 
 use common::{all_bindings, plans, random_dag, values_for};
 use fuseme_exec::fused_op::{route, task_layout};
+use fuseme_exec::kernel::footprints;
 use fuseme_exec::Strategy;
 use fuseme_fusion::optimizer::Pqr;
 use fuseme_fusion::plan::PartialPlan;
@@ -75,8 +79,16 @@ fn walk(
     }
 }
 
+/// Cases per property: `PROPTEST_CASES` when set, else 40.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(40)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
     fn routed_stores_match_block_walk(
@@ -136,10 +148,34 @@ proptest! {
                         &got, &want,
                         "task {} of {:?} on plan {:?}\n{}", t, strategy, plan, dag
                     );
+                    let mut held = 0;
                     for (n, (bi, bj)) in got {
                         let routed = store.get(n, (bi, bj)).unwrap();
                         let source = values[&n].block(bi, bj).unwrap();
                         prop_assert!(Arc::ptr_eq(routed, source));
+                        held += routed.size_bytes();
+                    }
+                    prop_assert_eq!(store.total_bytes(), held);
+                }
+                // Equal slices of a node are one list.
+                let needed: Vec<_> = layout
+                    .tasks
+                    .iter()
+                    .map(|task| {
+                        footprints(
+                            &dag, &plan.ops, main_mm, task.k_range.clone(),
+                            layout.compute_node, task.out.clone(),
+                        )
+                    })
+                    .collect();
+                for (a, b) in (0..stores.len()).flat_map(|a| (a + 1..stores.len()).map(move |b| (a, b))) {
+                    for (node, fp) in &needed[a] {
+                        let (Some(la), Some(lb)) = (stores[a].list(*node), stores[b].list(*node)) else {
+                            continue;
+                        };
+                        if needed[b].get(node) == Some(fp) || layout.broadcast.contains(node) {
+                            prop_assert!(Arc::ptr_eq(la, lb), "tasks {} and {}, node {}", a, b, node);
+                        }
                     }
                 }
             }

@@ -63,6 +63,18 @@ impl BlockList {
         Some(&self.blocks[at])
     }
 
+    /// The shape and values of the dense block at `coord`, writable in
+    /// place, when this list holds the block's only reference. A slice
+    /// cannot change the block's shape or format, so [`BlockList::size_bytes`]
+    /// stays exact.
+    pub fn get_mut(&mut self, coord: Coord) -> Option<((usize, usize), &mut [f64])> {
+        let at = self.coords.binary_search(&coord).ok()?;
+        match Arc::get_mut(&mut self.blocks[at])? {
+            Block::Dense(d) => Some(((d.rows(), d.cols()), d.data_mut())),
+            Block::Sparse(_) => None,
+        }
+    }
+
     /// Number of present blocks.
     #[inline]
     pub fn len(&self) -> usize {
