@@ -54,29 +54,48 @@
 //! Tasks evaluate their supported output blocks a **run** at a time: a
 //! maximal stretch of adjacent blocks in one block row. A run of two or
 //! more blocks goes through the value program in one **row pass** when
-//! every slot of every block would be `Block::Dense` on the per-block path.
-//! That is read off facts at hand:
+//! every slot of every block would be `Block::Dense` on the per-block path,
+//! or is a stored product. That is read off facts at hand:
 //!
-//! * the program has no transpose, swapped instruction or deferred chain;
+//! * the program has no transpose, swapped instruction or deferred chain
+//!   (a multiplication's operands are programs of their own);
 //! * every load's blocks in the run are dense, except for a load whose only
 //!   reader is a non-zero-dominant `Zip` opposite a computed value: its
 //!   sparse and absent blocks read as zero-filled, which is what
 //!   `Block::zip` makes of them against a dense block;
-//! * every operand block of a multiplication is dense, and every block of
-//!   the run sums over the same `k`s: no other `k` has a supported left
-//!   operand block, and the right operand's blocks at those `k`s are all
-//!   supported;
+//! * no left operand block of a multiplication is sparse with a stored
+//!   `±0.0`;
 //! * after the product, no block of the run holds so few non-zeros that
-//!   `compact()` would store it sparse.
+//!   `compact()` would store it sparse, unless the product is the root and
+//!   the run is stored: then each block is compacted on its own.
 //!
 //! Any other run, and every run of one block, goes block by block. In the
-//! pass only the products are panels, the run's blocks side by side: each
-//! is one [`DenseBlock::gemm_panel`], the left operand's blocks at the
-//! run's `k`s side by side, times the right operand's blocks stacked (kept
-//! for the tile's next run with the same columns and `k`s). Each element
-//! accumulates from `+0.0` over the concatenated inner index in ascending
-//! order, skipping zero left entries: per block, what `gemm_acc` chained
-//! over ascending `k` gives. The products' zeros are counted for the
+//! pass only the products are panels, the run's blocks side by side. The
+//! left operand's block at each `k` with a supported one is read once per
+//! run into a dense slot of the task: from the store or the operand's memo,
+//! or, for a transposed load (`t(A)` of an external `A`), straight from
+//! `A`'s store block, transposed as it is read, with no memo entry. A sparse
+//! block is scattered over zeros: with no `±0.0` stored, the zeros it
+//! leaves are skipped as its unstored entries are, and every stored entry is
+//! multiplied. Then:
+//!
+//! * when every right operand block at those `k`s and the run's columns is
+//!   supported and dense, every block of the run sums over the same `k`s,
+//!   and the product is one [`DenseBlock::gemm_panel`]: the slots side by
+//!   side times the right operand's blocks stacked (kept for the tile's
+//!   next run with the same columns and `k`s). Each element accumulates
+//!   from `+0.0` over the concatenated inner index in ascending order,
+//!   skipping zero left entries;
+//! * otherwise (a sparse right block, or blocks that sum over different
+//!   `k`s) the product is built **term-major**: for each `k` ascending,
+//!   every right operand block present at `(k, j)` adds its term, the
+//!   slot times that block, into block `j`'s columns, with the per-element
+//!   operation `Block::gemm_acc` performs for the block's format: zero left
+//!   entries skipped, a sparse block's stored entries read in storage
+//!   order.
+//!
+//! Either way each element sees what `gemm_acc` chained over its own
+//! block's `k`s from `+0.0` gives. The products' zeros are counted for the
 //! compaction rule before anything else is computed. Then, element row by
 //! element row, the other instructions run over one row of scratch per
 //! slot, loads reading their blocks' rows in place (a sparse block's stored
@@ -84,7 +103,9 @@
 //!
 //! * **store** ([`TaskProgram::eval_run`]): each block's chunk of the row
 //!   is appended to that block's elements, and the blocks are handed back
-//!   as `Block::Dense`;
+//!   as `Block::Dense`, or as `compact()` of it when the root is the
+//!   product: what the per-block path's dense accumulator compacts to, and
+//!   what its single-term `gemm_auto` builds;
 //! * **fold** ([`TaskProgram::fold_run`]), for an aggregation root: every
 //!   block's accumulators take the chunk's values in column order. So each
 //!   accumulator is fed, from the identity, exactly the values, in exactly
@@ -579,6 +600,30 @@ enum Operand {
     Program(Region),
 }
 
+impl Operand {
+    /// The load whose store blocks are this operand's, transposed when
+    /// `true`: a load, or a program that only transposes one (`t(A)` of an
+    /// external `A`: `A`'s block at the swapped coordinate, transposed),
+    /// which the row pass reads in place.
+    fn in_store(&self) -> Option<(usize, bool)> {
+        match self {
+            Operand::Load(load) => Some((*load, false)),
+            Operand::Program(sub) => match sub.instrs.as_slice() {
+                [Instr {
+                    op: Op::Load(load),
+                    swap: true,
+                    ..
+                }, Instr {
+                    op: Op::Transpose(0),
+                    swap: false,
+                    ..
+                }] => Some((*load, true)),
+                _ => None,
+            },
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Instr {
     meta: MatrixMeta,
@@ -975,6 +1020,8 @@ struct RegionState<'s> {
 }
 
 struct MatMulState<'s> {
+    /// The `k`s of the block being evaluated, or of the run's left operand
+    /// blocks.
     ks: Vec<usize>,
     left: Option<Memo<'s>>,
     right: Option<Memo<'s>>,
@@ -988,6 +1035,9 @@ struct MatMulState<'s> {
     /// The right operand's row panel last stacked for a run: every run of
     /// a tile with the same columns and `k`s reads the same one.
     stacked: Option<Stacked>,
+    /// A run's left operand blocks, one per `k`, read dense (see
+    /// [`read_left`]); reused run after run.
+    lefts: Vec<DenseBlock>,
 }
 
 /// The right operand's blocks at `ks` (top to bottom) and `cols` (left to
@@ -1024,6 +1074,7 @@ impl<'s> RegionState<'s> {
                     cells: Vec::new(),
                     dots: Vec::new(),
                     stacked: None,
+                    lefts: Vec::new(),
                 });
             }
         }
@@ -1371,10 +1422,17 @@ impl<'s> MatMulState<'s> {
         Ok(())
     }
 
-    /// The product at the run's blocks as one row panel, from one
-    /// [`DenseBlock::gemm_panel`] over the `k`s every block of the run sums
-    /// over, or `None` when the blocks may sum over different `k`s or an
-    /// operand block is not dense.
+    /// The product at the run's blocks as one row panel, or `None` when
+    /// the run must go block by block: a left operand block stores a
+    /// `±0.0`, or an operand block's shape does not line up.
+    ///
+    /// Each `k` with a supported left operand block at the run's row is
+    /// read once into a slot of its own ([`read_left`]). When every right
+    /// operand block at those `k`s and the run's columns is supported and
+    /// dense, every block of the run sums over those `k`s, and the product
+    /// is one [`DenseBlock::gemm_panel`] against the right operand's blocks
+    /// stacked (kept for the tile's next run with the same columns and
+    /// `k`s). Otherwise it is built term-major ([`term_major`]).
     fn panel(
         &mut self,
         mm: &'s MatMulOp,
@@ -1382,101 +1440,242 @@ impl<'s> MatMulState<'s> {
         run: &Run<'_>,
     ) -> Result<Option<DenseBlock>, SimError> {
         let i = run.row;
-        self.gather(mm, t, run.coords[0])?;
         let MatMulState {
             ks,
             left,
             right,
             stacked,
+            lefts,
             ..
         } = self;
-        // Every block of the run sums over the first block's `k`s when no
-        // other `k` has a supported left operand block and every right
-        // operand block of the run at those `k`s is supported.
-        let mut left_ks = 0;
-        mm.sup.terms(t, i, None, |_| {
-            left_ks += 1;
-            true
-        });
-        if ks.is_empty() || left_ks != ks.len() {
+        ks.clear();
+        let fits = match mm.left.in_store() {
+            // The operand's `k`s are its store node's blocks present in
+            // row `i` (column `i` when transposed): walk them.
+            Some((load, swap)) => {
+                let kr = mm.sup.ks(t);
+                let mut each = |k: usize, b: &Block| {
+                    ks.push(k);
+                    read_left(b, swap, slot(lefts, ks.len() - 1))
+                };
+                match t.loads[load] {
+                    None => true,
+                    Some(nb) if swap => nb.col_blocks(i, &kr).all(|(k, b)| each(k, b)),
+                    Some(nb) => {
+                        (nb.range((i, kr.start), (i, kr.end))).all(|((_, k), b)| each(k, b))
+                    }
+                }
+            }
+            None => {
+                mm.sup.terms(t, i, None, |k| {
+                    ks.push(k);
+                    true
+                });
+                let mut fits = true;
+                for (n, &k) in ks.iter().enumerate() {
+                    fill(&mm.left, left, t, (i, k))?;
+                    let b = operand(&mm.left, left, t, (i, k))?;
+                    fits = read_left(b, false, slot(lefts, n));
+                    if !fits {
+                        break;
+                    }
+                }
+                fits
+            }
+        };
+        if !fits || ks.is_empty() {
             return Ok(None);
         }
-        let mut lefts = Vec::with_capacity(ks.len());
-        for &k in ks.iter() {
-            match &**operand(&mm.left, left, t, (i, k))? {
-                Block::Dense(d) => lefts.push(d),
-                Block::Sparse(_) => return Ok(None),
-            }
-        }
+        let lefts = &lefts[..ks.len()];
         let cols = run.coords.iter().map(|c| c.1);
         let right = match stacked {
             Some(s) if s.ks == *ks && s.cols.iter().copied().eq(cols.clone()) => s,
             _ => {
-                let heights = lefts.iter().map(|l| l.cols());
-                let Some(panel) = stack_right(mm, t, run, ks, heights, right)? else {
-                    return Ok(None);
-                };
+                if !right_dense(mm, t, run, ks, lefts, right)? {
+                    return term_major(mm, t, run, ks, lefts, right);
+                }
                 stacked.insert(Stacked {
                     ks: ks.clone(),
                     cols: cols.collect(),
-                    panel,
+                    panel: stack_right(mm, t, run, ks, lefts, right),
                 })
             }
         };
+        let lefts: Vec<&DenseBlock> = lefts.iter().collect();
         Ok(Some(DenseBlock::gemm_panel(&lefts, &right.panel)?))
     }
 }
 
-/// The right operand's blocks at `ks` over the run's columns, stacked, each
-/// `k`'s `heights` rows high; `None` unless they are all supported and
-/// dense.
-fn stack_right<'s>(
+/// The `n`-th of a run's left operand slots, made on first use.
+fn slot(lefts: &mut Vec<DenseBlock>, n: usize) -> &mut DenseBlock {
+    if lefts.len() <= n {
+        lefts.resize_with(n + 1, || DenseBlock::zeros(0, 0));
+    }
+    &mut lefts[n]
+}
+
+/// Reads a left operand block, transposed when `swap`, into `slot` as a
+/// dense block. A sparse block is scattered over zeros. It then reads in a
+/// product as its stored entries do, as long as none of them is `±0.0`:
+/// `Block::gemm_acc` skips a zero left entry of a dense block but
+/// multiplies a stored one. `false` when the block stores a `±0.0`.
+fn read_left(block: &Block, swap: bool, slot: &mut DenseBlock) -> bool {
+    let shape = swap_if(swap, (block.rows(), block.cols()));
+    if (slot.rows(), slot.cols()) != shape {
+        *slot = DenseBlock::zeros(shape.0, shape.1);
+    }
+    match block {
+        Block::Dense(d) if !swap => slot.data_mut().copy_from_slice(d.data()),
+        Block::Dense(d) => {
+            for r in 0..d.rows() {
+                for (c, &v) in d.row(r).iter().enumerate() {
+                    slot.set(c, r, v);
+                }
+            }
+        }
+        Block::Sparse(s) => {
+            if s.iter().any(|(_, _, v)| v == 0.0) {
+                return false;
+            }
+            slot.data_mut().fill(0.0);
+            for (r, c, v) in s.iter() {
+                let (r, c) = swap_if(swap, (r, c));
+                slot.set(r, c, v);
+            }
+        }
+    }
+    true
+}
+
+/// Hands `f` each right operand block present at row `k` and the run's
+/// columns, in column order, with its block's index in the run, until `f`
+/// returns `false`; whether it never did. A computed operand's blocks come
+/// from its memo, which holds exactly the supported blocks computed so
+/// far.
+fn right_row(
+    mm: &MatMulOp,
+    memo: &Option<Memo<'_>>,
+    t: &Bound<'_>,
+    k: usize,
+    run: &Run<'_>,
+    mut f: impl FnMut(usize, &Block) -> bool,
+) -> bool {
+    let (first, last) = (run.coords[0].1, run.coords[run.coords.len() - 1].1);
+    let mut each = |j: usize, b: &Block| run.index(j).is_none_or(|n| f(n, b));
+    match (&mm.right, memo) {
+        (Operand::Load(load), _) => (t.loads[*load].into_iter())
+            .flat_map(|nb| nb.range((k, first), (k, last + 1)))
+            .all(|((_, j), b)| each(j, b)),
+        (Operand::Program(_), Some(m)) => {
+            (m.values.range((k, first)..=(k, last))).all(|(&(_, j), b)| each(j, b))
+        }
+        (Operand::Program(_), None) => false,
+    }
+}
+
+/// Computes a computed right operand's supported blocks at the run's
+/// columns and row `k`, so [`right_row`] finds them.
+fn fill_right_row<'s>(
+    mm: &'s MatMulOp,
+    memo: &mut Option<Memo<'s>>,
+    t: &Bound<'s>,
+    k: usize,
+    run: &Run<'_>,
+) -> Result<(), SimError> {
+    if let Operand::Program(_) = mm.right {
+        for &(_, j) in run.coords {
+            if mm.sup.right.holds(t, (k, j)) {
+                fill(&mm.right, memo, t, (k, j))?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Whether every right operand block at `ks` and the run's columns is
+/// supported, and dense with as many rows as the left operand's block at
+/// its `k` has columns.
+fn right_dense<'s>(
     mm: &'s MatMulOp,
     t: &Bound<'s>,
     run: &Run<'_>,
     ks: &[usize],
-    heights: impl Iterator<Item = usize> + Clone,
-    right: &mut Option<Memo<'s>>,
-) -> Result<Option<DenseBlock>, SimError> {
-    if let Operand::Program(_) = mm.right {
-        for &k in ks {
-            for &(_, j) in run.coords {
-                if !mm.sup.right.holds(t, (k, j)) {
-                    return Ok(None);
-                }
-                fill(&mm.right, right, t, (k, j))?;
-            }
+    lefts: &[DenseBlock],
+    memo: &mut Option<Memo<'s>>,
+) -> Result<bool, SimError> {
+    for (&k, l) in ks.iter().zip(lefts) {
+        fill_right_row(mm, memo, t, k, run)?;
+        let mut present = 0;
+        let dense = right_row(mm, memo, t, k, run, |n, b| {
+            present += 1;
+            matches!(b, Block::Dense(b) if (b.rows(), b.cols()) == (l.cols(), run.spans[n].len()))
+        });
+        if !dense || present < run.coords.len() {
+            return Ok(false);
         }
     }
-    let mut stacked = DenseBlock::zeros(heights.clone().sum(), run.width());
+    Ok(true)
+}
+
+/// The right operand's blocks at `ks` (top to bottom) over the run's
+/// columns as one dense panel, once [`right_dense`] has found them all
+/// dense.
+fn stack_right(
+    mm: &MatMulOp,
+    t: &Bound<'_>,
+    run: &Run<'_>,
+    ks: &[usize],
+    lefts: &[DenseBlock],
+    memo: &Option<Memo<'_>>,
+) -> DenseBlock {
+    let mut stacked = DenseBlock::zeros(lefts.iter().map(DenseBlock::cols).sum(), run.width());
     let mut k0 = 0;
-    for (&k, height) in ks.iter().zip(heights) {
-        let mut stack = |b: Option<&Arc<Block>>, span: &Range<usize>| match b.map(|b| &**b) {
-            Some(Block::Dense(b)) if (b.rows(), b.cols()) == (height, span.len()) => {
-                for r in 0..height {
-                    stacked.row_mut(k0 + r)[span.clone()].copy_from_slice(b.row(r));
+    for (&k, l) in ks.iter().zip(lefts) {
+        right_row(mm, memo, t, k, run, |n, b| {
+            if let Block::Dense(b) = b {
+                for r in 0..b.rows() {
+                    stacked.row_mut(k0 + r)[run.spans[n].clone()].copy_from_slice(b.row(r));
                 }
-                true
             }
-            _ => false,
-        };
-        let all = match (&mm.right, &*right) {
-            (Operand::Load(load), _) => {
-                let blocks = row_blocks(t.loads[*load], k, run);
-                blocks.zip(&run.spans).all(|(b, span)| stack(b, span))
+            true
+        });
+        k0 += l.cols();
+    }
+    stacked
+}
+
+/// The run's product built term-major: for each `k` ascending, every right
+/// operand block supported at `(k, j)` adds its term, the left operand's
+/// slot at `k` times that block, into block `j`'s columns. Each addition is
+/// the per-element operation `Block::gemm_acc` performs for the right
+/// block's format ([`DenseBlock::gemm_acc_at`],
+/// [`SparseBlock::gemm_from_dense_acc_at`]), so every element sees what
+/// chaining `gemm_acc` over its own block's `k`s from `+0.0` gives. `None`
+/// when a block's shape does not line up.
+fn term_major<'s>(
+    mm: &'s MatMulOp,
+    t: &Bound<'s>,
+    run: &Run<'_>,
+    ks: &[usize],
+    lefts: &[DenseBlock],
+    memo: &mut Option<Memo<'s>>,
+) -> Result<Option<DenseBlock>, SimError> {
+    let mut out = DenseBlock::zeros(run.rows, run.width());
+    for (&k, l) in ks.iter().zip(lefts) {
+        fill_right_row(mm, memo, t, k, run)?;
+        let added = right_row(mm, memo, t, k, run, |n, b| {
+            let (at, width) = (run.spans[n].start, run.spans[n].len());
+            match b {
+                b if b.cols() != width => false,
+                Block::Dense(b) => l.gemm_acc_at(b, &mut out, at).is_ok(),
+                Block::Sparse(b) => b.gemm_from_dense_acc_at(l, &mut out, at).is_ok(),
             }
-            (Operand::Program(_), Some(m)) => {
-                let blocks = run.coords.iter().map(|&(_, j)| m.values.get(&(k, j)));
-                blocks.zip(&run.spans).all(|(b, span)| stack(b, span))
-            }
-            (Operand::Program(_), None) => false,
-        };
-        if !all {
+        });
+        if !added {
             return Ok(None);
         }
-        k0 += height;
     }
-    Ok(Some(stacked))
+    Ok(Some(out))
 }
 
 /// Whether a load's block of `shape` reads as dense in the row pass: it
@@ -1587,7 +1786,7 @@ fn row_pass<'s>(
     let bs = run.spans[0].len();
     sc.blocks.clear();
     sc.products.clear();
-    for ins in instrs {
+    for (x, ins) in instrs.iter().enumerate() {
         match &ins.op {
             Op::Load(load) => {
                 for (b, span) in row_blocks(t.loads[*load], run.row, run).zip(&run.spans) {
@@ -1602,14 +1801,18 @@ fn row_pass<'s>(
                     return Ok(false);
                 };
                 // The compaction rule: no block of the product may hold so
-                // few non-zeros that `compact()` would store it sparse.
+                // few non-zeros that `compact()` would store it sparse. A
+                // stored root is exempt: `eval_run` compacts its blocks one
+                // by one.
+                let stored_root = x == instrs.len() - 1 && matches!(sink, Sink::Store);
                 let zeros = |span: &Range<usize>| -> usize {
                     (0..run.rows)
                         .map(|r| product.row(r)[span.clone()].iter().filter(|&&v| v == 0.0))
                         .map(Iterator::count)
                         .sum()
                 };
-                let compacts = product.data().contains(&0.0)
+                let compacts = !stored_root
+                    && product.data().contains(&0.0)
                     && run.spans.iter().any(|span| {
                         let elems = run.rows * span.len();
                         compacts_to_sparse(elems - zeros(span), elems)
@@ -1780,6 +1983,15 @@ impl<'a> Run<'a> {
     fn width(&self) -> usize {
         self.spans.last().map_or(0, |s| s.end)
     }
+
+    /// The index in the run of its block at column `j`, if any.
+    fn index(&self, j: usize) -> Option<usize> {
+        let n = j.wrapping_sub(self.coords[0].1);
+        match self.coords.get(n) {
+            Some(&(_, at)) if at == j => Some(n),
+            _ => self.coords.binary_search_by_key(&j, |c| c.1).ok(),
+        }
+    }
 }
 
 /// Computes a memoized operand's block at `c` unless the task has it.
@@ -1862,7 +2074,9 @@ impl<'s> TaskProgram<'s> {
     /// columns ascending, handed to `f` in order: the blocks
     /// [`TaskProgram::eval`] returns, with the same bits and formats. A run
     /// of two or more blocks is stored by the row pass when every block of
-    /// it would be dense on the way; otherwise it goes block by block.
+    /// it would be dense on the way, or the node is the multiplication
+    /// whose blocks are compacted one by one; otherwise it goes block by
+    /// block.
     pub fn eval_run(
         &mut self,
         run: &[Coord],
@@ -1871,10 +2085,20 @@ impl<'s> TaskProgram<'s> {
         let Some(layout) = self.pass_or_each(run, Sink::Store, &mut f)? else {
             return Ok(());
         };
+        // A product block is what `MatMulState::product` makes of the same
+        // elements: `compact()` of the dense accumulator, which is also
+        // what `gemm_auto` gives for a single term.
+        let product = matches!(
+            self.program.region.instrs.last(),
+            Some(Instr {
+                op: Op::MatMul(_),
+                ..
+            })
+        );
         let outs = self.state.scratch.outs.drain(..);
         for ((&c, span), data) in run.iter().zip(&layout.spans).zip(outs) {
-            let block = DenseBlock::from_vec(layout.rows, span.len(), data)?;
-            f(c, Arc::new(Block::Dense(block)))?;
+            let block = Block::Dense(DenseBlock::from_vec(layout.rows, span.len(), data)?);
+            f(c, Arc::new(if product { block.compact() } else { block }))?;
         }
         Ok(())
     }

@@ -19,6 +19,12 @@
 //!   fold runs in the same pass from the task's scratch, so no other panel
 //!   exists: `X` is read from its blocks, and the difference and its
 //!   square from one element row.
+//! * The stage-1 partial product of GNMF's update, `t(Y) %*% X`, a run of
+//!   blocks at a time: the left operand's blocks are read transposed
+//!   straight from the store into the task's slots, and each term is added
+//!   into the run's product panel where `X` has a block. A run allocates
+//!   its layout and its product panel, and each block its elements and the
+//!   `Arc` handed back, however many terms it sums.
 //! * The same compute node `(X - V %*% U)^2` as a stored output,
 //!   evaluated a run of blocks at a time by the same pass: the same three
 //!   allocations per run, and per block only its elements and the `Arc`
@@ -175,9 +181,10 @@ fn run(i: usize) -> Vec<(usize, usize)> {
 }
 
 /// What evaluating row `row` of the loss's compute node as one run, after
-/// row `row + 1` (which sizes the task's scratch and stacks `U`'s panel),
-/// allocates and hands back, and what evaluating the same blocks one by one
-/// afterwards does.
+/// row `row + 1` (which sizes the task's scratch and stacks `U`'s panel)
+/// and one block of that row alone (whose `k` walk builds the column index
+/// of `U`'s list, once per list), allocates and hands back, and what
+/// evaluating the same blocks one by one afterwards does.
 struct Stored {
     run_allocs: u64,
     run: Vec<Arc<Block>>,
@@ -190,6 +197,7 @@ fn loss_run_allocations(row: usize) -> Stored {
     let program = BlockProgram::compile(&dag, &ops, Some(mm), sq);
     let mut task = program.bind(&store, 0..3);
     task.eval_run(&run(row + 1), |_, _| Ok(())).unwrap();
+    task.eval((row + 1, 0)).unwrap();
     let (coords, mut run) = (run(row), Vec::with_capacity(32));
     let before = allocs();
     task.eval_run(&coords, |_, b| {
@@ -270,4 +278,60 @@ fn loss_rows_that_compact_to_sparse_go_block_by_block() {
         stored.run.len()
     );
     assert_same_blocks(&stored.run, &stored.each);
+}
+
+/// `t(Y) %*% X`, with `Y` dense and positive, 64 × 8, and `X` sparse,
+/// 64 × 64 at density 0.3, both in 4 × 4 blocks, as the main
+/// multiplication of a stage-1 task whose k-slice is `ks`: what evaluating
+/// block row 0 as one run, after row 1, allocates and hands back, and what
+/// evaluating its blocks one by one afterwards hands back.
+fn update_run(ks: std::ops::Range<usize>) -> (u64, Vec<Arc<Block>>, Vec<Arc<Block>>) {
+    let bs = 4;
+    let x = gen::sparse_uniform(64, 64, bs, 0.3, 1.0, 2.0, 1).unwrap();
+    let y = gen::dense_uniform(64, 8, bs, 0.1, 1.0, 2).unwrap();
+    let mut b = DagBuilder::new();
+    let xe = b.input("X", *x.meta());
+    let ye = b.input("Y", *y.meta());
+    let yt = b.transpose(ye);
+    let mm = b.matmul(yt, xe);
+    let dag = b.finish(vec![mm]);
+    let mut store = LocalStore::new();
+    store.insert(xe.id(), x.blocks().clone());
+    store.insert(ye.id(), y.blocks().clone());
+    let program = BlockProgram::compile(
+        &dag,
+        &BTreeSet::from([yt.id(), mm.id()]),
+        Some(mm.id()),
+        mm.id(),
+    );
+    let mut task = program.bind(&store, ks);
+    // Row 1 sizes the slots and the scratch.
+    task.eval_run(&row_of(1), |_, _| Ok(())).unwrap();
+    let coords = row_of(0);
+    let mut run = Vec::with_capacity(coords.len());
+    let before = allocs();
+    task.eval_run(&coords, |_, b| {
+        run.push(b);
+        Ok(())
+    })
+    .unwrap();
+    let n = allocs() - before;
+    let each = coords.iter().map(|&c| task.eval(c).unwrap()).collect();
+    (n, run, each)
+}
+
+/// Block row `i` of a 16-column grid.
+fn row_of(i: usize) -> Vec<(usize, usize)> {
+    (0..16).map(|j| (i, j)).collect()
+}
+
+#[test]
+fn transposed_sparse_runs_allocate_per_run_and_per_block_not_per_term() {
+    // Three terms per block, then sixteen: the same allocations.
+    for ks in [0..3, 0..16] {
+        let (n, run, each) = update_run(ks.clone());
+        assert!(run.iter().all(|b| !b.is_sparse()), "k-slice {ks:?}");
+        assert_eq!(n, 2 + 2 * 16, "k-slice {ks:?}");
+        assert_same_blocks(&run, &each);
+    }
 }

@@ -369,6 +369,38 @@ fn special_bindings(seed: u64) -> Bindings {
     binds
 }
 
+/// [`bindings`] with `Y` rows that are all zero, as `V`'s rows are for
+/// users without ratings: in every block of `Y`, rows `r` with `(r + seed +
+/// block row) % 4 != 0` are zeroed in odd block columns and row `seed % 4`
+/// in even ones. Each block is then stored as `compact()` stores it: the
+/// odd columns' blocks, one row in four, sparse, with no stored zeros; the
+/// others dense, with zeros.
+fn zero_row_bindings(seed: u64) -> Bindings {
+    let mut binds = bindings(seed);
+    let y = &binds["Y"];
+    let blocks: Vec<_> = y
+        .iter_blocks()
+        .map(|(bi, bj, b)| {
+            let mut d = b.to_dense();
+            for r in 0..d.rows() {
+                let zero = match bj % 2 {
+                    1 => !(r + seed as usize + bi).is_multiple_of(4),
+                    _ => r as u64 == seed % 4,
+                };
+                if zero {
+                    d.row_mut(r).fill(0.0);
+                }
+            }
+            ((bi, bj), Block::Dense(d).compact())
+        })
+        .collect();
+    let thin = BlockedMatrix::from_blocks(*y.meta(), blocks).unwrap();
+    assert!(thin.iter_blocks().any(|(_, _, b)| b.is_sparse()));
+    assert!(thin.iter_blocks().any(|(_, _, b)| !b.is_sparse()));
+    binds.insert("Y".to_string(), Arc::new(thin));
+    binds
+}
+
 /// Runs of output blocks through the row pass, pinned: GNMF's loss
 /// `sum((X - Y %*% Y)^2)` and its `rowSums`, `colSums`, min and max forms,
 /// longer chains after the product (`exp(X - Y %*% Y) * X`, whose `* X`
@@ -382,17 +414,26 @@ fn special_bindings(seed: u64) -> Bindings {
 /// layouts hand back stage-1 partials run by run, the loss's compute node
 /// `(X - Y %*% Y)^2` stored, which reads `X` zero-filled, and the update
 /// with its denominator `Y * (t(Y) %*% X) / (Y + 1e-9)`, whose stage 2 at
-/// `R > 1` is an element-wise output stored by the row pass. Every binding
-/// of a few seeds plus one with holes in `Y` and one with `±0.0`, `±inf`
-/// and NaN stored in `X`, under tilings whose runs are whole block rows,
-/// cut by tile edges, or single blocks. Runs are also cut by unsupported blocks
-/// (the holes), fall back where a run's blocks sum over different `k`s
-/// (the holes) or a product compacts to sparse (the hazard binding), and
-/// read absent and sparse `X` blocks as zeros (every binding).
+/// `R > 1` is an element-wise output stored by the row pass, and products
+/// with sparse or transposed operands, built term-major: `t(X) %*% Y`,
+/// whose left operand is read transposed from sparse blocks, `X %*% Y`
+/// stored and folded by `sum`, `t(Y) %*% X`, the update's stage-1 partial,
+/// whose sparse right operand stores `±0.0`, `±inf` and NaN under the
+/// special binding, and `t(X) %*% X`, where those meet a sparse left
+/// operand that stores `±0.0` too. Every binding of a few seeds plus one with holes in
+/// `Y`, one with `±0.0`, `±inf` and NaN stored in `X`, and one whose `Y`
+/// has all-zero rows, stored sparse or dense, under tilings whose runs are
+/// whole block rows, cut by tile edges, or single blocks. Runs are also cut
+/// by unsupported blocks (the holes), sum over different `k`s per block
+/// (the holes, and `X`'s absent blocks on the right), fall back where a
+/// product compacts to sparse in front of another operator (the hazard and
+/// zero-row bindings) or a sparse left block stores `±0.0` (the special
+/// binding), and read absent and sparse `X` blocks as zeros (every
+/// binding). A stored product compacts its blocks one by one.
 #[test]
 fn panel_runs_match_interpreter() {
     type Shape = fn(&mut DagBuilder, Expr, Expr) -> Expr;
-    let shapes: [Shape; 18] = [
+    let shapes: [Shape; 23] = [
         |b, x, y| {
             let e = squared_error(b, x, y);
             b.full_agg(e, AggOp::Sum)
@@ -469,6 +510,23 @@ fn panel_runs_match_interpreter() {
             let den = b.binary(y, eps, BinOp::Add);
             b.binary(num, den, BinOp::Div)
         },
+        |b, x, y| {
+            let xt = b.transpose(x);
+            b.matmul(xt, y)
+        },
+        |b, x, y| b.matmul(x, y),
+        |b, x, y| {
+            let p = b.matmul(x, y);
+            b.full_agg(p, AggOp::Sum)
+        },
+        |b, x, y| {
+            let yt = b.transpose(y);
+            b.matmul(yt, x)
+        },
+        |b, x, _| {
+            let xt = b.transpose(x);
+            b.matmul(xt, x)
+        },
     ];
     let tilings = [
         (1, 1, 1),
@@ -486,7 +544,11 @@ fn panel_runs_match_interpreter() {
         let out = shape(&mut b, x, y);
         let dag = b.finish(vec![out]);
         for seed in 0..3 {
-            let more = [holed_bindings(seed), special_bindings(seed)];
+            let more = [
+                holed_bindings(seed),
+                special_bindings(seed),
+                zero_row_bindings(seed),
+            ];
             let binds = all_bindings(seed).into_iter().chain(more);
             for binds in binds {
                 for plan in plans(&dag, &cluster) {

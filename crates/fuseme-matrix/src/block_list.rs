@@ -124,10 +124,21 @@ impl BlockList {
     /// The rows `k ∈ ks` present in column `j`, ascending.
     #[inline]
     pub fn col(&self, j: usize, ks: &Range<usize>) -> impl Iterator<Item = usize> + '_ {
+        self.col_blocks(j, ks).map(|(k, _)| k)
+    }
+
+    /// The blocks present in column `j` at rows `k ∈ ks`, with their rows,
+    /// ascending.
+    #[inline]
+    pub fn col_blocks(
+        &self,
+        j: usize,
+        ks: &Range<usize>,
+    ) -> impl Iterator<Item = (usize, &Arc<Block>)> + '_ {
         let at = self.col_span(j, ks);
         self.col_order()[at]
             .iter()
-            .map(|&p| self.coords[p as usize].0)
+            .map(|&p| (self.coords[p as usize].0, &self.blocks[p as usize]))
     }
 
     /// Number of columns [`BlockList::row`] yields, from two binary

@@ -202,7 +202,7 @@ impl DenseBlock {
         if self.rows * self.cols * rhs.cols >= TILED_MIN_MACS {
             self.tiled_kernel(rhs, out);
         } else {
-            self.naive_kernel(rhs, out);
+            self.naive_kernel(rhs, out, 0);
         }
         Ok(())
     }
@@ -302,7 +302,25 @@ impl DenseBlock {
     /// differential tests can pin the tiled kernel against it.
     pub fn gemm_acc_naive(&self, rhs: &DenseBlock, out: &mut DenseBlock) -> Result<()> {
         self.gemm_check(rhs, out)?;
-        self.naive_kernel(rhs, out);
+        self.naive_kernel(rhs, out, 0);
+        Ok(())
+    }
+
+    /// [`gemm_acc`](DenseBlock::gemm_acc) into a window of a wider
+    /// accumulator: `self * rhs` is added to `out`'s columns `at..at +
+    /// rhs.cols()`, every element with the operations, in the order, that
+    /// `gemm_acc` performs (inner index ascending, zero left entries
+    /// skipped). The executor adds one term of one output block of a run
+    /// into the run's row panel this way.
+    pub fn gemm_acc_at(&self, rhs: &DenseBlock, out: &mut DenseBlock, at: usize) -> Result<()> {
+        if self.cols != rhs.rows {
+            return Err(Error::GemmMismatch {
+                left_cols: self.cols,
+                right_rows: rhs.rows,
+            });
+        }
+        check_window(out, self.rows, at, rhs.cols)?;
+        self.naive_kernel(rhs, out, at);
         Ok(())
     }
 
@@ -331,13 +349,13 @@ impl DenseBlock {
         Ok(())
     }
 
-    /// i-k-j loop: the inner loop streams both the `rhs` row and the `out`
-    /// row sequentially.
-    fn naive_kernel(&self, rhs: &DenseBlock, out: &mut DenseBlock) {
+    /// i-k-j loop into `out`'s columns `at..at + rhs.cols`: the inner loop
+    /// streams both the `rhs` row and the `out` row sequentially.
+    fn naive_kernel(&self, rhs: &DenseBlock, out: &mut DenseBlock, at: usize) {
         let n = rhs.cols;
         for i in 0..self.rows {
             let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            let out_row = &mut out.data[i * n..(i + 1) * n];
+            let out_row = &mut out.data[i * out.cols + at..][..n];
             for (k, &a) in a_row.iter().enumerate() {
                 if a == 0.0 {
                     continue;
@@ -446,6 +464,19 @@ impl DenseBlock {
         }
         out
     }
+}
+
+/// `Ok` when `out` has `rows` rows and its columns `at..at + cols` exist:
+/// the window a product `rows × cols` is added into.
+pub(crate) fn check_window(out: &DenseBlock, rows: usize, at: usize, cols: usize) -> Result<()> {
+    if out.rows != rows || at + cols > out.cols {
+        return Err(Error::DimMismatch {
+            left: (out.rows, out.cols),
+            right: (rows, at + cols),
+            op: "gemm output window",
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -427,11 +427,34 @@ impl SparseBlock {
                 op: "dsmm output",
             });
         }
-        let n = self.cols;
+        self.gemm_from_dense_acc_at(lhs, out, 0)
+    }
+
+    /// [`gemm_from_dense_acc`](SparseBlock::gemm_from_dense_acc) into a
+    /// window of a wider accumulator: `lhs * self` is added to `out`'s
+    /// columns `at..at + self.cols()`, every element with the operations,
+    /// in the order, that `gemm_from_dense_acc` performs (zero left entries
+    /// skipped, stored entries read in storage order). The executor adds
+    /// one term of one output block of a run into the run's row panel this
+    /// way.
+    pub fn gemm_from_dense_acc_at(
+        &self,
+        lhs: &DenseBlock,
+        out: &mut DenseBlock,
+        at: usize,
+    ) -> Result<()> {
+        if lhs.cols() != self.rows {
+            return Err(Error::GemmMismatch {
+                left_cols: lhs.cols(),
+                right_rows: self.rows,
+            });
+        }
+        crate::dense::check_window(out, lhs.rows(), at, self.cols)?;
+        let width = out.cols();
         let out_data = out.data_mut();
         for i in 0..lhs.rows() {
             let a_row = lhs.row(i);
-            let out_row = &mut out_data[i * n..(i + 1) * n];
+            let out_row = &mut out_data[i * width + at..][..self.cols];
             for (k, &a) in a_row.iter().enumerate() {
                 if a == 0.0 {
                     continue;

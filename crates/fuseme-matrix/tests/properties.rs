@@ -515,3 +515,157 @@ proptest! {
         }
     }
 }
+
+/// Strategy: the entries of a `rows × cols` block, row-major, each absent
+/// or present with a value. How many are present is drawn per block (none,
+/// a quarter, half, three quarters or all, in expectation); a present
+/// value is `0.0`, `-0.0`, `inf`, `-inf` or NaN about one time in three,
+/// else finite and not round.
+fn special_entries(rows: usize, cols: usize) -> impl Strategy<Value = Vec<Option<f64>>> {
+    let value = |code: u8| match code {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::INFINITY,
+        3 => f64::NEG_INFINITY,
+        4 => f64::NAN,
+        c => (f64::from(c) - 9.5) * 0.37,
+    };
+    (
+        0u8..=4,
+        proptest::collection::vec((0u8..4, 0u8..15), rows * cols),
+    )
+        .prop_map(move |(density, codes)| {
+            (codes.into_iter())
+                .map(|(keep, code)| (keep < density).then(|| value(code)))
+                .collect()
+        })
+}
+
+/// Strategy: a dense `rows × cols` block of [`special_entries`], absent
+/// entries `0.0`.
+fn special_dense(rows: usize, cols: usize) -> impl Strategy<Value = DenseBlock> {
+    special_entries(rows, cols).prop_map(move |entries| {
+        let values = entries.into_iter().map(|v| v.unwrap_or(0.0)).collect();
+        DenseBlock::from_vec(rows, cols, values).unwrap()
+    })
+}
+
+/// Strategy: a `rows × cols` block of [`special_entries`] in either
+/// format: dense with absent entries `0.0`, or sparse storing exactly the
+/// present ones (its `±0.0` among them).
+fn special_block(rows: usize, cols: usize) -> impl Strategy<Value = Block> {
+    (proptest::bool::ANY, special_entries(rows, cols)).prop_map(move |(sparse, entries)| {
+        let present =
+            (entries.iter().enumerate()).filter_map(|(at, v)| v.map(|v| (at / cols, at % cols, v)));
+        if sparse {
+            Block::Sparse(SparseBlock::from_triples(rows, cols, present.collect()).unwrap())
+        } else {
+            let mut d = DenseBlock::zeros(rows, cols);
+            for (r, c, v) in present {
+                d.set(r, c, v);
+            }
+            Block::Dense(d)
+        }
+    })
+}
+
+/// A block's format, and its stored entries (every entry of a dense block)
+/// with the bits of their values.
+fn stored_bits(b: &Block) -> (bool, Vec<(usize, usize, u64)>) {
+    let entries = match b {
+        Block::Sparse(s) => s.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect(),
+        Block::Dense(d) => (0..d.rows())
+            .flat_map(|r| (0..d.cols()).map(move |c| (r, c, d.get(r, c).to_bits())))
+            .collect(),
+    };
+    (b.is_sparse(), entries)
+}
+
+proptest! {
+    /// `Block::gemm_auto` is `compact()` of the dense product `gemm` gives,
+    /// in format, pattern and the bits of every value, for all four format
+    /// pairs, operands storing `±0.0`, `±inf` and NaN, and shapes down to
+    /// one row, one column or one inner index (a matrix's narrow edge
+    /// blocks). Thin sparse left operands take its direct sparse outputs.
+    /// The executor compacts a stored product's blocks this way after
+    /// computing them together, which gives what the per-block path's
+    /// single-term `gemm_auto` gives.
+    #[test]
+    fn gemm_auto_is_the_compacted_dense_product(
+        (l, r) in (1usize..=6, 1usize..=6, 1usize..=6)
+            .prop_flat_map(|(m, k, n)| (special_block(m, k), special_block(k, n)))
+    ) {
+        let auto = l.gemm_auto(&r).unwrap();
+        let want = Block::Dense(l.gemm(&r).unwrap()).compact();
+        prop_assert_eq!(stored_bits(&auto), stored_bits(&want), "{:?} × {:?}", l, r);
+    }
+
+    /// `DenseBlock::gemm_acc_at` and `SparseBlock::gemm_from_dense_acc_at`,
+    /// chained over one to three terms into a window of a wider
+    /// accumulator, leave in the window the bits `Block::gemm_acc` chained
+    /// over the same terms leaves in a zeroed block, and touch nothing
+    /// outside it. Both follow the per-element definition, written out
+    /// here: from `+0.0`, term by term and inner index ascending, add
+    /// `a * b` for every non-zero left entry `a` and right entry `b` that
+    /// is stored (every entry of a dense block). Entries include `±0.0`,
+    /// `±inf` and NaN, so a zero left entry that were not skipped, or an
+    /// unstored right entry that were read, would show. The executor adds
+    /// a run's terms into its product panel this way.
+    #[test]
+    fn gemm_acc_at_matches_gemm_acc_in_its_window(
+        (terms, at, extra) in (1usize..=6, 1usize..=6, 0usize..=3, 0usize..=3)
+            .prop_flat_map(|(m, n, at, extra)| {
+                let term = (1usize..=6)
+                    .prop_flat_map(move |k| (special_dense(m, k), special_block(k, n)));
+                (proptest::collection::vec(term, 1..=3), Just(at), Just(extra))
+            })
+    ) {
+        let (m, n) = (terms[0].0.rows(), terms[0].1.cols());
+        let mut acc = DenseBlock::zeros(m, n);
+        let mut wide = DenseBlock::filled(m, at + n + extra, 7.25);
+        for r in 0..m {
+            wide.row_mut(r)[at..at + n].fill(0.0);
+        }
+        for (l, r) in &terms {
+            Block::Dense(l.clone()).gemm_acc(r, &mut acc).unwrap();
+            match r {
+                Block::Dense(r) => l.gemm_acc_at(r, &mut wide, at).unwrap(),
+                Block::Sparse(r) => r.gemm_from_dense_acc_at(l, &mut wide, at).unwrap(),
+            }
+        }
+        let mut defined = DenseBlock::zeros(m, n);
+        for (l, r) in &terms {
+            let stored: Vec<(usize, usize, f64)> = match r {
+                Block::Dense(d) => (0..d.rows())
+                    .flat_map(|k| (0..n).map(move |c| (k, c, d.get(k, c))))
+                    .collect(),
+                Block::Sparse(s) => s.iter().collect(),
+            };
+            for i in 0..m {
+                for &(k, c, b) in &stored {
+                    let a = l.get(i, k);
+                    if a != 0.0 {
+                        defined.set(i, c, defined.get(i, c) + a * b);
+                    }
+                }
+            }
+        }
+        let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Against the definition a NaN is a NaN: which operand's sign and
+        // payload an addition keeps is the compiler's choice.
+        let canonical = |v: &[f64]| -> Vec<u64> {
+            v.iter().map(|v| if v.is_nan() { f64::NAN } else { *v }.to_bits()).collect()
+        };
+        for r in 0..m {
+            let row = wide.row(r);
+            prop_assert_eq!(bits(&row[at..at + n]), bits(acc.row(r)), "row {}", r);
+            prop_assert_eq!(
+                canonical(&row[at..at + n]),
+                canonical(defined.row(r)),
+                "row {}",
+                r
+            );
+            prop_assert!(row[..at].iter().chain(&row[at + n..]).all(|&v| v == 7.25));
+        }
+    }
+}

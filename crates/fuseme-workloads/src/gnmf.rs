@@ -46,9 +46,14 @@ impl Gnmf {
     /// the multiplicative updates monotone. The operator mix per iteration
     /// — four multiplications, two element-wise pairs, two transposes — is
     /// identical either way.
+    ///
+    /// Both denominators carry `+ 1e-9`, as common GNMF implementations
+    /// guard them. Eq. 6 has no such term, but without it a user with no
+    /// ratings gets a zero row in `V` from the first update and `0 / 0` in
+    /// the next, and the factors turn NaN.
     pub fn update_script() -> &'static str {
-        "Un = U * (t(V) %*% X) / ((t(V) %*% V) %*% U)\n\
-         Vn = V * (X %*% t(Un)) / (V %*% (Un %*% t(Un)))\n\
+        "Un = U * (t(V) %*% X) / ((t(V) %*% V) %*% U + 1e-9)\n\
+         Vn = V * (X %*% t(Un)) / (V %*% (Un %*% t(Un)) + 1e-9)\n\
          output Un, Vn"
     }
 
@@ -158,6 +163,40 @@ mod tests {
         for it in stats {
             assert!(it.sim_secs > 0.0);
             assert!(it.comm_bytes > 0);
+        }
+    }
+
+    /// Stock GNMF at Fig. 14's YahooMusic shape at scale 250 (7292 × 546,
+    /// k = 12, 4 × 4 blocks) on Fig. 14's cluster. About a fifth of the
+    /// users have no ratings, so the first `V` update zeroes their rows,
+    /// and unguarded denominators divide 0 by 0 for them from the second
+    /// iteration on. Guarded, the factors and the loss stay finite.
+    #[test]
+    fn yahoo_music_shape_stays_finite() {
+        use crate::datasets::YAHOO_MUSIC;
+        let scale = fuseme_bench::Scale::default_scale();
+        let (users, items) = YAHOO_MUSIC.scaled_dims(scale.divisor, scale.block_size());
+        let g = Gnmf {
+            users,
+            items,
+            factor: scale.factor(200),
+            block_size: scale.block_size(),
+            density: YAHOO_MUSIC.density(),
+        };
+        assert_eq!((users, items, g.factor, g.block_size), (7292, 546, 12, 4));
+        let mut s = Session::new(Engine::fuseme(scale.factor_cluster(8)));
+        g.bind_inputs(&mut s, 1).unwrap();
+        for iteration in 1..=3 {
+            g.iterate(&mut s).unwrap();
+            for name in ["U", "V"] {
+                let values = s.matrix(name).unwrap().to_dense_vec();
+                assert!(
+                    values.iter().all(|v| v.is_finite()),
+                    "{name} after iteration {iteration}"
+                );
+            }
+            let loss = g.reconstruction_error(&mut s).unwrap();
+            assert!(loss.is_finite(), "loss {loss} after iteration {iteration}");
         }
     }
 
