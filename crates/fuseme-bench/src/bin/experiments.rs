@@ -14,7 +14,9 @@
 //! ```
 //!
 //! The whole command line is checked before the first experiment starts:
-//! an unknown flag or experiment name, or `--iters 0`, exits 2 at once.
+//! an unknown flag or experiment name, or `--iters 0`, exits 2 at once, and
+//! so does an output directory that cannot be created (`--out` naming a
+//! file, say).
 
 use std::path::PathBuf;
 
@@ -101,6 +103,9 @@ fn main() {
             _ => vec![name],
         })
         .collect();
+    if let Err(e) = std::fs::create_dir_all(&out) {
+        die(&format!("cannot create --out {}: {e}", out.display()));
+    }
     if trace {
         let dir = out.join("traces");
         println!("tracing every measured run → {}", dir.display());

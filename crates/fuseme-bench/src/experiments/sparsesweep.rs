@@ -250,7 +250,7 @@ pub fn run(scale: Scale, out_dir: &Path, smoke: bool) -> Vec<Measurement> {
     table.print();
     println!(
         "  (both paths compute identical results; the sparse path's savings come from \
-         CSR consolidation shuffles and sparse-output kernels, not from skipped work)"
+         CSR consolidation shuffles and products compacted to CSR, not from skipped work)"
     );
     write_json(out_dir, "sparsesweep", &measurements).expect("write results");
     measurements

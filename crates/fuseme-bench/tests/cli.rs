@@ -1,5 +1,6 @@
 //! The experiment harness checks its whole command line before it runs
-//! anything: a bad argument exits 2 and writes no results.
+//! anything: a bad argument, or an output directory it cannot create,
+//! exits 2 and writes no results.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -32,6 +33,19 @@ fn bad_arguments_exit_before_any_experiment_runs() {
         assert!(run.stdout.is_empty(), "{args:?} printed before failing");
         assert!(!out.exists(), "{args:?} wrote {}", out.display());
     }
+}
+
+#[test]
+fn uncreatable_out_dir_exits_before_any_experiment_runs() {
+    let file = temp_out("file");
+    std::fs::write(&file, "not a directory").unwrap();
+    let run = experiments(&["table3"], &file);
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(2), "{stderr}");
+    assert!(run.stdout.is_empty(), "printed before failing");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(file.is_file(), "{} replaced", file.display());
+    std::fs::remove_file(&file).unwrap();
 }
 
 #[test]

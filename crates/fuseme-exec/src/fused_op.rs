@@ -132,10 +132,10 @@ pub struct UnitKernel {
     /// plan, or in a two-stage layout (stage 2) over the plan without its
     /// main multiplication, which the reducer's store then holds.
     output: BlockProgram,
-    /// Stage 1 of a two-stage layout: the compute node's program over the
-    /// whole plan, whose support gates which partials are computed, and
-    /// the main multiplication's program.
-    partials: Option<(BlockProgram, BlockProgram)>,
+    /// Stage 1 of a two-stage layout: the main multiplication's program,
+    /// supported where the compute node's support over the whole plan
+    /// lets a partial through.
+    partials: Option<BlockProgram>,
     parity: bool,
     agg: Option<(AggOp, AggShape)>,
     compute_meta: fuseme_matrix::MatrixMeta,
@@ -150,10 +150,17 @@ impl UnitKernel {
         let split = layout.main_mm.filter(|_| layout.r > 1);
         let mut rest = plan.ops.clone();
         rest.retain(|&n| Some(n) != split);
-        let whole = |node| compile(&plan.ops, node);
         UnitKernel {
             output: compile(&rest, layout.compute_node),
-            partials: split.map(|mm| (whole(layout.compute_node), whole(mm))),
+            partials: split.map(|mm| {
+                BlockProgram::compile_partials(
+                    dag,
+                    &plan.ops,
+                    mm,
+                    layout.compute_node,
+                    layout.parity,
+                )
+            }),
             parity: layout.parity,
             agg,
             compute_meta: dag.node(layout.compute_node).meta,
@@ -165,23 +172,21 @@ impl UnitKernel {
     /// partial main-multiplication blocks at the output blocks the plan's
     /// sparsity gate lets through.
     pub fn stage1(&self, task: &TaskSlice, store: &LocalStore) -> Result<TaskOut, SimError> {
-        let Some((whole, mm)) = &self.partials else {
+        let Some(partials) = &self.partials else {
             return self.full(self.output.bind(store, task.k_range.clone()), &task.out);
         };
-        let compute = whole.bind(store, task.k_range.clone());
-        let mut mm = mm.bind(store, task.k_range.clone());
+        let mut mm = partials.bind(store, task.k_range.clone());
         // Only output blocks the plan's sparsity gate lets through need
         // multiplication partials — skipping the rest is what keeps the
         // never-materialized intermediate from existing (paper Fig. 1(a)'s
-        // dotted cells).
-        let mut wanted: Vec<(usize, usize)> = compute
-            .supported(&task.out)
-            .into_iter()
-            .map(|(bi, bj)| if self.parity { (bj, bi) } else { (bi, bj) })
-            .collect();
-        wanted.sort_unstable();
-        wanted.dedup();
-        wanted.retain(|&c| mm.has_support(c));
+        // dotted cells). The tile in the multiplication's coordinates is
+        // one term, so its supported blocks come back sorted and distinct.
+        let tile = if self.parity {
+            task.out.transposed()
+        } else {
+            task.out.clone()
+        };
+        let wanted = mm.supported(&tile);
         let mut out = Vec::with_capacity(wanted.len());
         for run in runs(&wanted) {
             mm.eval_run(run, |c, b| {

@@ -104,8 +104,7 @@
 //! * **store** ([`TaskProgram::eval_run`]): each block's chunk of the row
 //!   is appended to that block's elements, and the blocks are handed back
 //!   as `Block::Dense`, or as `compact()` of it when the root is the
-//!   product: what the per-block path's dense accumulator compacts to, and
-//!   what its single-term `gemm_auto` builds;
+//!   product: what the per-block path's dense accumulator compacts to;
 //! * **fold** ([`TaskProgram::fold_run`]), for an aggregation root: every
 //!   block's accumulators take the chunk's values in column order. So each
 //!   accumulator is fed, from the identity, exactly the values, in exactly
@@ -955,6 +954,36 @@ impl BlockProgram {
         }
     }
 
+    /// Stage 1 of a two-stage layout: the plan's main multiplication
+    /// `main_mm`, supported only where `compute_node` can be non-zero too,
+    /// its support read at the multiplication's coordinates, swapped when
+    /// `parity`. [`TaskProgram::supported`] then yields the partials a
+    /// task must compute in one pass of the one rule. When the
+    /// multiplication is the compute node, its own rule is the whole rule.
+    pub fn compile_partials(
+        dag: &QueryDag,
+        ops: &BTreeSet<NodeId>,
+        main_mm: NodeId,
+        compute_node: NodeId,
+        parity: bool,
+    ) -> BlockProgram {
+        let mut lower = Lower {
+            dag,
+            ops,
+            main_mm: Some(main_mm),
+            loads: Vec::new(),
+        };
+        let mut region = lower.region(main_mm);
+        if compute_node != main_mm {
+            let gate = lower.sup(compute_node, parity);
+            region.sup = Sup::and(gate, std::mem::replace(&mut region.sup, Sup::All));
+        }
+        BlockProgram {
+            region,
+            loads: lower.loads,
+        }
+    }
+
     /// Binds the program to one task: its store and its k-slice of the
     /// main multiplication (the full range when `R = 1`).
     pub fn bind<'s>(&'s self, store: &'s LocalStore, k_range: Range<usize>) -> TaskProgram<'s> {
@@ -1320,7 +1349,8 @@ impl<'s> MatMulState<'s> {
         Ok(())
     }
 
-    /// The gathered product as `Block`'s own operators format it; without
+    /// The gathered product: `compact()` of a dense accumulator that
+    /// `gemm_acc` chains the terms into from `+0.0`, `k` ascending; without
     /// terms, `region`'s empty block.
     fn product(
         &self,
@@ -1330,34 +1360,17 @@ impl<'s> MatMulState<'s> {
         (i, j): Coord,
         region: &'s Region,
     ) -> Result<Val<'s>, SimError> {
-        let term = |k: usize| -> Result<(&Block, &Block), SimError> {
-            Ok((
-                &**operand(&mm.left, &self.left, t, (i, k))?,
-                &**operand(&mm.right, &self.right, t, (k, j))?,
-            ))
-        };
-        Ok(Val::Own(match self.ks.as_slice() {
-            [] => return Ok(Val::Ref(region.zero(meta, (i, j))?)),
-            // A single-term product goes through the format-aware Gustavson
-            // kernel, which can build a sparse output directly instead of
-            // densifying and re-compacting.
-            &[k] => {
-                let (l, r) = term(k)?;
-                l.gemm_auto(r)?
-            }
-            // Multi-term sums keep the single dense accumulator so the
-            // summation order (and thus bit pattern) matches the reference
-            // path exactly.
-            ks => {
-                let (rows, cols) = meta.block_dims(i, j);
-                let mut acc = DenseBlock::zeros(rows, cols);
-                for &k in ks {
-                    let (l, r) = term(k)?;
-                    l.gemm_acc(r, &mut acc)?;
-                }
-                Block::Dense(acc).compact()
-            }
-        }))
+        if self.ks.is_empty() {
+            return Ok(Val::Ref(region.zero(meta, (i, j))?));
+        }
+        let (rows, cols) = meta.block_dims(i, j);
+        let mut acc = DenseBlock::zeros(rows, cols);
+        for &k in &self.ks {
+            let l = operand(&mm.left, &self.left, t, (i, k))?;
+            let r = operand(&mm.right, &self.right, t, (k, j))?;
+            l.gemm_acc(r, &mut acc)?;
+        }
+        Ok(Val::Own(Block::Dense(acc).compact()))
     }
 
     /// Whether the gathered product is certified to come out of
@@ -2018,11 +2031,6 @@ pub struct TaskProgram<'s> {
 }
 
 impl<'s> TaskProgram<'s> {
-    /// `true` if the program's node can be non-zero at `c`.
-    pub fn has_support(&self, c: Coord) -> bool {
-        self.program.region.sup.holds(&self.bound, c)
-    }
-
     /// The coordinates of `tile` at which the node can be non-zero, in
     /// tile order. When a sparse input gates the node, candidates are that
     /// input's blocks present in the store rather than every coordinate of
@@ -2086,8 +2094,7 @@ impl<'s> TaskProgram<'s> {
             return Ok(());
         };
         // A product block is what `MatMulState::product` makes of the same
-        // elements: `compact()` of the dense accumulator, which is also
-        // what `gemm_auto` gives for a single term.
+        // elements: `compact()` of the dense accumulator.
         let product = matches!(
             self.program.region.instrs.last(),
             Some(Instr {
@@ -2299,7 +2306,8 @@ impl Footprint {
         }
     }
 
-    fn transposed(&self) -> Footprint {
+    /// The footprint with rows and columns swapped.
+    pub(crate) fn transposed(&self) -> Footprint {
         let terms = self
             .terms
             .iter()
@@ -2474,9 +2482,6 @@ mod tests {
         let program = BlockProgram::compile(&dag, &ops, Some(mm), root);
         let task = program.bind(&emptied, 0..2);
         let tile = Footprint::product(0..4, 0..4);
-        for c in tile.coords() {
-            assert!(!task.has_support(c));
-        }
         assert!(task.supported(&tile).is_empty());
         // With X present, the supported blocks are exactly X's.
         let full = program.bind(&store, 0..2);

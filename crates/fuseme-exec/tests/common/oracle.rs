@@ -126,23 +126,20 @@ impl<'a> KernelCtx<'a> {
                 let (l_id, r_id) = (n.inputs[0], n.inputs[1]);
                 let ks = self.mm_k_range(node);
                 let (rows, cols) = self.block_dims(node, bi, bj);
-                let mut terms = Vec::new();
+                let mut acc = DenseBlock::zeros(rows, cols);
+                let mut any = false;
                 for k in ks {
                     if !self.has_support(l_id, bi, k) || !self.has_support(r_id, k, bj) {
                         continue;
                     }
-                    terms.push((self.eval(l_id, bi, k)?, self.eval(r_id, k, bj)?));
+                    let (l, r) = (self.eval(l_id, bi, k)?, self.eval(r_id, k, bj)?);
+                    l.gemm_acc(&r, &mut acc)?;
+                    any = true;
                 }
-                match terms.as_slice() {
-                    [] => Block::zero(rows, cols),
-                    [(l, r)] => l.gemm_auto(r)?,
-                    _ => {
-                        let mut acc = DenseBlock::zeros(rows, cols);
-                        for (l, r) in &terms {
-                            l.gemm_acc(r, &mut acc)?;
-                        }
-                        Block::Dense(acc).compact()
-                    }
+                if any {
+                    Block::Dense(acc).compact()
+                } else {
+                    Block::zero(rows, cols)
                 }
             }
             OpKind::FullAgg(_) | OpKind::RowAgg(_) | OpKind::ColAgg(_) => {

@@ -36,7 +36,7 @@ use fuseme_exec::kernel::BlockProgram;
 use fuseme_exec::{LocalStore, Strategy};
 use fuseme_fusion::optimizer::Pqr;
 use fuseme_fusion::plan::PartialPlan;
-use fuseme_matrix::{gen, AggOp, BinOp, Block, BlockedMatrix, MatrixMeta, UnaryOp};
+use fuseme_matrix::{gen, AggOp, BinOp, Block, BlockedMatrix, MatrixMeta, SparseBlock, UnaryOp};
 use fuseme_plan::{Bindings, DagBuilder, Expr, NodeId, OpKind, QueryDag};
 use fuseme_sim::{Cluster, ClusterConfig, SimError};
 
@@ -401,6 +401,32 @@ fn zero_row_bindings(seed: u64) -> Bindings {
     binds
 }
 
+/// [`bindings`] with an `X` whose blocks store one or two full rows, as
+/// sparse blocks: row `(bi + bj + seed) % 4`, and in odd block columns row
+/// `(bi + bj + seed + 2) % 4` too. A single-term product of such a block
+/// and a dense `Y` block fills one row of four, and `compact()` stores it
+/// sparse, or two rows, and it stays dense.
+fn thin_x_bindings(seed: u64) -> Bindings {
+    let mut binds = bindings(seed);
+    let values = gen::dense_uniform(16, 16, 4, -1.0, 1.0, seed + 7).unwrap();
+    let blocks: Vec<_> = values
+        .iter_blocks()
+        .map(|(bi, bj, b)| {
+            let mut d = b.to_dense();
+            let first = (bi + bj + seed as usize) % 4;
+            for r in 0..d.rows() {
+                if r != first && (bj % 2 == 0 || r != (first + 2) % 4) {
+                    d.row_mut(r).fill(0.0);
+                }
+            }
+            ((bi, bj), Block::Sparse(SparseBlock::from_dense(&d)))
+        })
+        .collect();
+    let thin = BlockedMatrix::from_blocks(*binds["X"].meta(), blocks).unwrap();
+    binds.insert("X".to_string(), Arc::new(thin));
+    binds
+}
+
 /// Runs of output blocks through the row pass, pinned: GNMF's loss
 /// `sum((X - Y %*% Y)^2)` and its `rowSums`, `colSums`, min and max forms,
 /// longer chains after the product (`exp(X - Y %*% Y) * X`, whose `* X`
@@ -421,9 +447,13 @@ fn zero_row_bindings(seed: u64) -> Bindings {
 /// whose sparse right operand stores `±0.0`, `±inf` and NaN under the
 /// special binding, and `t(X) %*% X`, where those meet a sparse left
 /// operand that stores `±0.0` too. Every binding of a few seeds plus one with holes in
-/// `Y`, one with `±0.0`, `±inf` and NaN stored in `X`, and one whose `Y`
-/// has all-zero rows, stored sparse or dense, under tilings whose runs are
-/// whole block rows, cut by tile edges, or single blocks. Runs are also cut
+/// `Y`, one with `±0.0`, `±inf` and NaN stored in `X`, one whose `Y`
+/// has all-zero rows, stored sparse or dense, and one whose `X` blocks
+/// store one or two rows, under tilings whose runs are whole block rows,
+/// cut by tile edges, or single blocks. The last tiling gives every task
+/// one block column and one `k`: its stored `X %*% Y` and `sum` of it
+/// compute single-term products of thin sparse `X` blocks block by block,
+/// which compact to sparse blocks where one row is stored. Runs are also cut
 /// by unsupported blocks (the holes), sum over different `k`s per block
 /// (the holes, and `X`'s absent blocks on the right), fall back where a
 /// product compacts to sparse in front of another operator (the hazard and
@@ -535,6 +565,7 @@ fn panel_runs_match_interpreter() {
         (4, 4, 1),
         (1, 1, 2),
         (2, 1, 4),
+        (1, 4, 4),
     ];
     let cluster = Cluster::new(ClusterConfig::test_small());
     for shape in shapes {
@@ -548,6 +579,7 @@ fn panel_runs_match_interpreter() {
                 holed_bindings(seed),
                 special_bindings(seed),
                 zero_row_bindings(seed),
+                thin_x_bindings(seed),
             ];
             let binds = all_bindings(seed).into_iter().chain(more);
             for binds in binds {

@@ -213,9 +213,11 @@ fn plan_parallelism(dag: &QueryDag, plan: &PartialPlan) -> usize {
 /// `size(v)` of Eqs. 3–4: estimated bytes of a node's (materialized) value.
 ///
 /// Matmul nodes are priced with [`MatrixMeta::matmul_out_size_bytes`] — the
-/// format rule the executor's `gemm_auto` kernel applies to the structural
-/// nnz upper bound — rather than with the node's own expected-value density,
-/// so `MemEst`/`NetEst` track the bytes the kernels actually materialize.
+/// executor's format threshold applied to the structural nnz upper bound,
+/// where the kernels apply it to each product block's actual nnz
+/// (`Block::compact`) — rather than with the node's own expected-value
+/// density, so `MemEst`/`NetEst` never price fewer bytes than the kernels
+/// materialize.
 pub fn size_bytes(dag: &QueryDag, v: NodeId) -> u64 {
     let node = dag.node(v);
     match &node.kind {

@@ -210,45 +210,6 @@ impl Block {
         Ok(out)
     }
 
-    /// Structural upper bound on the non-zeros of `self * rhs`. Sparse left
-    /// operands bound per output row via the Gustavson access pattern; a
-    /// dense left operand may fill the whole product.
-    pub fn gemm_nnz_upper_bound(&self, rhs: &Block) -> usize {
-        match (self, rhs) {
-            (Block::Sparse(a), Block::Sparse(b)) => a.gemm_nnz_upper_bound(b),
-            (Block::Sparse(a), Block::Dense(b)) => a.gemm_dense_nnz_upper_bound(b.cols()),
-            (Block::Dense(_), _) => self.rows() * rhs.cols(),
-        }
-    }
-
-    /// Matrix multiplication that picks the output format from the nnz
-    /// upper bound: below the 40% sparse threshold the product is built
-    /// directly in CSR (Gustavson), otherwise densely with a final
-    /// [`Block::compact`]. Because the bound never undershoots the actual
-    /// nnz, the chosen format always agrees with what `compact` would pick
-    /// for a sufficiently sparse result.
-    pub fn gemm_auto(&self, rhs: &Block) -> Result<Block> {
-        if self.cols() != rhs.rows() {
-            return Err(Error::GemmMismatch {
-                left_cols: self.cols(),
-                right_rows: rhs.rows(),
-            });
-        }
-        let elems = self.rows() * rhs.cols();
-        let sparse_out = elems > 0
-            && (self.gemm_nnz_upper_bound(rhs) as f64)
-                < crate::SPARSE_FORMAT_THRESHOLD * elems as f64;
-        match (self, rhs) {
-            (Block::Sparse(a), Block::Sparse(b)) if sparse_out => {
-                Ok(Block::Sparse(a.gemm_sparse(b)?))
-            }
-            (Block::Sparse(a), Block::Dense(b)) if sparse_out => {
-                Ok(Block::Sparse(a.gemm_dense_sparse_out(b)?))
-            }
-            _ => Ok(Block::Dense(self.gemm(rhs)?).compact()),
-        }
-    }
-
     /// Full aggregation to a scalar.
     pub fn agg(&self, op: AggOp) -> f64 {
         match self {
@@ -378,38 +339,6 @@ mod tests {
                 assert_eq!(a.gemm(b).unwrap(), expected);
             }
         }
-    }
-
-    #[test]
-    fn gemm_auto_picks_sparse_output_and_agrees_with_dense() {
-        // 8x8 sparse operands with two entries each: the ub stays far below
-        // the 40% threshold, so the product must come back sparse.
-        let a = sparse(8, 8, vec![(0, 1, 2.0), (3, 4, -1.5)]);
-        let b = sparse(8, 8, vec![(1, 2, 4.0), (4, 0, 3.0)]);
-        let auto = a.gemm_auto(&b).unwrap();
-        assert!(auto.is_sparse(), "low-ub sparse product must stay sparse");
-        assert_eq!(auto.to_dense(), a.gemm(&b).unwrap());
-
-        // Sparse × dense with only two populated left rows: still sparse.
-        let d = dense(8, 2, &[1.0; 16]);
-        let auto_sd = a.gemm_auto(&d).unwrap();
-        assert!(auto_sd.is_sparse());
-        assert_eq!(auto_sd.to_dense(), a.gemm(&d).unwrap());
-
-        // Dense × dense always lands on the compacted dense path.
-        let full = dense(2, 2, &[1.0, 2.0, 3.0, 4.0]);
-        let auto_dd = full.gemm_auto(&full).unwrap();
-        assert_eq!(auto_dd.to_dense(), full.gemm(&full).unwrap());
-    }
-
-    #[test]
-    fn gemm_nnz_upper_bound_never_undershoots() {
-        let a = sparse(4, 4, vec![(0, 0, 1.0), (0, 1, 1.0), (2, 3, 1.0)]);
-        let b = sparse(4, 4, vec![(0, 2, 1.0), (1, 2, 1.0), (3, 1, 1.0)]);
-        let product = Block::Dense(a.gemm(&b).unwrap()).compact();
-        assert!(a.gemm_nnz_upper_bound(&b) >= product.nnz());
-        let d = dense(4, 3, &[1.0; 12]);
-        assert!(a.gemm_nnz_upper_bound(&d) >= a.gemm(&d).unwrap().nnz());
     }
 
     #[test]

@@ -391,15 +391,6 @@ impl BlockedMatrix {
         let k_blocks = self.meta.grid().block_cols;
         let mut out = BlockedMatrix::zeros(meta)?;
         for (bi, bj) in meta.grid().coords() {
-            if k_blocks == 1 {
-                // Single-term product: the format-aware kernel can build a
-                // sparse output directly (Gustavson) with the same
-                // summation order as the dense accumulator.
-                if let (Some(a), Some(b)) = (self.block(bi, 0), rhs.block(0, bj)) {
-                    out.set_block(bi, bj, a.gemm_auto(b)?)?;
-                }
-                continue;
-            }
             let (br, bc) = meta.block_dims(bi, bj);
             let mut acc = DenseBlock::zeros(br, bc);
             let mut any = false;

@@ -184,13 +184,14 @@ impl MatrixMeta {
 
     /// Size in bytes the executor's format rule implies for `self * rhs`.
     ///
-    /// Mirrors [`crate::Block::gemm_auto`]: when the structural density
-    /// upper bound stays below the sparse-format threshold the product is
-    /// stored in CSR, and CSR priced *at the upper bound* never undershoots
-    /// the stored bytes; at or above the threshold the product may be kept
+    /// The kernels store each product block as [`crate::Block::compact`]
+    /// stores it, sparse below the sparse-format threshold. When the
+    /// structural density upper bound stays below that threshold, the
+    /// product is priced in CSR *at the upper bound*, which never
+    /// undershoots the stored bytes; at or above it the product may be kept
     /// dense, so the dense size is the worst case. `MemEst`/`NetEst` use
-    /// this so the optimizer prices matmul intermediates with the same rule
-    /// the kernels apply.
+    /// this so the optimizer prices matmul intermediates with the same
+    /// threshold the kernels apply.
     pub fn matmul_out_size_bytes(&self, rhs: &MatrixMeta) -> u64 {
         let ub = matmul_ub_density(self.density, rhs.density, self.shape.cols);
         let out = Shape::new(self.shape.rows, rhs.shape.cols);

@@ -502,133 +502,6 @@ impl SparseBlock {
         Ok(())
     }
 
-    /// Row-wise Gustavson SpGEMM with a *sparse* output, built row by row
-    /// through a dense-scatter accumulator (dense scratch row plus a
-    /// touched-column list). Products accumulate in the same order as
-    /// [`SparseBlock::gemm_sparse_acc`]; computed zeros are dropped from
-    /// the output like every other sparse constructor.
-    pub fn gemm_sparse(&self, rhs: &SparseBlock) -> Result<SparseBlock> {
-        if self.cols != rhs.rows {
-            return Err(Error::GemmMismatch {
-                left_cols: self.cols,
-                right_rows: rhs.rows,
-            });
-        }
-        let n = rhs.cols;
-        let mut scratch = vec![0.0f64; n];
-        let mut occupied = vec![false; n];
-        let mut touched: Vec<u32> = Vec::new();
-        let mut row_ptr = Vec::with_capacity(self.rows + 1);
-        row_ptr.push(0);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        for r in 0..self.rows {
-            let (ks, avals) = self.row_entries(r);
-            for (&k, &a) in ks.iter().zip(avals) {
-                let (cs, bvals) = rhs.row_entries(k as usize);
-                for (&c, &b) in cs.iter().zip(bvals) {
-                    let ci = c as usize;
-                    scratch[ci] += a * b;
-                    if !occupied[ci] {
-                        occupied[ci] = true;
-                        touched.push(c);
-                    }
-                }
-            }
-            touched.sort_unstable();
-            for &c in &touched {
-                let ci = c as usize;
-                if scratch[ci] != 0.0 {
-                    col_idx.push(c);
-                    values.push(scratch[ci]);
-                }
-                scratch[ci] = 0.0;
-                occupied[ci] = false;
-            }
-            touched.clear();
-            row_ptr.push(values.len());
-        }
-        Ok(SparseBlock {
-            rows: self.rows,
-            cols: n,
-            row_ptr,
-            col_idx,
-            values,
-        })
-    }
-
-    /// Sparse×dense GEMM with a sparse output: only rows of `self` with
-    /// stored entries can be non-zero in the product, so each such row is
-    /// accumulated densely (same order as [`SparseBlock::gemm_dense_acc`])
-    /// and then gathered, dropping computed zeros.
-    pub fn gemm_dense_sparse_out(&self, rhs: &DenseBlock) -> Result<SparseBlock> {
-        if self.cols != rhs.rows() {
-            return Err(Error::GemmMismatch {
-                left_cols: self.cols,
-                right_rows: rhs.rows(),
-            });
-        }
-        let n = rhs.cols();
-        let mut scratch = vec![0.0f64; n];
-        let mut row_ptr = Vec::with_capacity(self.rows + 1);
-        row_ptr.push(0);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        for r in 0..self.rows {
-            let (ks, avals) = self.row_entries(r);
-            if !ks.is_empty() {
-                for (&k, &a) in ks.iter().zip(avals) {
-                    let b_row = rhs.row(k as usize);
-                    for (s, &b) in scratch.iter_mut().zip(b_row) {
-                        *s += a * b;
-                    }
-                }
-                for (c, s) in scratch.iter_mut().enumerate() {
-                    if *s != 0.0 {
-                        col_idx.push(c as u32);
-                        values.push(*s);
-                    }
-                    *s = 0.0;
-                }
-            }
-            row_ptr.push(values.len());
-        }
-        Ok(SparseBlock {
-            rows: self.rows,
-            cols: n,
-            row_ptr,
-            col_idx,
-            values,
-        })
-    }
-
-    /// Structural upper bound on `nnz(self * rhs)`: per output row `r`,
-    /// at most `min(rhs.cols, Σ_{k ∈ row r} nnz(rhs row k))` entries can be
-    /// non-zero. Never less than the actual product nnz.
-    pub fn gemm_nnz_upper_bound(&self, rhs: &SparseBlock) -> usize {
-        let mut rhs_row_nnz = vec![0usize; rhs.rows];
-        for (i, n) in rhs_row_nnz.iter_mut().enumerate() {
-            *n = rhs.row_ptr[i + 1] - rhs.row_ptr[i];
-        }
-        let mut total = 0usize;
-        for r in 0..self.rows {
-            let (ks, _) = self.row_entries(r);
-            let row_ub: usize = ks.iter().map(|&k| rhs_row_nnz[k as usize]).sum();
-            total += row_ub.min(rhs.cols);
-        }
-        total
-    }
-
-    /// Structural upper bound on `nnz(self * rhs)` against a dense right
-    /// operand: every row of `self` with at least one stored entry may fill
-    /// its whole output row.
-    pub fn gemm_dense_nnz_upper_bound(&self, rhs_cols: usize) -> usize {
-        (0..self.rows)
-            .filter(|&r| self.row_ptr[r + 1] > self.row_ptr[r])
-            .count()
-            * rhs_cols
-    }
-
     /// Full aggregation to a scalar. For `Sum` only stored values matter;
     /// for `Min`/`Max` implicit zeros participate when the block is not
     /// full. A degenerate extent aggregates to the implicit zero, never the
@@ -939,22 +812,6 @@ mod tests {
             let mut acc = DenseBlock::zeros(6, 7);
             a.gemm_sparse_acc(&b, &mut acc).unwrap();
             assert_eq!(acc, reference);
-            let sp = a.gemm_sparse(&b).unwrap();
-            assert_eq!(sp.to_dense(), reference);
-            assert!(sp.nnz() <= a.gemm_nnz_upper_bound(&b));
-        }
-    }
-
-    #[test]
-    fn sparse_dense_sparse_out_matches_dense_reference() {
-        let mut state = 0xBEEF_0001;
-        for _ in 0..20 {
-            let a = random_sparse(&mut state, 6, 5, 30);
-            let b = random_sparse(&mut state, 5, 7, 80).to_dense();
-            let reference = a.to_dense().gemm(&b).unwrap();
-            let sp = a.gemm_dense_sparse_out(&b).unwrap();
-            assert_eq!(sp.to_dense(), reference);
-            assert!(sp.nnz() <= a.gemm_dense_nnz_upper_bound(b.cols()));
         }
     }
 

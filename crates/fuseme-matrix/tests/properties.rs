@@ -569,37 +569,7 @@ fn special_block(rows: usize, cols: usize) -> impl Strategy<Value = Block> {
     })
 }
 
-/// A block's format, and its stored entries (every entry of a dense block)
-/// with the bits of their values.
-fn stored_bits(b: &Block) -> (bool, Vec<(usize, usize, u64)>) {
-    let entries = match b {
-        Block::Sparse(s) => s.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect(),
-        Block::Dense(d) => (0..d.rows())
-            .flat_map(|r| (0..d.cols()).map(move |c| (r, c, d.get(r, c).to_bits())))
-            .collect(),
-    };
-    (b.is_sparse(), entries)
-}
-
 proptest! {
-    /// `Block::gemm_auto` is `compact()` of the dense product `gemm` gives,
-    /// in format, pattern and the bits of every value, for all four format
-    /// pairs, operands storing `±0.0`, `±inf` and NaN, and shapes down to
-    /// one row, one column or one inner index (a matrix's narrow edge
-    /// blocks). Thin sparse left operands take its direct sparse outputs.
-    /// The executor compacts a stored product's blocks this way after
-    /// computing them together, which gives what the per-block path's
-    /// single-term `gemm_auto` gives.
-    #[test]
-    fn gemm_auto_is_the_compacted_dense_product(
-        (l, r) in (1usize..=6, 1usize..=6, 1usize..=6)
-            .prop_flat_map(|(m, k, n)| (special_block(m, k), special_block(k, n)))
-    ) {
-        let auto = l.gemm_auto(&r).unwrap();
-        let want = Block::Dense(l.gemm(&r).unwrap()).compact();
-        prop_assert_eq!(stored_bits(&auto), stored_bits(&want), "{:?} × {:?}", l, r);
-    }
-
     /// `DenseBlock::gemm_acc_at` and `SparseBlock::gemm_from_dense_acc_at`,
     /// chained over one to three terms into a window of a wider
     /// accumulator, leave in the window the bits `Block::gemm_acc` chained

@@ -167,8 +167,8 @@ fn fused_and_unfused_agree_on_every_workload() {
 }
 
 /// The sparse execution path — CSR inputs kept sparse through Gustavson
-/// SpGEMM, sparse-output kernels, and re-compaction at the consolidation
-/// boundary — must be element-wise equal to the forced-dense path on every
+/// SpGEMM, product blocks compacted to CSR, and re-compaction at the
+/// consolidation boundary — must be element-wise equal to the forced-dense path on every
 /// workload script, at densities low enough that the sparse kernels
 /// actually engage. On the workloads whose rating matrix *is* sparse, the
 /// sparse path must also move strictly fewer shuffled bytes.
